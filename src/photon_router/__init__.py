@@ -1,11 +1,13 @@
 """Steady-state single-photon routing through a chain of two-level emitters
 coupled to a two-waveguide ladder (four-port router).
 
-The library solves the 5N-amplitude scattering problem for arbitrary chain
-length with chiral or symmetric couplings, spontaneous emission and
-all-to-all dipole-dipole interaction, and provides closed-form one- and
+The library solves the scattering problem for arbitrary chain length with
+chiral or symmetric couplings, spontaneous emission and all-to-all
+dipole-dipole interaction: one N x N system in the emitter amplitudes per
+detuning, stacked over a whole detuning grid, with the field amplitudes
+recovered by cumulative sums.  It also provides closed-form one- and
 two-emitter oracles, spectrum scans, peak refinement, separation sweeps and
-chain-length scaling reports.
+chain-length scaling reports, all built on that one batched solve.
 """
 
 __version__ = "0.1.0"
@@ -22,7 +24,6 @@ from .params import (
     ConfigError,
     DetuningGrid,
     SystemConfig,
-    derive_phases,
     load_config,
     to_megahertz,
     validate,
@@ -30,7 +31,6 @@ from .params import (
 from .scattering import (
     SolverError,
     TransportSolution,
-    assemble_system,
     solve_spectrum_point_batch,
     solve_transport,
 )
@@ -51,7 +51,6 @@ __all__ = [
     "ConfigError",
     "DetuningGrid",
     "SystemConfig",
-    "derive_phases",
     "load_config",
     "to_megahertz",
     "validate",
@@ -60,7 +59,6 @@ __all__ = [
     "ddi_matrix",
     "SolverError",
     "TransportSolution",
-    "assemble_system",
     "solve_spectrum_point_batch",
     "solve_transport",
     "FourPortAmplitudes",

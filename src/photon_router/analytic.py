@@ -1,6 +1,6 @@
 """Closed-form one- and two-emitter transport amplitudes.
 
-Independent oracles for the dense solver and fast evaluators for resonance
+Independent oracles for the batched solver and fast evaluators for resonance
 bookkeeping.  Conventions match the solver: the photon enters the lower
 waveguide moving right, amplitudes are reported at the four output ports,
 rates are in Gamma0 units.  All expressions are written in pole form, i.e.
@@ -13,6 +13,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+from .scattering import port_intensities
 
 
 class PoleError(ArithmeticError):
@@ -31,17 +33,7 @@ class FourPortAmplitudes:
     rt: complex
 
     def intensities(self) -> dict[str, float]:
-        transmitted = abs(self.t) ** 2
-        reflected = abs(self.r) ** 2
-        routed_right = abs(self.tt) ** 2
-        routed_left = abs(self.rt) ** 2
-        return {
-            "T": transmitted,
-            "R": reflected,
-            "Tt": routed_right,
-            "Rt": routed_left,
-            "loss": 1.0 - transmitted - reflected - routed_right - routed_left,
-        }
+        return port_intensities(self.t, self.r, self.tt, self.rt)
 
 
 def _check_rates(coupling: float, gamma: float) -> None:

@@ -18,13 +18,7 @@ import numpy as np
 
 from . import __version__
 from .ddi import ddi_matrix
-from .params import (
-    ConfigError,
-    DetuningGrid,
-    SystemConfig,
-    derive_phases,
-    load_config,
-)
+from .params import ConfigError, DetuningGrid, SystemConfig, load_config
 from .scattering import SolverError
 from .spectra import (
     Peak,
@@ -102,7 +96,8 @@ def _manifest(
         "command": command,
         "version": __version__,
         "config": dataclasses.asdict(config),
-        "derived": derive_phases(config) | {"chiral": config.chiral},
+        "derived": {"theta": config.theta, "r_step": config.r_step,
+                    "chiral": config.chiral},
         "grid": grid,
         "outputs": [str(p) for p in outputs],
         "wall_clock_s": time.perf_counter() - started,
@@ -123,8 +118,7 @@ def _delta_grid(config: SystemConfig, args: argparse.Namespace) -> DetuningGrid:
 
 def _check_scan(result: SpectrumResult) -> None:
     if result.failures:
-        delta, message = result.failures[0]
-        raise SolverError(f"scan failed: {message}", delta)
+        raise result.failures[0]
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -223,11 +217,10 @@ def cmd_scale_n(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     config = load_config(args.config)
-    phases = derive_phases(config)
     print(f"n_emitters: {config.n_emitters}")
     print(f"chiral: {'true' if config.chiral else 'false'}")
-    print(f"theta: {phases['theta']:.6f} rad ({phases['theta'] / np.pi:.4f} pi)")
-    print(f"r_step: {phases['r_step']:.6f} rad")
+    print(f"theta: {config.theta:.6f} rad ({config.theta / np.pi:.4f} pi)")
+    print(f"r_step: {config.r_step:.6f} rad")
     print(f"ddi_mode: {config.ddi_mode}")
     ddi = ddi_matrix(config)
     if config.n_emitters > 1 and config.ddi_mode != "off":

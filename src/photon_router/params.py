@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -84,7 +85,8 @@ class SystemConfig:
         for name in _RATE_FIELDS:
             value = getattr(self, name)
             if isinstance(value, (list, np.ndarray)):
-                object.__setattr__(self, name, tuple(float(v) for v in value))
+                value = tuple(float(v) if _is_real(v) else v for v in value)
+                object.__setattr__(self, name, value)
 
     @property
     def theta(self) -> float:
@@ -125,36 +127,47 @@ class SystemConfig:
         return self.theta * (1.0 + delta * self.gamma0_mhz * 1e6 / carrier_hz)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return _is_real(value) and math.isfinite(value)
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_rate(name: str, value: Rate, n: int, errors: list[str]) -> None:
-    if isinstance(value, tuple):
-        if len(value) != n:
-            errors.append(f"{name} has {len(value)} entries for {n} emitters")
-        bad = [v for v in value if not math.isfinite(v) or v < 0.0]
-        if bad:
-            errors.append(f"{name} must be non-negative, got {bad[0]}")
-    elif not math.isfinite(value) or value < 0.0:
-        errors.append(f"{name} must be non-negative, got {value}")
+    values = value if isinstance(value, tuple) else (value,)
+    if isinstance(value, tuple) and len(value) != n:
+        errors.append(f"{name} has {len(value)} entries for {n} emitters")
+    bad = [v for v in values if not (_is_finite(v) and v >= 0.0)]
+    if bad:
+        errors.append(f"{name} must be non-negative, got {bad[0]!r}")
 
 
 def validate(config: SystemConfig) -> SystemConfig:
     """Check every invariant and return the config unchanged.
 
     Raises ConfigError listing all violations at once, so a bad config file
-    can be fixed in a single pass.
+    can be fixed in a single pass.  Wrongly typed values (a string rate, a
+    fractional or boolean emitter count) are violations like any other.
     """
     errors: list[str] = []
-    if config.n_emitters < 1:
+    if not _is_count(config.n_emitters):
+        errors.append(f"n_emitters must be an integer, got {config.n_emitters!r}")
+    elif config.n_emitters < 1:
         errors.append(f"n_emitters must be >= 1, got {config.n_emitters}")
     for name in _RATE_FIELDS:
         _check_rate(name, getattr(config, name), config.n_emitters, errors)
-    if not (math.isfinite(config.spacing) and config.spacing > 0.0):
-        errors.append(f"spacing must be positive, got {config.spacing}")
-    for name in ("lambda_qd", "lambda_sp"):
+    for name in ("spacing", "lambda_qd", "lambda_sp", "gamma0_mhz"):
         value = getattr(config, name)
-        if not (math.isfinite(value) and value > 0.0):
-            errors.append(f"{name} must be positive, got {value}")
-    if not math.isfinite(config.dipole_angle):
-        errors.append(f"dipole_angle must be finite, got {config.dipole_angle}")
+        if not (_is_finite(value) and value > 0.0):
+            errors.append(f"{name} must be positive, got {value!r}")
+    if not _is_finite(config.dipole_angle):
+        errors.append(f"dipole_angle must be finite, got {config.dipole_angle!r}")
     if config.ddi_mode not in DDI_MODES:
         errors.append(
             f"unknown ddi_mode {config.ddi_mode!r}, expected one of {DDI_MODES}"
@@ -162,30 +175,25 @@ def validate(config: SystemConfig) -> SystemConfig:
     if config.ddi_mode == "manual":
         if config.ddi_strength is None:
             errors.append("ddi_mode 'manual' requires ddi_strength")
-        elif not math.isfinite(config.ddi_strength):
-            errors.append(f"ddi_strength must be finite, got {config.ddi_strength}")
-    if config.gamma0_mhz <= 0.0:
-        errors.append(f"gamma0_mhz must be positive, got {config.gamma0_mhz}")
+        elif not _is_finite(config.ddi_strength):
+            errors.append(f"ddi_strength must be finite, got {config.ddi_strength!r}")
+    for name in ("regularize", "delta_dependent_phases"):
+        value = getattr(config, name)
+        if not isinstance(value, bool):
+            errors.append(f"{name} must be true or false, got {value!r}")
     if config.detuning is not None:
         grid = config.detuning
-        if grid.points < 1:
+        if not _is_count(grid.points):
+            errors.append(f"detuning points must be an integer, got {grid.points!r}")
+        elif grid.points < 1:
             errors.append(f"detuning points must be >= 1, got {grid.points}")
-        if not (math.isfinite(grid.min) and math.isfinite(grid.max)):
+        if not (_is_finite(grid.min) and _is_finite(grid.max)):
             errors.append("detuning window must be finite")
         elif grid.min > grid.max:
             errors.append(f"detuning min {grid.min} exceeds max {grid.max}")
     if errors:
         raise ConfigError(errors)
     return config
-
-
-def derive_phases(config: SystemConfig) -> dict[str, float]:
-    """Lattice-step phases of a validated config.
-
-    theta:  2*pi*spacing/lambda_sp, the guided-mode phase per step.
-    r_step: 2*pi*spacing/lambda_qd, the transition-wavenumber phase per step.
-    """
-    return {"theta": config.theta, "r_step": config.r_step}
 
 
 def to_megahertz(rate_in_gamma0: float, config: SystemConfig) -> float:

@@ -1,27 +1,32 @@
 """Steady-state single-photon transport through the emitter chain.
 
-The piecewise-plane-wave ansatz closes into a dense complex linear system of
-size 5N.  Unknowns are ordered [A_1..A_N, t_1..t_N, r_1..r_N, tt_1..tt_N,
-rt_1..rt_N]: emitter excitation amplitudes, then the four field amplitudes
-per segment of the lower (t, r) and upper (tt, rt) waveguides.  The photon
-enters the lower waveguide moving right (t_0 = 1); all other inputs vanish,
-so r_{N+1} = tt_0 = rt_{N+1} = 0.
+The photon enters the lower waveguide moving right (t_0 = 1); all other
+inputs vanish.  Eliminating the field amplitudes leaves N unknowns, the
+emitter amplitudes A_j, in one complex N x N system per detuning delta
+(phase phi_j = (j-1)*Theta(delta), amplitude coupling v = sqrt(rate)):
 
-Per emitter j (phase phi_j = (j-1)*Theta, amplitude coupling v = sqrt(rate)):
+    M_jj = -delta - (i/2)(gamma_j + gamma_dr,j + gamma_dl,j + gamma_ur,j + gamma_ul,j)
+    M_jk = -i (v_dr,j v_dr,k + v_ur,j v_ur,k) e^{+i(phi_j - phi_k)}   k < j
+    M_jk = -i (v_dl,j v_dl,k + v_ul,j v_ul,k) e^{-i(phi_j - phi_k)}   k > j
+    M += J (dipole-dipole coupling),    M A = -v_dr e^{i phi}
 
-    t_j  - t_{j-1}  + i v_dr e^{-i phi_j} A_j = 0
-    r_{j+1} - r_j   - i v_dl e^{+i phi_j} A_j = 0
-    tt_j - tt_{j-1} + i v_ur e^{-i phi_j} A_j = 0
-    rt_{j+1} - rt_j - i v_ul e^{+i phi_j} A_j = 0
-    (v_dr/2) e^{+i phi_j}(t_j + t_{j-1}) + (v_dl/2) e^{-i phi_j}(r_{j+1} + r_j)
-      + (v_ur/2) e^{+i phi_j}(tt_j + tt_{j-1}) + (v_ul/2) e^{-i phi_j}(rt_{j+1} + rt_j)
-      - (delta + i gamma_j/2) A_j + sum_{i != j} J_ij A_i = 0
+Rightward channels couple each emitter to those before it, leftward channels
+to those after it.  The field amplitudes in each segment follow by
+cumulative sums:
+
+    t_j  = 1 - i sum_{k<=j} v_dr,k e^{-i phi_k} A_k
+    tt_j =   - i sum_{k<=j} v_ur,k e^{-i phi_k} A_k
+    r_j  =   - i sum_{k>=j} v_dl,k e^{+i phi_k} A_k
+    rt_j =   - i sum_{k>=j} v_ul,k e^{+i phi_k} A_k
+
+so a chiral chain (v_dl = v_ul = 0) has exactly zero backflow.  Detunings
+are solved as stacks of these systems, each with its own phases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +36,12 @@ from .params import POLE_REGULARIZATION, SystemConfig
 #: Accepted solves must have a backward error below this bound.
 RESIDUAL_LIMIT = 1e-10
 
+#: Complex elements per stacked N x N solve; bounds a batch's memory.
+STACK_ELEMENTS = 2**14
+
 INTENSITY_KEYS = ("T", "R", "Tt", "Rt", "loss")
+
+_CHANNELS = ("gamma_dr", "gamma_dl", "gamma_ur", "gamma_ul")
 
 
 class SolverError(RuntimeError):
@@ -46,13 +56,20 @@ class SolverError(RuntimeError):
         super().__init__(detail)
 
 
+def port_intensities(t, r, tt, rt) -> dict:
+    """T, R, Tt, Rt = |t|^2, |r|^2, |tt|^2, |rt|^2 at the output ports and
+    loss = 1 - T - R - Tt - Rt, the probability leaked to non-guided modes.
+    Works element-wise on arrays of amplitudes."""
+    power = [abs(amplitude) ** 2 for amplitude in (t, r, tt, rt)]
+    loss = 1.0 - power[0] - power[1] - power[2] - power[3]
+    return dict(zip(INTENSITY_KEYS, (*power, loss)))
+
+
 @dataclass(frozen=True)
 class TransportSolution:
-    """All 5N amplitudes at one detuning, plus derived port intensities.
-
-    Intensities: T = |t_N|^2, R = |r_1|^2, Tt = |tt_N|^2, Rt = |rt_1|^2 and
-    loss = 1 - T - R - Tt - Rt (probability leaked to non-guided modes).
-    """
+    """Emitter and segment amplitudes at one detuning, plus the port
+    intensities (see ``port_intensities``) and the backward error of the
+    reduced solve."""
 
     delta: float
     a: np.ndarray
@@ -64,144 +81,112 @@ class TransportSolution:
     residual: float
 
 
-def assemble_system(
-    config: SystemConfig, ddi: DdiMatrix, delta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Build the 5N x 5N matrix and right-hand side at one detuning."""
+def _reduced_system(
+    config: SystemConfig, ddi: DdiMatrix, deltas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked matrices M, right-hand sides, site phases e^{i phi_j} and
+    channel couplings v (rows dr, dl, ur, ul) for a 1-D array of detunings."""
     n = config.n_emitters
-    if ddi.n != n:
-        raise ValueError(f"coupling matrix is {ddi.n}x{ddi.n} for {n} emitters")
-
     gamma = config.rate_profile("gamma")
     if config.regularize:
         gamma = gamma + POLE_REGULARIZATION
-    v_dr = np.sqrt(config.rate_profile("gamma_dr"))
-    v_dl = np.sqrt(config.rate_profile("gamma_dl"))
-    v_ur = np.sqrt(config.rate_profile("gamma_ur"))
-    v_ul = np.sqrt(config.rate_profile("gamma_ul"))
+    rates = np.array([config.rate_profile(name) for name in _CHANNELS])
+    v = np.sqrt(rates)
+    v_dr, v_dl, v_ur, v_ul = v
+    rightward = np.tril(np.outer(v_dr, v_dr) + np.outer(v_ur, v_ur), -1)
+    leftward = np.triu(np.outer(v_dl, v_dl) + np.outer(v_ul, v_ul), 1)
 
-    phi = np.arange(n) * config.step_phase(delta)
-    forward = np.exp(1j * phi)
-    backward = np.exp(-1j * phi)
+    step = np.broadcast_to(config.step_phase(deltas), deltas.shape)
+    phases = np.exp(1j * np.outer(step, np.arange(n)))
+    relative = phases[:, :, None] * phases.conj()[:, None, :]
+    matrices = -1j * (rightward * relative + leftward * relative.conj()) + ddi.values
+    diagonal = np.arange(n)
+    matrices[:, diagonal, diagonal] = (
+        -deltas[:, None] - 0.5j * (gamma + rates.sum(axis=0))
+    )
+    rhs = -(v_dr * phases)[..., None]
+    return matrices, rhs, phases, v
 
-    a0, t0, r0, tt0, rt0 = 0, n, 2 * n, 3 * n, 4 * n
-    j = np.arange(n)
-    matrix = np.zeros((5 * n, 5 * n), dtype=complex)
-    rhs = np.zeros(5 * n, dtype=complex)
 
-    # Lower waveguide, rightward: t_j - t_{j-1} + i v_dr e^{-i phi} A_j = 0.
-    rows = j
-    matrix[rows, t0 + j] = 1.0
-    matrix[rows[1:], t0 + j[:-1]] = -1.0
-    matrix[rows, a0 + j] = 1j * v_dr * backward
-    rhs[0] = 1.0  # t_0 = 1 (input photon)
+def _solve_stack(
+    config: SystemConfig, ddi: DdiMatrix, deltas: np.ndarray
+) -> list[TransportSolution | SolverError]:
+    matrices, rhs, phases, v = _reduced_system(config, ddi, deltas)
+    try:
+        x = np.linalg.solve(matrices, rhs)
+    except np.linalg.LinAlgError:
+        if deltas.size == 1:
+            return [
+                SolverError("singular transport system", float(deltas[0]), np.inf)
+            ]
+        # Re-solve point by point so only the singular points fail.
+        return [
+            item
+            for i in range(deltas.size)
+            for item in _solve_stack(config, ddi, deltas[i : i + 1])
+        ]
 
-    # Lower waveguide, leftward: r_{j+1} - r_j - i v_dl e^{+i phi} A_j = 0.
-    rows = n + j
-    matrix[rows[:-1], r0 + j[1:]] = 1.0
-    matrix[rows, r0 + j] = -1.0
-    matrix[rows, a0 + j] = -1j * v_dl * forward
+    # Normwise backward error; a zero scale means b = 0 and x = 0, so the
+    # defect itself (0, or NaN for non-finite x) is the residual.
+    defect = np.abs(matrices @ x - rhs).max(axis=(1, 2))
+    norm_ax = np.abs(matrices).sum(axis=2).max(axis=1) * np.abs(x).max(axis=(1, 2))
+    scale = norm_ax + np.abs(rhs).max(axis=(1, 2))
+    residual = np.divide(defect, scale, out=defect.copy(), where=scale > 0.0).tolist()
 
-    # Upper waveguide, rightward: tt_j - tt_{j-1} + i v_ur e^{-i phi} A_j = 0.
-    rows = 2 * n + j
-    matrix[rows, tt0 + j] = 1.0
-    matrix[rows[1:], tt0 + j[:-1]] = -1.0
-    matrix[rows, a0 + j] = 1j * v_ur * backward
+    a = x[..., 0]
+    v_dr, v_dl, v_ur, v_ul = v
+    forward = phases.conj() * a
+    backward = phases * a
+    t = 1.0 - 1j * np.cumsum(v_dr * forward, axis=1)
+    tt = -1j * np.cumsum(v_ur * forward, axis=1)
+    r = -1j * np.cumsum((v_dl * backward)[:, ::-1], axis=1)[:, ::-1]
+    rt = -1j * np.cumsum((v_ul * backward)[:, ::-1], axis=1)[:, ::-1]
+    ports = port_intensities(t[:, -1], r[:, 0], tt[:, -1], rt[:, 0])
+    rows = zip(*(column.tolist() for column in ports.values()))
+    return [
+        TransportSolution(
+            delta, a[i], t[i], r[i], tt[i], rt[i], dict(zip(ports, row)), residual[i]
+        )
+        if residual[i] <= RESIDUAL_LIMIT
+        else SolverError(
+            "near-singular transport system", delta, np.linalg.cond(matrices[i])
+        )
+        for i, (delta, row) in enumerate(zip(deltas.tolist(), rows))
+    ]
 
-    # Upper waveguide, leftward: rt_{j+1} - rt_j - i v_ul e^{+i phi} A_j = 0.
-    rows = 3 * n + j
-    matrix[rows[:-1], rt0 + j[1:]] = 1.0
-    matrix[rows, rt0 + j] = -1.0
-    matrix[rows, a0 + j] = -1j * v_ul * forward
 
-    # Emitter rows: field drive balances the detuned, damped excitation.
-    rows = 4 * n + j
-    matrix[rows, t0 + j] += 0.5 * v_dr * forward
-    matrix[rows[1:], t0 + j[:-1]] += 0.5 * v_dr[1:] * forward[1:]
-    rhs[4 * n] = -0.5 * v_dr[0] * forward[0]  # t_0 = 1 moved to the rhs
-    matrix[rows[:-1], r0 + j[1:]] += 0.5 * v_dl[:-1] * backward[:-1]
-    matrix[rows, r0 + j] += 0.5 * v_dl * backward
-    matrix[rows, tt0 + j] += 0.5 * v_ur * forward
-    matrix[rows[1:], tt0 + j[:-1]] += 0.5 * v_ur[1:] * forward[1:]
-    matrix[rows[:-1], rt0 + j[1:]] += 0.5 * v_ul[:-1] * backward[:-1]
-    matrix[rows, rt0 + j] += 0.5 * v_ul * backward
-    matrix[rows, a0 + j] = -(delta + 0.5j * gamma)
-    matrix[4 * n :, a0 : a0 + n] += ddi.values
+def solve_spectrum_point_batch(
+    config: SystemConfig, ddi: DdiMatrix, deltas: Sequence[float] | np.ndarray
+) -> list[TransportSolution | SolverError]:
+    """Solve every detuning of a 1-D list, in input order.
 
-    return matrix, rhs
+    Detunings are stacked into direct solves of at most ``STACK_ELEMENTS``
+    matrix elements each.  A point whose system is singular, or whose
+    backward error exceeds ``RESIDUAL_LIMIT``, contributes its SolverError
+    in place of a solution; the other points are unaffected.
+    """
+    n = config.n_emitters
+    if ddi.n != n:
+        raise ValueError(f"coupling matrix is {ddi.n}x{ddi.n} for {n} emitters")
+    deltas = np.asarray(deltas, dtype=float)
+    size = max(1, STACK_ELEMENTS // n**2)
+    return [
+        item
+        for start in range(0, deltas.size, size)
+        for item in _solve_stack(config, ddi, deltas[start : start + size])
+    ]
 
 
 def solve_transport(
     config: SystemConfig, ddi: DdiMatrix, delta: float
 ) -> TransportSolution:
-    """Direct dense solve with partial pivoting at one detuning.
+    """One detuning of ``solve_spectrum_point_batch``.
 
     Raises SolverError at (or numerically indistinguishable from) the
     isolated real poles a lossless chain can develop; scans are expected to
     step around them or request regularization.
     """
-    matrix, rhs = assemble_system(config, ddi, delta)
-    try:
-        x = np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(
-            "singular transport system", delta, condition=float(np.inf)
-        ) from exc
-
-    defect = np.abs(matrix @ x - rhs).max()
-    scale = (
-        np.abs(matrix).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max()
-    )
-    residual = float(defect / scale)
-    if not np.isfinite(x).all() or residual > RESIDUAL_LIMIT:
-        raise SolverError(
-            "near-singular transport system",
-            delta,
-            condition=float(np.linalg.cond(matrix)),
-        )
-
-    n = config.n_emitters
-    a, t, r, tt, rt = (x[k * n : (k + 1) * n] for k in range(5))
-    transmitted = abs(t[-1]) ** 2
-    reflected = abs(r[0]) ** 2
-    routed_right = abs(tt[-1]) ** 2
-    routed_left = abs(rt[0]) ** 2
-    intensities = {
-        "T": transmitted,
-        "R": reflected,
-        "Tt": routed_right,
-        "Rt": routed_left,
-        "loss": 1.0 - transmitted - reflected - routed_right - routed_left,
-    }
-    return TransportSolution(
-        delta=float(delta),
-        a=a,
-        t=t,
-        r=r,
-        tt=tt,
-        rt=rt,
-        intensities=intensities,
-        residual=residual,
-    )
-
-
-def solve_spectrum_point_batch(
-    config: SystemConfig,
-    ddi: DdiMatrix,
-    deltas: Sequence[float] | np.ndarray,
-    on_error: Literal["raise", "collect"] = "raise",
-) -> list[TransportSolution | SolverError]:
-    """Element-wise solve over a list of detunings.
-
-    With on_error="collect" a failed point contributes its SolverError in
-    place of a solution, leaving the other points intact.
-    """
-    out: list[TransportSolution | SolverError] = []
-    for delta in deltas:
-        try:
-            out.append(solve_transport(config, ddi, float(delta)))
-        except SolverError as err:
-            if on_error == "raise":
-                raise
-            out.append(err)
-    return out
+    (solution,) = solve_spectrum_point_batch(config, ddi, [delta])
+    if isinstance(solution, SolverError):
+        raise solution
+    return solution

@@ -24,6 +24,8 @@ PEAK_REFINE_TOL = 1e-4
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+_FAILED_ROW = dict.fromkeys(INTENSITY_KEYS, np.nan)
+
 
 @dataclass(frozen=True)
 class Peak:
@@ -38,14 +40,14 @@ class SpectrumResult:
     """Per-detuning intensities of one scan.
 
     ``intensities`` maps each of T/R/Tt/Rt/loss to an array aligned with
-    ``deltas``; failed points hold NaN rows and are listed in ``failures``
-    as (delta, message) pairs.
+    ``deltas``; failed points hold NaN rows and their SolverErrors, which
+    carry the detuning, are listed in ``failures``.
     """
 
     deltas: np.ndarray
     intensities: dict[str, np.ndarray]
     peaks: list[Peak] = field(default_factory=list)
-    failures: list[tuple[float, str]] = field(default_factory=list)
+    failures: list[SolverError] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -93,15 +95,13 @@ def scan(
         if not (np.all(steps > 0) or np.all(steps < 0)):
             raise ValueError("grid must be strictly monotone")
 
-    results = solve_spectrum_point_batch(config, ddi, grid, on_error="collect")
-    intensities = {key: np.full(grid.size, np.nan) for key in INTENSITY_KEYS}
-    failures: list[tuple[float, str]] = []
-    for i, item in enumerate(results):
-        if isinstance(item, SolverError):
-            failures.append((float(grid[i]), str(item)))
-            continue
-        for key in INTENSITY_KEYS:
-            intensities[key][i] = item.intensities[key]
+    results = solve_spectrum_point_batch(config, ddi, grid)
+    failures = [item for item in results if isinstance(item, SolverError)]
+    rows = [
+        _FAILED_ROW if isinstance(item, SolverError) else item.intensities
+        for item in results
+    ]
+    intensities = {key: np.array([row[key] for row in rows]) for key in INTENSITY_KEYS}
     return SpectrumResult(deltas=grid, intensities=intensities, failures=failures)
 
 

@@ -143,6 +143,29 @@ def test_validation_failure_exits_1(tmp_path, capsys):
     assert "n_emitters" in err and "gamma" in err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n_emitters": 2.5},
+        {"n_emitters": True, "gamma_dr": 1.0},
+        {"gamma_dr": "x"},
+        {"gamma0_mhz": float("nan"), "gamma_dr": 1.0},
+    ],
+)
+def test_wrongly_typed_config_exits_1(tmp_path, capsys, data):
+    config = tmp_path / "typed.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "never.csv"
+    code = main([
+        "spectrum", "--config", str(config), "--out", str(out),
+        "--delta-points", "3",
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: ")
+    assert not out.exists()
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["spectrum"]) == 1
     assert "required" in capsys.readouterr().err
@@ -157,7 +180,9 @@ def test_solver_failure_exits_2_without_partial_output(tmp_path, capsys):
         "--delta-min", "-1", "--delta-max", "1", "--delta-points", "3",
     ])
     assert code == 2
-    assert "delta=+0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("delta=") == 1
+    assert "delta=+0" in err
     assert not out.exists()
     assert not (tmp_path / "never.csv.manifest.json").exists()
 

@@ -8,7 +8,6 @@ from photon_router import (
     ConfigError,
     DetuningGrid,
     SystemConfig,
-    derive_phases,
     load_config,
     to_megahertz,
     validate,
@@ -64,12 +63,6 @@ def test_manual_ddi_requires_strength():
 def test_validation_is_idempotent():
     config = chiral_config(3)
     assert validate(validate(config)) is validate(config)
-
-
-def test_derive_phases_matches_properties():
-    config = chiral_config(2)
-    phases = derive_phases(config)
-    assert phases == {"theta": config.theta, "r_step": config.r_step}
 
 
 def test_rate_profiles_broadcast_and_override():
@@ -164,3 +157,34 @@ def test_detuning_grid_validation():
         validate(SystemConfig(detuning=DetuningGrid(0.0, 1.0, 0)))
     with pytest.raises(ConfigError, match="exceeds max"):
         validate(SystemConfig(detuning=DetuningGrid(2.0, 1.0, 5)))
+
+
+@pytest.mark.parametrize(
+    "data, fragment",
+    [
+        ({"n_emitters": 2.5}, "n_emitters must be an integer"),
+        ({"n_emitters": True, "gamma_dr": 1.0}, "n_emitters must be an integer"),
+        ({"gamma_dr": "x"}, "gamma_dr must be non-negative, got 'x'"),
+        ({"n_emitters": 2, "gamma": [1.0, "x"]}, "gamma must be non-negative, got 'x'"),
+        ({"gamma0_mhz": math.nan, "gamma_dr": 1.0}, "gamma0_mhz must be positive"),
+        ({"spacing": "far"}, "spacing must be positive"),
+        ({"ddi_mode": "manual", "ddi_strength": "x"}, "ddi_strength must be finite"),
+        ({"regularize": "yes"}, "regularize must be true or false"),
+        ({"detuning": {"points": 3.5}}, "detuning points must be an integer"),
+        ({"detuning": {"min": "low"}}, "detuning window must be finite"),
+    ],
+)
+def test_load_config_reports_wrong_types(tmp_path, data, fragment):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match=fragment):
+        load_config(path)
+
+
+def test_wrong_types_reported_together():
+    bad = SystemConfig(n_emitters=2.5, gamma_dr="x", gamma0_mhz=math.nan)
+    with pytest.raises(ConfigError) as err:
+        validate(bad)
+    text = "\n".join(err.value.errors)
+    for fragment in ("n_emitters", "gamma_dr", "gamma0_mhz"):
+        assert fragment in text

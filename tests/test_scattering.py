@@ -8,7 +8,6 @@ from photon_router import (
     DdiMatrix,
     SolverError,
     SystemConfig,
-    assemble_system,
     ddi_matrix,
     single_chiral,
     single_symmetric,
@@ -18,11 +17,22 @@ from photon_router import (
     validate,
 )
 
+from photon_router.scattering import STACK_ELEMENTS
+
 from conftest import COUPLING, EMISSION, chiral_config, symmetric_config
+from dense_oracle import assemble_system, solve_dense
+
+AMPLITUDES = ("t", "r", "tt", "rt")
 
 
 def no_ddi(n: int) -> DdiMatrix:
     return DdiMatrix(np.zeros((n, n)))
+
+
+def assert_same_solution(a, b):
+    for key in ("a", *AMPLITUDES):
+        assert np.array_equal(getattr(a, key), getattr(b, key))
+    assert a.intensities == b.intensities
 
 
 def test_system_shape_and_boundary_terms():
@@ -38,7 +48,7 @@ def test_system_shape_and_boundary_terms():
 def test_dimension_mismatch_rejected():
     config = chiral_config(3)
     with pytest.raises(ValueError, match="2x2 for 3 emitters"):
-        assemble_system(config, no_ddi(2), 0.0)
+        solve_spectrum_point_batch(config, no_ddi(2), [0.0])
 
 
 def test_decoupled_emitter_passes_photon_through():
@@ -48,6 +58,7 @@ def test_decoupled_emitter_passes_photon_through():
     assert sol.a[0] == 0.0
     assert sol.intensities["T"] == 1.0
     assert sol.intensities["loss"] == 0.0
+    assert sol.residual == 0.0  # zero defect at zero scale
 
 
 def test_decoupled_emitter_is_singular_at_resonance():
@@ -180,15 +191,111 @@ def test_batch_matches_pointwise_and_preserves_order():
 
 def test_batch_collects_per_point_failures():
     config = validate(SystemConfig(n_emitters=1, ddi_mode="off"))
-    out = solve_spectrum_point_batch(
-        config, no_ddi(1), [-1.0, 0.0, 1.0], on_error="collect"
-    )
+    out = solve_spectrum_point_batch(config, no_ddi(1), [-1.0, 0.0, 1.0])
     assert out[0].intensities["T"] == 1.0
     assert isinstance(out[1], SolverError)
     assert out[1].delta == 0.0
     assert out[2].intensities["T"] == 1.0
-    with pytest.raises(SolverError):
-        solve_spectrum_point_batch(config, no_ddi(1), [-1.0, 0.0, 1.0])
+
+
+def test_non_finite_solution_never_passes_the_residual_check():
+    # A subnormal pivot: LAPACK's reciprocal overflows and the amplitudes
+    # come back NaN without a LinAlgError, so the residual is NaN too.
+    config = validate(
+        SystemConfig(n_emitters=1, gamma_ur=5e-324, gamma_ul=5e-324, ddi_mode="off")
+    )
+    out = solve_spectrum_point_batch(config, no_ddi(1), [0.0, 1.0])
+    assert isinstance(out[0], SolverError)
+    assert "near-singular" in str(out[0])
+    assert out[1].intensities["T"] == 1.0
+
+
+def test_singular_point_fails_alone_in_its_stack():
+    # The second emitter is decoupled from everything, so delta = 0 is an
+    # exact pole of its row; every other point must still solve.
+    config = chiral_config(
+        2,
+        gamma=(EMISSION, 0.0),
+        gamma_dr=(COUPLING, 0.0),
+        gamma_ur=(COUPLING, 0.0),
+        ddi_mode="off",
+    )
+    deltas = np.linspace(-2.0, 2.0, 5)
+    out = solve_spectrum_point_batch(config, no_ddi(2), deltas)
+    assert [isinstance(item, SolverError) for item in out] == [
+        False, False, True, False, False
+    ]
+    assert out[2].delta == 0.0
+    assert out[2].condition == np.inf
+    for delta, sol in zip(deltas, out):
+        if isinstance(sol, SolverError):
+            continue
+        ref = solve_dense(config, no_ddi(2), delta)
+        for key in AMPLITUDES:
+            assert np.max(np.abs(getattr(sol, key) - ref[key])) < 1e-12
+
+
+def test_grid_longer_than_one_stack_matches_pointwise():
+    config = symmetric_config(8, gamma=EMISSION, delta_dependent_phases=True)
+    ddi = ddi_matrix(config)
+    deltas = np.linspace(-120.0, 120.0, 601)
+    assert deltas.size > 2 * (STACK_ELEMENTS // 8**2)  # three stacked solves
+    batch = solve_spectrum_point_batch(config, ddi, deltas)
+    assert [sol.delta for sol in batch] == deltas.tolist()
+    for delta, sol in zip(deltas, batch):
+        assert_same_solution(sol, solve_transport(config, ddi, delta))
+    for i in (0, 255, 256, 600):
+        ref = solve_dense(config, ddi, deltas[i])
+        for key in AMPLITUDES:
+            assert np.max(np.abs(getattr(batch[i], key) - ref[key])) < 1e-10
+
+
+def rate_profiles(n: int, low: float):
+    return st.lists(
+        st.floats(min_value=low, max_value=20.0), min_size=n, max_size=n
+    ).map(tuple)
+
+
+@st.composite
+def random_chains(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    dr, ur = draw(rate_profiles(n, 0.0)), draw(rate_profiles(n, 0.0))
+    if draw(st.booleans()):
+        dl, ul = draw(rate_profiles(n, 0.0)), draw(rate_profiles(n, 0.0))
+    else:
+        dl = ul = 0.0
+    config = validate(
+        SystemConfig(
+            n_emitters=n,
+            gamma=draw(rate_profiles(n, 0.1)),  # lossy: no real poles
+            gamma_dr=dr, gamma_dl=dl, gamma_ur=ur, gamma_ul=ul,
+            spacing=draw(st.floats(min_value=1.0, max_value=200.0)),
+            delta_dependent_phases=draw(st.booleans()),
+        )
+    )
+    exchange = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(
+        -30.0, 30.0, (n, n)
+    )
+    exchange = 0.5 * (exchange + exchange.T)
+    np.fill_diagonal(exchange, 0.0)
+    return config, DdiMatrix(exchange)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    chain=random_chains(),
+    deltas=st.lists(
+        st.floats(min_value=-60.0, max_value=60.0), min_size=1, max_size=6
+    ),
+)
+def test_batched_solver_matches_dense_oracle(chain, deltas):
+    config, ddi = chain
+    batch = solve_spectrum_point_batch(config, ddi, deltas)
+    for delta, sol in zip(deltas, batch):
+        assert_same_solution(sol, solve_transport(config, ddi, delta))
+        ref = solve_dense(config, ddi, delta)
+        for key in AMPLITUDES:
+            assert np.max(np.abs(getattr(sol, key) - ref[key])) < 1e-10
 
 
 def test_delta_dependent_phase_is_a_tiny_correction():

@@ -67,7 +67,7 @@ class TestScan:
         config = validate(SystemConfig(n_emitters=1, ddi_mode="off"))
         result = scan(config, ddi_matrix(config), np.array([-1.0, 0.0, 1.0]))
         assert len(result.failures) == 1
-        assert result.failures[0][0] == 0.0
+        assert result.failures[0].delta == 0.0
         assert np.isnan(result.intensities["T"][1])
         assert result.intensities["T"][0] == 1.0
 
