@@ -7,7 +7,9 @@ dipole-dipole interaction: one N x N system in the emitter amplitudes per
 detuning, stacked over a whole detuning grid, with the field amplitudes
 recovered by cumulative sums.  It also provides closed-form one- and
 two-emitter oracles, spectrum scans, peak refinement, separation sweeps and
-chain-length scaling reports, all built on that one batched solve.
+chain-length scaling reports, all built on that one batched solve; peak
+refinement advances every peak of every channel in lockstep, one batched
+solve per golden-section step.
 """
 
 __version__ = "0.1.0"

@@ -19,15 +19,8 @@ import numpy as np
 from . import __version__
 from .ddi import ddi_matrix
 from .params import ConfigError, DetuningGrid, SystemConfig, load_config
-from .scattering import SolverError
-from .spectra import (
-    Peak,
-    SpectrumResult,
-    find_peaks,
-    scale_emitters,
-    scan,
-    sweep_separation,
-)
+from .scattering import INTENSITY_KEYS, SolverError
+from .spectra import find_peaks, scale_emitters, scan, sweep_separation
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -48,50 +41,29 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _spectrum_csv(result: SpectrumResult) -> str:
-    lines = [_UNITS_HEADER, "delta,T,R,Tt,Rt,loss"]
-    rows = zip(*(result.intensities[key] for key in ("T", "R", "Tt", "Rt", "loss")))
-    for delta, row in zip(result.deltas, rows):
-        lines.append(",".join([_fmt(delta)] + [_fmt(v) for v in row]))
+def _csv(header: list[str], columns: list[np.ndarray]) -> str:
+    """Header lines, then one row per index of the columns, formatted from
+    Python floats converted lazily (no column is held as a list)."""
+    rows = zip(*(map(float, column) for column in columns))
+    lines = header + [",".join(map(_fmt, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def _sweep_csv(sweep) -> str:
-    lines = [_UNITS_HEADER, "delta,L_nm,Tt,T"]
-    for k, spacing in enumerate(sweep.spacings):
-        for j, delta in enumerate(sweep.deltas):
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(delta),
-                        _fmt(spacing),
-                        _fmt(sweep.routed[k, j]),
-                        _fmt(sweep.transmitted[k, j]),
-                    ]
-                )
-            )
-    return "\n".join(lines) + "\n"
-
-
-def _ddi_csv(values: np.ndarray) -> str:
-    lines = ["# pairwise coupling rates in Gamma0"]
-    for row in values:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _peaks_json(peaks: list[Peak]) -> str:
-    payload = [dataclasses.asdict(p) for p in peaks]
+def _json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _manifest(
+def _write_artifacts(
     command: str,
     config: SystemConfig,
     grid: dict,
-    outputs: list[Path],
+    artifacts: dict[Path, str],
     started: float,
-) -> str:
+) -> None:
+    """Write the data artifacts, then a manifest named after the first one."""
+    for path, text in artifacts.items():
+        _write_text(path, text)
+    first = next(iter(artifacts))
     payload = {
         "command": command,
         "version": __version__,
@@ -99,10 +71,10 @@ def _manifest(
         "derived": {"theta": config.theta, "r_step": config.r_step,
                     "chiral": config.chiral},
         "grid": grid,
-        "outputs": [str(p) for p in outputs],
+        "outputs": [str(p) for p in artifacts],
         "wall_clock_s": time.perf_counter() - started,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    _write_text(first.with_suffix(first.suffix + ".manifest.json"), _json(payload))
 
 
 def _delta_grid(config: SystemConfig, args: argparse.Namespace) -> DetuningGrid:
@@ -116,38 +88,30 @@ def _delta_grid(config: SystemConfig, args: argparse.Namespace) -> DetuningGrid:
     )
 
 
-def _check_scan(result: SpectrumResult) -> None:
-    if result.failures:
-        raise result.failures[0]
-
-
 def cmd_spectrum(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     config = load_config(args.config)
     grid = _delta_grid(config, args)
     ddi = ddi_matrix(config)
     result = scan(config, ddi, grid.to_array())
-    _check_scan(result)
-    for channel in PEAK_CHANNELS:
-        result.peaks.extend(
-            find_peaks(result, channel, refine=args.refine_peaks, config=config, ddi=ddi)
-        )
-    result.peaks.sort(key=lambda p: p.location)
+    if result.failures:
+        raise result.failures[0]
+    result.peaks = find_peaks(
+        result, *PEAK_CHANNELS, refine=args.refine_peaks, config=config, ddi=ddi
+    )
 
     out = Path(args.out)
     peaks_path = out.with_suffix(".peaks.json")
-    manifest_path = out.with_suffix(out.suffix + ".manifest.json")
-    _write_text(out, _spectrum_csv(result))
-    _write_text(peaks_path, _peaks_json(result.peaks))
-    _write_text(
-        manifest_path,
-        _manifest(
-            "spectrum",
-            config,
-            dataclasses.asdict(grid) | {"refine_peaks": args.refine_peaks},
-            [out, peaks_path],
-            started,
-        ),
+    columns = [result.deltas, *(result.intensities[key] for key in INTENSITY_KEYS)]
+    _write_artifacts(
+        "spectrum",
+        config,
+        dataclasses.asdict(grid) | {"refine_peaks": args.refine_peaks},
+        {
+            out: _csv([_UNITS_HEADER, "delta," + ",".join(INTENSITY_KEYS)], columns),
+            peaks_path: _json([dataclasses.asdict(p) for p in result.peaks]),
+        },
+        started,
     )
     print(f"wrote {out} ({grid.points} points), {peaks_path}")
     return EXIT_OK
@@ -161,19 +125,21 @@ def cmd_sweep_separation(args: argparse.Namespace) -> int:
         config, (args.l_min, args.l_max), args.l_points, grid.to_array()
     )
 
+    # Long format: spacing-major rows, one per (spacing, detuning).
+    columns = [
+        np.tile(sweep.deltas, sweep.spacings.size),
+        np.repeat(sweep.spacings, sweep.deltas.size),
+        sweep.routed.ravel(),
+        sweep.transmitted.ravel(),
+    ]
     out = Path(args.out)
-    manifest_path = out.with_suffix(out.suffix + ".manifest.json")
-    _write_text(out, _sweep_csv(sweep))
-    _write_text(
-        manifest_path,
-        _manifest(
-            "sweep-separation",
-            config,
-            dataclasses.asdict(grid)
-            | {"l_min": args.l_min, "l_max": args.l_max, "l_points": args.l_points},
-            [out],
-            started,
-        ),
+    _write_artifacts(
+        "sweep-separation",
+        config,
+        dataclasses.asdict(grid)
+        | {"l_min": args.l_min, "l_max": args.l_max, "l_points": args.l_points},
+        {out: _csv([_UNITS_HEADER, "delta,L_nm,Tt,T"], columns)},
+        started,
     )
     print(f"wrote {out} ({args.l_points} spacings x {grid.points} points)")
     return EXIT_OK
@@ -190,25 +156,16 @@ def cmd_scale_n(args: argparse.Namespace) -> int:
     report = scale_emitters(config, n_list, grid.to_array())
 
     out = Path(args.out)
-    manifest_path = out.with_suffix(out.suffix + ".manifest.json")
     payload = {
-        "window": {
-            "min": report.window[0],
-            "max": report.window[1],
-            "points": report.window[2],
-        },
+        "window": dict(zip(("min", "max", "points"), report.window)),
         "records": [dataclasses.asdict(r) for r in report.records],
     }
-    _write_text(out, json.dumps(payload, indent=2) + "\n")
-    _write_text(
-        manifest_path,
-        _manifest(
-            "scale-n",
-            config,
-            dataclasses.asdict(grid) | {"n_list": n_list},
-            [out],
-            started,
-        ),
+    _write_artifacts(
+        "scale-n",
+        config,
+        dataclasses.asdict(grid) | {"n_list": n_list},
+        {out: _json(payload)},
+        started,
     )
     print(f"wrote {out} ({len(n_list)} chain lengths)")
     return EXIT_OK
@@ -227,12 +184,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print(f"ddi nearest-neighbour: {ddi.values[0, 1]:.4f} Gamma0")
     if args.dump_ddi is not None:
         out = Path(args.dump_ddi)
-        manifest_path = out.with_suffix(out.suffix + ".manifest.json")
-        _write_text(out, _ddi_csv(ddi.values))
-        _write_text(
-            manifest_path,
-            _manifest("validate", config, {}, [out], started),
-        )
+        text = _csv(["# pairwise coupling rates in Gamma0"], list(ddi.values.T))
+        _write_artifacts("validate", config, {}, {out: text}, started)
         print(f"wrote {out}")
     return EXIT_OK
 

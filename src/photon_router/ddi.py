@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import SystemConfig
+from .params import ConfigError, SystemConfig
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,9 @@ def ddi_matrix(config: SystemConfig) -> DdiMatrix:
 
     auto:   every pair gets the free-space law at its separation.
     manual: nearest neighbours pinned to ``ddi_strength``; longer-range pairs
-            follow the same distance law, rescaled accordingly.
+            follow the same distance law, rescaled accordingly.  Near a node
+            of the nearest-neighbour law that rescaling diverges, so a
+            longer-range pair above |ddi_strength| is a ConfigError.
     off:    all zeros.
     """
     n = config.n_emitters
@@ -70,8 +72,17 @@ def ddi_matrix(config: SystemConfig) -> DdiMatrix:
         angle = config.dipole_angle
         by_offset = [ddi_coupling(k * step, angle) for k in range(1, n)]
         if config.ddi_mode == "manual":
-            scale = config.ddi_strength / by_offset[0]
+            nearest = by_offset[0]
+            scale = config.ddi_strength / nearest if nearest else math.inf
             by_offset = [scale * j for j in by_offset]
+            longest = max(map(abs, by_offset[1:]), default=0.0)
+            if not nearest or longest > abs(config.ddi_strength):
+                raise ConfigError([
+                    f"ddi_mode 'manual': the free-space nearest-neighbour coupling at"
+                    f" spacing {config.spacing} nm is {nearest:.3g} Gamma0, so pinning"
+                    f" it to ddi_strength {config.ddi_strength} makes a longer-range"
+                    " pair exceed |ddi_strength|"
+                ])
         for k, coupling in enumerate(by_offset, start=1):
             idx = np.arange(n - k)
             values[idx, idx + k] = coupling

@@ -143,6 +143,7 @@ def _solve_stack(
     rt = -1j * np.cumsum((v_ul * backward)[:, ::-1], axis=1)[:, ::-1]
     ports = port_intensities(t[:, -1], r[:, 0], tt[:, -1], rt[:, 0])
     rows = zip(*(column.tolist() for column in ports.values()))
+    finite = np.isfinite(a).all(axis=1)
     return [
         TransportSolution(
             delta, a[i], t[i], r[i], tt[i], rt[i], dict(zip(ports, row)), residual[i]
@@ -151,6 +152,8 @@ def _solve_stack(
         else SolverError(
             "near-singular transport system", delta, np.linalg.cond(matrices[i])
         )
+        if finite[i]
+        else SolverError("non-finite solution of the transport system", delta)
         for i, (delta, row) in enumerate(zip(deltas.tolist(), rows))
     ]
 

@@ -1,12 +1,12 @@
 """Detuning scans, peak extraction, separation sweeps and chain-length
-scaling: the machinery that turns single-point solves into spectra."""
+scaling: the machinery that turns batched solves into spectra."""
 
 from __future__ import annotations
 
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -123,88 +123,116 @@ def _plateau_maxima(values: np.ndarray) -> list[int]:
     return idx
 
 
-def _golden_maximize(
-    evaluate: Callable[[float], float], lo: float, hi: float, tol: float
-) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi] to bracket width tol."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = evaluate(c), evaluate(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = evaluate(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = evaluate(d)
-    best = max((fc, -c), (fd, -d))
-    return -best[1], best[0]
+def _probe(
+    config: SystemConfig, ddi: DdiMatrix, deltas: np.ndarray, channels: np.ndarray
+) -> np.ndarray:
+    """Intensity of channels[k] at deltas[k], from one batched solve."""
+    heights = []
+    for item, channel in zip(solve_spectrum_point_batch(config, ddi, deltas), channels):
+        if isinstance(item, SolverError):
+            raise item
+        heights.append(item.intensities[channel])
+    return np.array(heights, dtype=float)
 
 
-def _refine_maximum(
-    x: np.ndarray, y: np.ndarray, i: int, evaluate: Callable[[float], float]
-) -> tuple[float, float]:
-    """Polish grid maximum i: parabolic vertex, then golden-section solves.
+def _refine_maxima(
+    config: SystemConfig,
+    ddi: DdiMatrix,
+    result: SpectrumResult,
+    seeds: list[tuple[str, int]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Polish interior grid maxima, given as (channel, index), off-grid.
 
-    Never returns a height below the grid sample; ties in height resolve
-    toward smaller detuning.
+    Each maximum is bracketed by its grid neighbours, tried at the vertex of
+    the parabola through its three samples (if that bows down), and narrowed
+    by golden-section search to ``PEAK_REFINE_TOL``.  All brackets advance
+    in lockstep: each step solves the probes of every open bracket in one
+    batched call.  Returns locations and heights; a height is never below
+    its grid sample, and ties in height resolve toward smaller detuning.
     """
-    lo, hi = x[i - 1], x[i + 1]
-    candidates = [(y[i], -x[i])]
-    curvature = y[i - 1] - 2.0 * y[i] + y[i + 1]
-    if curvature < 0.0:
-        h = 0.5 * (hi - lo)
-        vertex = x[i] + 0.5 * h * (y[i - 1] - y[i + 1]) / curvature
-        vertex = min(max(vertex, lo), hi)
-        candidates.append((evaluate(vertex), -vertex))
-    location, height = _golden_maximize(evaluate, lo, hi, PEAK_REFINE_TOL)
-    candidates.append((height, -location))
-    best = max(candidates)
-    return -best[1], best[0]
+    x = result.deltas
+    up = 1 if x[-1] > x[0] else -1  # neighbours in ascending detuning
+    channels = np.array([channel for channel, _ in seeds], dtype=object)
+    i = np.array([index for _, index in seeds], dtype=int)
+    y_lo, y_mid, y_hi = np.array(
+        [result.intensities[c][[k - up, k, k + up]] for c, k in seeds], dtype=float
+    ).reshape(-1, 3).T
+    lo, hi = x[i - up], x[i + up]
 
+    curvature = y_lo - 2.0 * y_mid + y_hi
+    bowed = curvature < 0.0
+    h = 0.5 * (hi - lo)
+    # Only bowed maxima probe their vertex; the others divide by a dummy -1.
+    vertex = x[i] + 0.5 * h * (y_lo - y_hi) / np.where(bowed, curvature, -1.0)
+    vertex = np.minimum(np.maximum(vertex, lo), hi)
 
-def _channel_evaluator(
-    config: SystemConfig, ddi: DdiMatrix, channel: str
-) -> Callable[[float], float]:
-    def evaluate(delta: float) -> float:
-        return solve_transport(config, ddi, delta).intensities[channel]
+    # Rows 0/1: bracket ends a/b, inner points c/d and the heights there.
+    ends = np.array([lo, hi])
+    inner = np.array([hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)])
+    first = _probe(
+        config,
+        ddi,
+        np.concatenate([vertex[bowed], *inner]),
+        np.concatenate([channels[bowed], channels, channels]),
+    )
+    f_vertex = np.full(i.size, -np.inf)
+    f_vertex[bowed] = first[: bowed.sum()]
+    f = first[bowed.sum() :].reshape(2, i.size)
+    while (j := np.flatnonzero(ends[1] - ends[0] > PEAK_REFINE_TOL)).size:
+        # Keep the side of the higher inner point; the far end moves in.
+        near = np.where(f[0, j] >= f[1, j], 0, 1)
+        far = 1 - near
+        ends[far, j] = inner[far, j]
+        inner[far, j] = inner[near, j]
+        f[far, j] = f[near, j]
+        inner[near, j] = ends[far, j] - _INVPHI * (ends[far, j] - ends[near, j])
+        f[near, j] = _probe(config, ddi, inner[near, j], channels[j])
 
-    return evaluate
+    location, height = x[i], y_mid
+    for at, value in ((vertex, f_vertex), (inner[0], f[0]), (inner[1], f[1])):
+        wins = (value > height) | ((value == height) & (at < location))
+        location, height = np.where(wins, at, location), np.where(wins, value, height)
+    return location, height
 
 
 def find_peaks(
     result: SpectrumResult,
-    channel: str,
+    *channels: str,
     refine: bool = False,
     config: SystemConfig | None = None,
     ddi: DdiMatrix | None = None,
 ) -> list[Peak]:
-    """Local maxima of one channel, sorted by location.
+    """Local maxima of one or more channels, sorted by location (stable, so
+    equal locations keep channel order).
 
-    Refinement re-solves the transport problem off-grid, so it needs the
-    config and coupling matrix that produced the scan.
+    ``refine`` polishes every maximum off-grid (see ``_refine_maxima``), all
+    channels' peaks in lockstep; it re-solves the transport problem, so it
+    needs the config and coupling matrix that produced the scan.
     """
     if result.deltas.size == 0:
         raise ValueError("empty grid")
-    if channel not in result.intensities:
-        raise KeyError(f"unknown channel {channel!r}")
+    if not channels:
+        raise ValueError("find_peaks needs at least one channel")
+    for channel in channels:
+        if channel not in result.intensities:
+            raise KeyError(f"unknown channel {channel!r}")
     if refine and (config is None or ddi is None):
         raise ValueError("refinement requires config and ddi for fresh solves")
 
-    x, y = result.deltas, result.intensities[channel]
-    peaks = []
-    evaluate = _channel_evaluator(config, ddi, channel) if refine else None
-    for i in _plateau_maxima(y):
-        if refine:
-            location, height = _refine_maximum(x, y, i, evaluate)
-        else:
-            location, height = float(x[i]), float(y[i])
-        peaks.append(
-            Peak(channel=channel, location=location, height=height, refined=refine)
-        )
+    seeds = [
+        (channel, i)
+        for channel in channels
+        for i in _plateau_maxima(result.intensities[channel])
+    ]
+    if refine:
+        locations, heights = _refine_maxima(config, ddi, result, seeds)
+    else:
+        locations = [result.deltas[i] for _, i in seeds]
+        heights = [result.intensities[channel][i] for channel, i in seeds]
+    peaks = [
+        Peak(channel=channel, location=float(x), height=float(y), refined=refine)
+        for (channel, _), x, y in zip(seeds, locations, heights)
+    ]
     peaks.sort(key=lambda p: p.location)
     return peaks
 
@@ -272,9 +300,8 @@ def scale_emitters(
         result = scan(cfg, ddi, grid)
         routed = result.intensities["Tt"]
         i = int(np.nanargmax(routed))
-        evaluate = _channel_evaluator(cfg, ddi, "Tt")
         if 0 < i < grid.size - 1:
-            delta_star, _ = _refine_maximum(grid, routed, i, evaluate)
+            delta_star = float(_refine_maxima(cfg, ddi, result, [("Tt", i)])[0][0])
         else:
             delta_star = float(grid[i])
         at_peak = solve_transport(cfg, ddi, delta_star).intensities

@@ -1,5 +1,6 @@
-"""Shared fixtures: the quantum-dot/nanowire reference platform and the
-(expensive) chain-length scaling report reused across test modules."""
+"""Shared fixtures: the quantum-dot/nanowire reference platform, the
+(expensive) chain-length scaling report reused across test modules, and a
+hypothesis strategy for random lossy chains."""
 
 from __future__ import annotations
 
@@ -7,8 +8,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from photon_router import SystemConfig, scale_emitters, validate
+from photon_router import DdiMatrix, SystemConfig, scale_emitters, validate
 
 # Reference platform: coupling 11.03 Gamma0 per rightward channel,
 # spontaneous emission 6.86 Gamma0, 32.75 nm lattice on 655 nm / 211.8 nm
@@ -54,3 +56,34 @@ def two_emitter_lossless():
 
 def replace(config: SystemConfig, **changes) -> SystemConfig:
     return validate(dataclasses.replace(config, **changes))
+
+
+def rate_profiles(n: int, low: float):
+    return st.lists(
+        st.floats(min_value=low, max_value=20.0), min_size=n, max_size=n
+    ).map(tuple)
+
+
+@st.composite
+def random_chains(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    dr, ur = draw(rate_profiles(n, 0.0)), draw(rate_profiles(n, 0.0))
+    if draw(st.booleans()):
+        dl, ul = draw(rate_profiles(n, 0.0)), draw(rate_profiles(n, 0.0))
+    else:
+        dl = ul = 0.0
+    config = validate(
+        SystemConfig(
+            n_emitters=n,
+            gamma=draw(rate_profiles(n, 0.1)),  # lossy: no real poles
+            gamma_dr=dr, gamma_dl=dl, gamma_ur=ur, gamma_ul=ul,
+            spacing=draw(st.floats(min_value=1.0, max_value=200.0)),
+            delta_dependent_phases=draw(st.booleans()),
+        )
+    )
+    exchange = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(
+        -30.0, 30.0, (n, n)
+    )
+    exchange = 0.5 * (exchange + exchange.T)
+    np.fill_diagonal(exchange, 0.0)
+    return config, DdiMatrix(exchange)

@@ -166,6 +166,16 @@ def test_wrongly_typed_config_exits_1(tmp_path, capsys, data):
     assert not out.exists()
 
 
+def test_manual_ddi_near_a_coupling_node_exits_1(tmp_path, capsys):
+    config = tmp_path / "node.json"
+    node = {"n_emitters": 3, "spacing": 467.2, "ddi_mode": "manual", "ddi_strength": 23.10}
+    config.write_text(json.dumps(TWO_EMITTER | node))
+    out = tmp_path / "never.csv"
+    assert main(["spectrum", "--config", str(config), "--out", str(out)]) == 1
+    assert "longer-range pair exceed |ddi_strength|" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["spectrum"]) == 1
     assert "required" in capsys.readouterr().err

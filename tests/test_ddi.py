@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from photon_router import SystemConfig, ddi_coupling, ddi_matrix, validate
+from photon_router import ConfigError, SystemConfig, ddi_coupling, ddi_matrix, validate
 
 from conftest import chiral_config
 
@@ -68,6 +68,16 @@ def test_matrix_manual_pins_nearest_neighbour():
     assert matrix[0, 2] == pytest.approx(
         23.10 * SECOND_COUPLING / NN_COUPLING, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("spacing", [467.0, 467.2])
+def test_manual_rescaling_near_a_coupling_node_rejected(spacing):
+    # The free-space nearest-neighbour law nearly vanishes here, so pinning
+    # it to 23.10 would blow the second-neighbour pair up to 5.9e3 (467.0 nm)
+    # or 1.8e5 Gamma0 (467.2 nm).
+    config = chiral_config(3, ddi_mode="manual", ddi_strength=23.10, spacing=spacing)
+    with pytest.raises(ConfigError, match=r"longer-range pair exceed \|ddi_strength\|"):
+        ddi_matrix(config)
 
 
 def test_matrix_is_immutable_and_structurally_sound():

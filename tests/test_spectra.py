@@ -1,21 +1,48 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import photon_router.spectra as spectra
 from photon_router import (
+    Peak,
     SpectrumResult,
     ddi_matrix,
     find_peaks,
     scale_emitters,
     scan,
+    solve_transport,
     sweep_separation,
 )
 
-from conftest import COUPLING, EMISSION, chiral_config
+from conftest import (
+    COUPLING,
+    EMISSION,
+    chiral_config,
+    random_chains,
+    symmetric_config,
+)
+from refine_oracle import refine_maximum
+
+CHANNELS = ("T", "R", "Tt", "Rt")
 
 
 def synthetic(values, channel="T"):
     deltas = np.arange(float(len(values)))
     return SpectrumResult(deltas=deltas, intensities={channel: np.asarray(values, float)})
+
+
+def reference_peaks(config, ddi, result, channels):
+    """Refined peaks from the scalar reference, in find_peaks order."""
+    peaks = []
+    for channel in channels:
+        def evaluate(delta, channel=channel):
+            return solve_transport(config, ddi, delta).intensities[channel]
+
+        y = result.intensities[channel]
+        for i in spectra._plateau_maxima(y):
+            location, height = refine_maximum(result.deltas, y, i, evaluate)
+            peaks.append(Peak(channel, float(location), float(height), True))
+    return sorted(peaks, key=lambda p: p.location)
 
 
 class TestScan:
@@ -131,6 +158,75 @@ class TestFindPeaks:
         assert tall[1].location == pytest.approx(+expected, abs=1e-3)
         for peak in tall:
             assert peak.height == pytest.approx(1.0, abs=1e-9)
+
+
+    def test_several_channels_in_one_call(self):
+        result = SpectrumResult(
+            deltas=np.arange(5.0),
+            intensities={
+                "T": np.array([0.0, 0.5, 0.1, 0.9, 0.2]),
+                "R": np.array([0.0, 0.1, 0.0, 0.0, 0.0]),
+            },
+        )
+        peaks = find_peaks(result, "T", "R")
+        assert [(p.channel, p.location) for p in peaks] == [
+            ("T", 1.0), ("R", 1.0), ("T", 3.0)
+        ]
+        with pytest.raises(ValueError, match="at least one channel"):
+            find_peaks(result)
+
+    def test_descending_grid_refines_like_ascending(self):
+        config = chiral_config(2)
+        ddi = ddi_matrix(config)
+        grid = np.linspace(-60.0, 60.0, 121)
+        up, down = (
+            find_peaks(scan(config, ddi, g), "Tt", refine=True, config=config, ddi=ddi)
+            for g in (grid, grid[::-1])
+        )
+        assert len(up) == 2
+        assert down == up
+
+    def test_refinement_solves_every_peak_in_each_step(self, monkeypatch):
+        config = symmetric_config(2, gamma=EMISSION)
+        ddi = ddi_matrix(config)
+        result = scan(config, ddi, np.linspace(-60.0, 60.0, 121))
+        batch, calls = spectra.solve_spectrum_point_batch, []
+
+        def counting(*args):
+            calls.append(len(args[2]))
+            return batch(*args)
+
+        monkeypatch.setattr(spectra, "solve_spectrum_point_batch", counting)
+        peaks = find_peaks(result, *CHANNELS, refine=True, config=config, ddi=ddi)
+        assert len(peaks) == 7 and {p.channel for p in peaks} == set(CHANNELS)
+        together = list(calls)
+
+        # The first Tt peak on its own: a three-point window around it.
+        i = int(np.argmax(result.intensities["Tt"][:60]))
+        window = SpectrumResult(
+            deltas=result.deltas[i - 1 : i + 2],
+            intensities={k: v[i - 1 : i + 2] for k, v in result.intensities.items()},
+        )
+        calls.clear()
+        (alone,) = find_peaks(window, "Tt", refine=True, config=config, ddi=ddi)
+        assert alone in peaks
+        assert len(calls) == len(together)
+        assert sum(together) > 6 * sum(calls)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    chain=random_chains(),
+    points=st.integers(min_value=3, max_value=61),
+    descending=st.booleans(),
+)
+def test_lockstep_refinement_matches_scalar_reference(chain, points, descending):
+    config, ddi = chain
+    grid = np.linspace(-60.0, 60.0, points)
+    result = scan(config, ddi, grid[::-1] if descending else grid)
+    assume(not result.failures)
+    peaks = find_peaks(result, *CHANNELS, refine=True, config=config, ddi=ddi)
+    assert peaks == reference_peaks(config, ddi, result, CHANNELS)
 
 
 class TestSweepSeparation:
