@@ -96,7 +96,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     result = scan(config, ddi, grid.to_array())
     if result.failures:
         raise result.failures[0]
-    result.peaks = find_peaks(
+    peaks = find_peaks(
         result, *PEAK_CHANNELS, refine=args.refine_peaks, config=config, ddi=ddi
     )
 
@@ -109,7 +109,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         dataclasses.asdict(grid) | {"refine_peaks": args.refine_peaks},
         {
             out: _csv([_UNITS_HEADER, "delta," + ",".join(INTENSITY_KEYS)], columns),
-            peaks_path: _json([dataclasses.asdict(p) for p in result.peaks]),
+            peaks_path: _json([dataclasses.asdict(p) for p in peaks]),
         },
         started,
     )

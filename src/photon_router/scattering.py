@@ -20,7 +20,9 @@ cumulative sums:
     rt_j =   - i sum_{k>=j} v_ul,k e^{+i phi_k} A_k
 
 so a chiral chain (v_dl = v_ul = 0) has exactly zero backflow.  Detunings
-are solved as stacks of these systems, each with its own phases.
+are solved as stacks of these systems, each with its own phases, into one
+``TransportSolution`` of arrays over the detunings; the couplings and the
+triangular matrices do not depend on delta and are built once per call.
 """
 
 from __future__ import annotations
@@ -67,129 +69,130 @@ def port_intensities(t, r, tt, rt) -> dict:
 
 @dataclass(frozen=True)
 class TransportSolution:
-    """Emitter and segment amplitudes at one detuning, plus the port
-    intensities (see ``port_intensities``) and the backward error of the
-    reduced solve."""
+    """Emitter and segment amplitudes, port intensities (see
+    ``port_intensities``) and the backward error of the reduced solve.
 
-    delta: float
+    From ``solve_spectrum_point_batch`` every field has a leading detuning
+    axis: ``delta``, ``residual`` and each intensity have shape (P,), the
+    amplitudes (P, N).  A failed point reads NaN in all of them but
+    ``delta``, and its SolverError is in ``failures``, in input order.
+    ``solve_transport`` returns one point: float delta, intensities and
+    residual, 1-D amplitudes and no failures.
+    """
+
+    delta: np.ndarray
     a: np.ndarray
     t: np.ndarray
     r: np.ndarray
     tt: np.ndarray
     rt: np.ndarray
-    intensities: dict[str, float]
-    residual: float
-
-
-def _reduced_system(
-    config: SystemConfig, ddi: DdiMatrix, deltas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked matrices M, right-hand sides, site phases e^{i phi_j} and
-    channel couplings v (rows dr, dl, ur, ul) for a 1-D array of detunings."""
-    n = config.n_emitters
-    gamma = config.rate_profile("gamma")
-    if config.regularize:
-        gamma = gamma + POLE_REGULARIZATION
-    rates = np.array([config.rate_profile(name) for name in _CHANNELS])
-    v = np.sqrt(rates)
-    v_dr, v_dl, v_ur, v_ul = v
-    rightward = np.tril(np.outer(v_dr, v_dr) + np.outer(v_ur, v_ur), -1)
-    leftward = np.triu(np.outer(v_dl, v_dl) + np.outer(v_ul, v_ul), 1)
-
-    step = np.broadcast_to(config.step_phase(deltas), deltas.shape)
-    phases = np.exp(1j * np.outer(step, np.arange(n)))
-    relative = phases[:, :, None] * phases.conj()[:, None, :]
-    matrices = -1j * (rightward * relative + leftward * relative.conj()) + ddi.values
-    diagonal = np.arange(n)
-    matrices[:, diagonal, diagonal] = (
-        -deltas[:, None] - 0.5j * (gamma + rates.sum(axis=0))
-    )
-    rhs = -(v_dr * phases)[..., None]
-    return matrices, rhs, phases, v
-
-
-def _solve_stack(
-    config: SystemConfig, ddi: DdiMatrix, deltas: np.ndarray
-) -> list[TransportSolution | SolverError]:
-    matrices, rhs, phases, v = _reduced_system(config, ddi, deltas)
-    try:
-        x = np.linalg.solve(matrices, rhs)
-    except np.linalg.LinAlgError:
-        if deltas.size == 1:
-            return [
-                SolverError("singular transport system", float(deltas[0]), np.inf)
-            ]
-        # Re-solve point by point so only the singular points fail.
-        return [
-            item
-            for i in range(deltas.size)
-            for item in _solve_stack(config, ddi, deltas[i : i + 1])
-        ]
-
-    # Normwise backward error; a zero scale means b = 0 and x = 0, so the
-    # defect itself (0, or NaN for non-finite x) is the residual.
-    defect = np.abs(matrices @ x - rhs).max(axis=(1, 2))
-    norm_ax = np.abs(matrices).sum(axis=2).max(axis=1) * np.abs(x).max(axis=(1, 2))
-    scale = norm_ax + np.abs(rhs).max(axis=(1, 2))
-    residual = np.divide(defect, scale, out=defect.copy(), where=scale > 0.0).tolist()
-
-    a = x[..., 0]
-    v_dr, v_dl, v_ur, v_ul = v
-    forward = phases.conj() * a
-    backward = phases * a
-    t = 1.0 - 1j * np.cumsum(v_dr * forward, axis=1)
-    tt = -1j * np.cumsum(v_ur * forward, axis=1)
-    r = -1j * np.cumsum((v_dl * backward)[:, ::-1], axis=1)[:, ::-1]
-    rt = -1j * np.cumsum((v_ul * backward)[:, ::-1], axis=1)[:, ::-1]
-    ports = port_intensities(t[:, -1], r[:, 0], tt[:, -1], rt[:, 0])
-    rows = zip(*(column.tolist() for column in ports.values()))
-    finite = np.isfinite(a).all(axis=1)
-    return [
-        TransportSolution(
-            delta, a[i], t[i], r[i], tt[i], rt[i], dict(zip(ports, row)), residual[i]
-        )
-        if residual[i] <= RESIDUAL_LIMIT
-        else SolverError(
-            "near-singular transport system", delta, np.linalg.cond(matrices[i])
-        )
-        if finite[i]
-        else SolverError("non-finite solution of the transport system", delta)
-        for i, (delta, row) in enumerate(zip(deltas.tolist(), rows))
-    ]
+    intensities: dict[str, np.ndarray]
+    residual: np.ndarray
+    failures: tuple[SolverError, ...]
 
 
 def solve_spectrum_point_batch(
     config: SystemConfig, ddi: DdiMatrix, deltas: Sequence[float] | np.ndarray
-) -> list[TransportSolution | SolverError]:
+) -> TransportSolution:
     """Solve every detuning of a 1-D list, in input order.
 
     Detunings are stacked into direct solves of at most ``STACK_ELEMENTS``
-    matrix elements each.  A point whose system is singular, or whose
-    backward error exceeds ``RESIDUAL_LIMIT``, contributes its SolverError
-    in place of a solution; the other points are unaffected.
+    matrix elements each; a singular stack is re-solved point by point.  A
+    point whose system is singular, or whose backward error exceeds
+    ``RESIDUAL_LIMIT``, reads NaN and adds its SolverError to ``failures``;
+    the other points are unaffected.
     """
     n = config.n_emitters
     if ddi.n != n:
         raise ValueError(f"coupling matrix is {ddi.n}x{ddi.n} for {n} emitters")
     deltas = np.asarray(deltas, dtype=float)
+
+    # Detuning-independent parts: the channel couplings v = sqrt(rate), the
+    # coupling matrices below and above the diagonal, and the half-widths.
+    gamma = config.rate_profile("gamma")
+    if config.regularize:
+        gamma = gamma + POLE_REGULARIZATION
+    rates = np.array([config.rate_profile(name) for name in _CHANNELS])
+    v_dr, v_dl, v_ur, v_ul = np.sqrt(rates)
+    rightward = np.tril(np.outer(v_dr, v_dr) + np.outer(v_ur, v_ur), -1)
+    leftward = np.triu(np.outer(v_dl, v_dl) + np.outer(v_ul, v_ul), 1)
+    width = 0.5j * (gamma + rates.sum(axis=0))
+    diagonal = np.arange(n)
+    step = np.broadcast_to(config.step_phase(deltas), deltas.shape)
+
+    a, t, r, tt, rt = np.empty((5, deltas.size, n), dtype=complex)
+    residual = np.empty(deltas.size)
+    failures: dict[int, SolverError] = {}
     size = max(1, STACK_ELEMENTS // n**2)
-    return [
-        item
-        for start in range(0, deltas.size, size)
-        for item in _solve_stack(config, ddi, deltas[start : start + size])
-    ]
+    for start in range(0, deltas.size, size):
+        stack = slice(start, start + size)
+        phases = np.exp(1j * np.outer(step[stack], diagonal))
+        relative = phases[:, :, None] * phases.conj()[:, None, :]
+        matrices = -1j * (rightward * relative + leftward * relative.conj()) + ddi.values
+        matrices[:, diagonal, diagonal] = -deltas[stack, None] - width
+        rhs = -(v_dr * phases)[..., None]
+        try:
+            x = np.linalg.solve(matrices, rhs)
+        except np.linalg.LinAlgError:
+            x = np.full_like(rhs, np.nan)
+            for i in range(len(x)):
+                try:
+                    x[i] = np.linalg.solve(matrices[i], rhs[i])
+                except np.linalg.LinAlgError:
+                    failures[start + i] = SolverError(
+                        "singular transport system", float(deltas[start + i]), np.inf
+                    )
+
+        # Normwise backward error; a zero scale means b = 0 and x = 0, so the
+        # defect itself (0, or NaN for non-finite x) is the residual.
+        defect = np.abs(matrices @ x - rhs).max(axis=(1, 2))
+        norm_ax = np.abs(matrices).sum(axis=2).max(axis=1) * np.abs(x).max(axis=(1, 2))
+        scale = norm_ax + np.abs(rhs).max(axis=(1, 2))
+        error = np.divide(defect, scale, out=defect, where=scale > 0.0)
+        failed = ~(error <= RESIDUAL_LIMIT)
+        for i in np.flatnonzero(failed):
+            if start + i in failures:  # singular, reported above
+                continue
+            delta = float(deltas[start + i])
+            failures[start + i] = (
+                SolverError(
+                    "near-singular transport system", delta, np.linalg.cond(matrices[i])
+                )
+                if np.isfinite(x[i]).all()
+                else SolverError("non-finite solution of the transport system", delta)
+            )
+        x[failed] = np.nan
+        residual[stack] = np.where(failed, np.nan, error)
+
+        a[stack] = x[..., 0]
+        forward = phases.conj() * a[stack]
+        backward = phases * a[stack]
+        t[stack] = 1.0 - 1j * np.cumsum(v_dr * forward, axis=1)
+        tt[stack] = -1j * np.cumsum(v_ur * forward, axis=1)
+        r[stack] = -1j * np.cumsum((v_dl * backward)[:, ::-1], axis=1)[:, ::-1]
+        rt[stack] = -1j * np.cumsum((v_ul * backward)[:, ::-1], axis=1)[:, ::-1]
+
+    intensities = port_intensities(t[:, -1], r[:, 0], tt[:, -1], rt[:, 0])
+    return TransportSolution(
+        deltas, a, t, r, tt, rt, intensities, residual,
+        tuple(failures[i] for i in sorted(failures)),
+    )
 
 
 def solve_transport(
     config: SystemConfig, ddi: DdiMatrix, delta: float
 ) -> TransportSolution:
-    """One detuning of ``solve_spectrum_point_batch``.
+    """Point 0 of a one-point ``solve_spectrum_point_batch``.
 
     Raises SolverError at (or numerically indistinguishable from) the
     isolated real poles a lossless chain can develop; scans are expected to
     step around them or request regularization.
     """
-    (solution,) = solve_spectrum_point_batch(config, ddi, [delta])
-    if isinstance(solution, SolverError):
-        raise solution
-    return solution
+    batch = solve_spectrum_point_batch(config, ddi, [delta])
+    if batch.failures:
+        raise batch.failures[0]
+    return TransportSolution(
+        float(batch.delta[0]), batch.a[0], batch.t[0], batch.r[0], batch.tt[0],
+        batch.rt[0], {key: float(value[0]) for key, value in batch.intensities.items()},
+        float(batch.residual[0]), (),
+    )

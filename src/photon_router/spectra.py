@@ -5,26 +5,19 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .ddi import DdiMatrix, ddi_matrix
 from .params import SystemConfig, validate
-from .scattering import (
-    INTENSITY_KEYS,
-    SolverError,
-    solve_spectrum_point_batch,
-    solve_transport,
-)
+from .scattering import SolverError, solve_spectrum_point_batch, solve_transport
 
 #: Peak locations are refined until stable to this width, Gamma0 units.
 PEAK_REFINE_TOL = 1e-4
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-_FAILED_ROW = dict.fromkeys(INTENSITY_KEYS, np.nan)
 
 
 @dataclass(frozen=True)
@@ -40,14 +33,13 @@ class SpectrumResult:
     """Per-detuning intensities of one scan.
 
     ``intensities`` maps each of T/R/Tt/Rt/loss to an array aligned with
-    ``deltas``; failed points hold NaN rows and their SolverErrors, which
-    carry the detuning, are listed in ``failures``.
+    ``deltas``; failed points read NaN and their SolverErrors, which carry
+    the detuning, are listed in ``failures`` in grid order.
     """
 
     deltas: np.ndarray
     intensities: dict[str, np.ndarray]
-    peaks: list[Peak] = field(default_factory=list)
-    failures: list[SolverError] = field(default_factory=list)
+    failures: tuple[SolverError, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -86,7 +78,8 @@ class SeparationSweep:
 def scan(
     config: SystemConfig, ddi: DdiMatrix, grid: Sequence[float] | np.ndarray
 ) -> SpectrumResult:
-    """Batch-solve a monotone detuning grid into a spectrum."""
+    """Batch-solve a monotone detuning grid into a spectrum; failed points
+    are recorded, not raised."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a non-empty 1-D array")
@@ -95,18 +88,13 @@ def scan(
         if not (np.all(steps > 0) or np.all(steps < 0)):
             raise ValueError("grid must be strictly monotone")
 
-    results = solve_spectrum_point_batch(config, ddi, grid)
-    failures = [item for item in results if isinstance(item, SolverError)]
-    rows = [
-        _FAILED_ROW if isinstance(item, SolverError) else item.intensities
-        for item in results
-    ]
-    intensities = {key: np.array([row[key] for row in rows]) for key in INTENSITY_KEYS}
-    return SpectrumResult(deltas=grid, intensities=intensities, failures=failures)
+    solution = solve_spectrum_point_batch(config, ddi, grid)
+    return SpectrumResult(grid, solution.intensities, solution.failures)
 
 
-def _plateau_maxima(values: np.ndarray) -> list[int]:
-    """Indices of interior local maxima; a plateau reports its left edge."""
+def _plateau_maxima(deltas: np.ndarray, values: np.ndarray) -> list[int]:
+    """Indices of interior local maxima; a plateau reports its edge with
+    the smaller detuning, on either grid direction."""
     idx: list[int] = []
     n = len(values)
     i = 1
@@ -118,7 +106,7 @@ def _plateau_maxima(values: np.ndarray) -> list[int]:
         while j + 1 < n and values[j + 1] == values[i]:
             j += 1
         if j + 1 < n and values[j + 1] < values[i]:
-            idx.append(i)
+            idx.append(i if deltas[i] < deltas[j] else j)
         i = j + 1
     return idx
 
@@ -127,12 +115,10 @@ def _probe(
     config: SystemConfig, ddi: DdiMatrix, deltas: np.ndarray, channels: np.ndarray
 ) -> np.ndarray:
     """Intensity of channels[k] at deltas[k], from one batched solve."""
-    heights = []
-    for item, channel in zip(solve_spectrum_point_batch(config, ddi, deltas), channels):
-        if isinstance(item, SolverError):
-            raise item
-        heights.append(item.intensities[channel])
-    return np.array(heights, dtype=float)
+    solution = solve_spectrum_point_batch(config, ddi, deltas)
+    if solution.failures:
+        raise solution.failures[0]
+    return np.array([solution.intensities[c][k] for k, c in enumerate(channels)])
 
 
 def _refine_maxima(
@@ -222,7 +208,7 @@ def find_peaks(
     seeds = [
         (channel, i)
         for channel in channels
-        for i in _plateau_maxima(result.intensities[channel])
+        for i in _plateau_maxima(result.deltas, result.intensities[channel])
     ]
     if refine:
         locations, heights = _refine_maxima(config, ddi, result, seeds)
@@ -247,6 +233,7 @@ def sweep_separation(
 
     Each column rebuilds the propagation phases and the coupling matrix for
     its spacing, so a one-point sweep is bit-identical to a plain scan.
+    Raises the first SolverError of the first column that has one.
     """
     l_min, l_max = l_range
     if l_min <= 0.0 or l_max <= 0.0:
@@ -267,6 +254,8 @@ def sweep_separation(
     for k, spacing in enumerate(spacings):
         cfg = validate(dataclasses.replace(config, spacing=float(spacing)))
         result = scan(cfg, ddi_matrix(cfg), grid)
+        if result.failures:
+            raise result.failures[0]
         routed[k] = result.intensities["Tt"]
         transmitted[k] = result.intensities["T"]
     return SeparationSweep(
@@ -284,7 +273,8 @@ def scale_emitters(
     For each N the chain and its coupling matrix are rebuilt, the grid is
     scanned, and the routed-intensity maximum is refined off-grid.  The
     refined sample participates in the transmission minimum so the reported
-    t_bar_min >= t_min ordering is structural.
+    t_bar_min >= t_min ordering is structural.  Raises the first
+    SolverError of the first scan that has one.
     """
     n_list = list(n_list)
     if not n_list:
@@ -298,8 +288,9 @@ def scale_emitters(
         cfg = validate(dataclasses.replace(config, n_emitters=int(n)))
         ddi = ddi_matrix(cfg)
         result = scan(cfg, ddi, grid)
-        routed = result.intensities["Tt"]
-        i = int(np.nanargmax(routed))
+        if result.failures:
+            raise result.failures[0]
+        i = int(np.argmax(result.intensities["Tt"]))
         if 0 < i < grid.size - 1:
             delta_star = float(_refine_maxima(cfg, ddi, result, [("Tt", i)])[0][0])
         else:
@@ -310,7 +301,7 @@ def scale_emitters(
                 n=int(n),
                 tt_max=at_peak["Tt"],
                 delta_star=delta_star,
-                t_min=min(float(np.nanmin(result.intensities["T"])), at_peak["T"]),
+                t_min=min(float(np.min(result.intensities["T"])), at_peak["T"]),
                 t_bar_min=at_peak["T"],
                 loss_at_peak=at_peak["loss"],
             )

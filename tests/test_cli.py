@@ -181,12 +181,17 @@ def test_usage_error_exits_1(capsys):
     assert "required" in capsys.readouterr().err
 
 
-def test_solver_failure_exits_2_without_partial_output(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command",
+    [["spectrum"], ["scale-n", "--n-list", "1"], ["sweep-separation", "--l-points", "2"]],
+    ids=["spectrum", "scale-n", "sweep-separation"],
+)
+def test_solver_failure_exits_2_without_partial_output(command, tmp_path, capsys):
     config = tmp_path / "pole.json"
     config.write_text(json.dumps({"n_emitters": 1, "ddi_mode": "off"}))
     out = tmp_path / "never.csv"
     code = main([
-        "spectrum", "--config", str(config), "--out", str(out),
+        *command, "--config", str(config), "--out", str(out),
         "--delta-min", "-1", "--delta-max", "1", "--delta-points", "3",
     ])
     assert code == 2

@@ -29,10 +29,15 @@ def no_ddi(n: int) -> DdiMatrix:
     return DdiMatrix(np.zeros((n, n)))
 
 
-def assert_same_solution(a, b):
+def point_intensities(batch, i):
+    return {key: column[i] for key, column in batch.intensities.items()}
+
+
+def assert_same_point(batch, i, sol):
+    """Point i of a batched solution equals a one-point solve, bit for bit."""
     for key in ("a", *AMPLITUDES):
-        assert np.array_equal(getattr(a, key), getattr(b, key))
-    assert a.intensities == b.intensities
+        assert np.array_equal(getattr(batch, key)[i], getattr(sol, key))
+    assert point_intensities(batch, i) == sol.intensities
 
 
 def test_system_shape_and_boundary_terms():
@@ -180,22 +185,27 @@ def test_batch_matches_pointwise_and_preserves_order():
     deltas = [-5.0, 0.0, 12.5]
     batch = solve_spectrum_point_batch(config, ddi, deltas)
     singleton = solve_spectrum_point_batch(config, ddi, [0.0])
-    assert singleton[0].intensities == solve_transport(config, ddi, 0.0).intensities
-    forward = [sol.intensities["Tt"] for sol in batch]
-    backward = [
-        sol.intensities["Tt"]
-        for sol in solve_spectrum_point_batch(config, ddi, deltas[::-1])
-    ]
-    assert forward == backward[::-1]
+    assert point_intensities(singleton, 0) == solve_transport(config, ddi, 0.0).intensities
+    assert batch.delta.tolist() == deltas
+    forward = batch.intensities["Tt"].tolist()
+    backward = solve_spectrum_point_batch(config, ddi, deltas[::-1]).intensities["Tt"]
+    assert forward == backward.tolist()[::-1]
 
 
 def test_batch_collects_per_point_failures():
     config = validate(SystemConfig(n_emitters=1, ddi_mode="off"))
     out = solve_spectrum_point_batch(config, no_ddi(1), [-1.0, 0.0, 1.0])
-    assert out[0].intensities["T"] == 1.0
-    assert isinstance(out[1], SolverError)
-    assert out[1].delta == 0.0
-    assert out[2].intensities["T"] == 1.0
+    assert out.intensities["T"][0] == 1.0
+    (failure,) = out.failures
+    assert isinstance(failure, SolverError)
+    assert failure.delta == 0.0
+    assert out.intensities["T"][2] == 1.0
+    # The failed row reads NaN in every field but its detuning.
+    assert out.delta.tolist() == [-1.0, 0.0, 1.0]
+    for key in ("a", *AMPLITUDES):
+        assert np.isnan(getattr(out, key)[1]).all()
+    assert all(np.isnan(column[1]) for column in out.intensities.values())
+    assert np.isnan(out.residual[1])
 
 
 def test_non_finite_solution_never_passes_the_residual_check():
@@ -205,11 +215,12 @@ def test_non_finite_solution_never_passes_the_residual_check():
         SystemConfig(n_emitters=1, gamma_ur=5e-324, gamma_ul=5e-324, ddi_mode="off")
     )
     out = solve_spectrum_point_batch(config, no_ddi(1), [0.0, 1.0])
-    assert isinstance(out[0], SolverError)
-    assert "non-finite solution" in str(out[0])
-    assert out[0].condition is None  # cond() of this matrix is 1: no hint
-    assert "condition" not in str(out[0])
-    assert out[1].intensities["T"] == 1.0
+    (failure,) = out.failures
+    assert failure.delta == 0.0
+    assert "non-finite solution" in str(failure)
+    assert failure.condition is None  # cond() of this matrix is 1: no hint
+    assert "condition" not in str(failure)
+    assert out.intensities["T"][1] == 1.0
 
 
 def test_singular_point_fails_alone_in_its_stack():
@@ -224,17 +235,14 @@ def test_singular_point_fails_alone_in_its_stack():
     )
     deltas = np.linspace(-2.0, 2.0, 5)
     out = solve_spectrum_point_batch(config, no_ddi(2), deltas)
-    assert [isinstance(item, SolverError) for item in out] == [
-        False, False, True, False, False
-    ]
-    assert out[2].delta == 0.0
-    assert out[2].condition == np.inf
-    for delta, sol in zip(deltas, out):
-        if isinstance(sol, SolverError):
-            continue
-        ref = solve_dense(config, no_ddi(2), delta)
+    assert np.isnan(out.residual).tolist() == [False, False, True, False, False]
+    (failure,) = out.failures
+    assert failure.delta == 0.0
+    assert failure.condition == np.inf
+    for i in (0, 1, 3, 4):
+        ref = solve_dense(config, no_ddi(2), deltas[i])
         for key in AMPLITUDES:
-            assert np.max(np.abs(getattr(sol, key) - ref[key])) < 1e-12
+            assert np.max(np.abs(getattr(out, key)[i] - ref[key])) < 1e-12
 
 
 def test_grid_longer_than_one_stack_matches_pointwise():
@@ -243,13 +251,14 @@ def test_grid_longer_than_one_stack_matches_pointwise():
     deltas = np.linspace(-120.0, 120.0, 601)
     assert deltas.size > 2 * (STACK_ELEMENTS // 8**2)  # three stacked solves
     batch = solve_spectrum_point_batch(config, ddi, deltas)
-    assert [sol.delta for sol in batch] == deltas.tolist()
-    for delta, sol in zip(deltas, batch):
-        assert_same_solution(sol, solve_transport(config, ddi, delta))
+    assert batch.delta.tolist() == deltas.tolist()
+    assert not batch.failures
+    for i, delta in enumerate(deltas):
+        assert_same_point(batch, i, solve_transport(config, ddi, delta))
     for i in (0, 255, 256, 600):
         ref = solve_dense(config, ddi, deltas[i])
         for key in AMPLITUDES:
-            assert np.max(np.abs(getattr(batch[i], key) - ref[key])) < 1e-10
+            assert np.max(np.abs(getattr(batch, key)[i] - ref[key])) < 1e-10
 
 
 @settings(max_examples=60, deadline=None)
@@ -262,11 +271,12 @@ def test_grid_longer_than_one_stack_matches_pointwise():
 def test_batched_solver_matches_dense_oracle(chain, deltas):
     config, ddi = chain
     batch = solve_spectrum_point_batch(config, ddi, deltas)
-    for delta, sol in zip(deltas, batch):
-        assert_same_solution(sol, solve_transport(config, ddi, delta))
+    assert not batch.failures
+    for i, delta in enumerate(deltas):
+        assert_same_point(batch, i, solve_transport(config, ddi, delta))
         ref = solve_dense(config, ddi, delta)
         for key in AMPLITUDES:
-            assert np.max(np.abs(getattr(sol, key) - ref[key])) < 1e-10
+            assert np.max(np.abs(getattr(batch, key)[i] - ref[key])) < 1e-10
 
 
 def test_delta_dependent_phase_is_a_tiny_correction():

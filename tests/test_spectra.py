@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 import photon_router.spectra as spectra
 from photon_router import (
     Peak,
+    SolverError,
     SpectrumResult,
     ddi_matrix,
     find_peaks,
@@ -39,7 +40,7 @@ def reference_peaks(config, ddi, result, channels):
             return solve_transport(config, ddi, delta).intensities[channel]
 
         y = result.intensities[channel]
-        for i in spectra._plateau_maxima(y):
+        for i in spectra._plateau_maxima(result.deltas, y):
             location, height = refine_maximum(result.deltas, y, i, evaluate)
             peaks.append(Peak(channel, float(location), float(height), True))
     return sorted(peaks, key=lambda p: p.location)
@@ -108,9 +109,12 @@ class TestFindPeaks:
         assert [(p.location, p.height) for p in peaks] == [(1.0, 0.5), (3.0, 0.9)]
         assert all(not p.refined for p in peaks)
 
-    def test_plateau_tie_breaks_toward_smaller_delta(self):
-        peaks = find_peaks(synthetic([0.0, 0.7, 0.7, 0.7, 0.1]), "T")
-        assert [p.location for p in peaks] == [1.0]
+    @pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
+    def test_plateau_tie_breaks_toward_smaller_delta(self, order):
+        deltas = np.arange(5.0)[::order]
+        values = np.array([0.0, 0.7, 0.7, 0.7, 0.1])[::order]
+        result = SpectrumResult(deltas=deltas, intensities={"T": values})
+        assert [p.location for p in find_peaks(result, "T")] == [1.0]
 
     def test_boundary_rises_are_not_peaks(self):
         assert find_peaks(synthetic([0.0, 0.5, 1.0]), "T") == []
@@ -282,6 +286,15 @@ class TestScaleEmitters:
         assert record.delta_star == pytest.approx(0.0, abs=1e-3)
         assert record.t_bar_min >= record.t_min - 1e-12
         assert report.window == (-20.0, 20.0, 201)
+
+    def test_failed_scan_point_raises(self):
+        # The second emitter is decoupled, so delta = 0 is a pole of the scan.
+        config = chiral_config(
+            2, gamma=(1.0, 0.0), gamma_dr=(1.0, 0.0), gamma_ur=(1.0, 0.0),
+            ddi_mode="off",
+        )
+        with pytest.raises(SolverError, match=r"singular .* at delta=\+0 "):
+            scale_emitters(config, [2], np.linspace(-2.0, 2.0, 5))
 
     def test_input_validation(self):
         config = chiral_config(2)
