@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .ddi import ddi_matrix
-from .params import ConfigError, DetuningGrid, SystemConfig, load_config
+from .params import ConfigError, DetuningGrid, SystemConfig, load_config, validate
 from .scattering import INTENSITY_KEYS, SolverError
 from .spectra import find_peaks, scale_emitters, scan, sweep_separation
 
@@ -78,14 +78,17 @@ def _write_artifacts(
 
 
 def _delta_grid(config: SystemConfig, args: argparse.Namespace) -> DetuningGrid:
+    """The config's detuning window, or the command's default, with the
+    --delta-* overrides applied and checked like a config file's window."""
     base = config.detuning or DetuningGrid(
         args.default_min, args.default_max, args.default_points
     )
-    return DetuningGrid(
+    grid = DetuningGrid(
         min=base.min if args.delta_min is None else args.delta_min,
         max=base.max if args.delta_max is None else args.delta_max,
         points=base.points if args.delta_points is None else args.delta_points,
     )
+    return validate(dataclasses.replace(config, detuning=grid)).detuning
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -94,8 +97,6 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     grid = _delta_grid(config, args)
     ddi = ddi_matrix(config)
     result = scan(config, ddi, grid.to_array())
-    if result.failures:
-        raise result.failures[0]
     peaks = find_peaks(
         result, *PEAK_CHANNELS, refine=args.refine_peaks, config=config, ddi=ddi
     )

@@ -191,6 +191,11 @@ def validate(config: SystemConfig) -> SystemConfig:
             errors.append("detuning window must be finite")
         elif grid.min > grid.max:
             errors.append(f"detuning min {grid.min} exceeds max {grid.max}")
+        elif grid.min == grid.max and _is_count(grid.points) and grid.points > 1:
+            errors.append(
+                f"detuning window of {grid.points} points needs min < max, "
+                f"got {grid.min} for both"
+            )
     if errors:
         raise ConfigError(errors)
     return config

@@ -23,6 +23,8 @@ so a chiral chain (v_dl = v_ul = 0) has exactly zero backflow.  Detunings
 are solved as stacks of these systems, each with its own phases, into one
 ``TransportSolution`` of arrays over the detunings; the couplings and the
 triangular matrices do not depend on delta and are built once per call.
+Every point must solve: the first detuning that fails, in input order,
+raises its SolverError.
 """
 
 from __future__ import annotations
@@ -47,7 +49,10 @@ _CHANNELS = ("gamma_dr", "gamma_dl", "gamma_ur", "gamma_ul")
 
 
 class SolverError(RuntimeError):
-    """Raised when the transport system is singular or near-singular."""
+    """Raised for a detuning whose transport system is singular
+    (condition inf), near-singular (backward error above ``RESIDUAL_LIMIT``;
+    condition from ``np.linalg.cond``) or solves to non-finite amplitudes
+    (no condition estimate).  Carries ``delta`` and ``condition``."""
 
     def __init__(self, message: str, delta: float, condition: float | None = None):
         self.delta = delta
@@ -74,10 +79,8 @@ class TransportSolution:
 
     From ``solve_spectrum_point_batch`` every field has a leading detuning
     axis: ``delta``, ``residual`` and each intensity have shape (P,), the
-    amplitudes (P, N).  A failed point reads NaN in all of them but
-    ``delta``, and its SolverError is in ``failures``, in input order.
-    ``solve_transport`` returns one point: float delta, intensities and
-    residual, 1-D amplitudes and no failures.
+    amplitudes (P, N).  ``solve_transport`` returns one point: float delta,
+    intensities and residual, 1-D amplitudes.
     """
 
     delta: np.ndarray
@@ -88,7 +91,6 @@ class TransportSolution:
     rt: np.ndarray
     intensities: dict[str, np.ndarray]
     residual: np.ndarray
-    failures: tuple[SolverError, ...]
 
 
 def solve_spectrum_point_batch(
@@ -97,10 +99,10 @@ def solve_spectrum_point_batch(
     """Solve every detuning of a 1-D list, in input order.
 
     Detunings are stacked into direct solves of at most ``STACK_ELEMENTS``
-    matrix elements each; a singular stack is re-solved point by point.  A
-    point whose system is singular, or whose backward error exceeds
-    ``RESIDUAL_LIMIT``, reads NaN and adds its SolverError to ``failures``;
-    the other points are unaffected.
+    matrix elements each; a singular stack is re-solved point by point.
+    Raises the SolverError of the first detuning, in input order, whose
+    system is singular, whose backward error exceeds ``RESIDUAL_LIMIT`` or
+    whose solution is not finite.
     """
     n = config.n_emitters
     if ddi.n != n:
@@ -122,7 +124,6 @@ def solve_spectrum_point_batch(
 
     a, t, r, tt, rt = np.empty((5, deltas.size, n), dtype=complex)
     residual = np.empty(deltas.size)
-    failures: dict[int, SolverError] = {}
     size = max(1, STACK_ELEMENTS // n**2)
     for start in range(0, deltas.size, size):
         stack = slice(start, start + size)
@@ -131,38 +132,37 @@ def solve_spectrum_point_batch(
         matrices = -1j * (rightward * relative + leftward * relative.conj()) + ddi.values
         matrices[:, diagonal, diagonal] = -deltas[stack, None] - width
         rhs = -(v_dr * phases)[..., None]
+        singular = None
         try:
             x = np.linalg.solve(matrices, rhs)
         except np.linalg.LinAlgError:
+            # Re-solve point by point up to the first singular system; the
+            # points after it stay NaN and so fail after it.
             x = np.full_like(rhs, np.nan)
             for i in range(len(x)):
                 try:
                     x[i] = np.linalg.solve(matrices[i], rhs[i])
                 except np.linalg.LinAlgError:
-                    failures[start + i] = SolverError(
-                        "singular transport system", float(deltas[start + i]), np.inf
-                    )
+                    singular = i
+                    break
 
         # Normwise backward error; a zero scale means b = 0 and x = 0, so the
         # defect itself (0, or NaN for non-finite x) is the residual.
         defect = np.abs(matrices @ x - rhs).max(axis=(1, 2))
         norm_ax = np.abs(matrices).sum(axis=2).max(axis=1) * np.abs(x).max(axis=(1, 2))
         scale = norm_ax + np.abs(rhs).max(axis=(1, 2))
-        error = np.divide(defect, scale, out=defect, where=scale > 0.0)
-        failed = ~(error <= RESIDUAL_LIMIT)
-        for i in np.flatnonzero(failed):
-            if start + i in failures:  # singular, reported above
-                continue
+        residual[stack] = np.divide(defect, scale, out=defect, where=scale > 0.0)
+        failed = np.flatnonzero(~(residual[stack] <= RESIDUAL_LIMIT))
+        if failed.size:
+            i = failed[0]
             delta = float(deltas[start + i])
-            failures[start + i] = (
-                SolverError(
+            if i == singular:
+                raise SolverError("singular transport system", delta, np.inf)
+            if np.isfinite(x[i]).all():
+                raise SolverError(
                     "near-singular transport system", delta, np.linalg.cond(matrices[i])
                 )
-                if np.isfinite(x[i]).all()
-                else SolverError("non-finite solution of the transport system", delta)
-            )
-        x[failed] = np.nan
-        residual[stack] = np.where(failed, np.nan, error)
+            raise SolverError("non-finite solution of the transport system", delta)
 
         a[stack] = x[..., 0]
         forward = phases.conj() * a[stack]
@@ -173,10 +173,7 @@ def solve_spectrum_point_batch(
         rt[stack] = -1j * np.cumsum((v_ul * backward)[:, ::-1], axis=1)[:, ::-1]
 
     intensities = port_intensities(t[:, -1], r[:, 0], tt[:, -1], rt[:, 0])
-    return TransportSolution(
-        deltas, a, t, r, tt, rt, intensities, residual,
-        tuple(failures[i] for i in sorted(failures)),
-    )
+    return TransportSolution(deltas, a, t, r, tt, rt, intensities, residual)
 
 
 def solve_transport(
@@ -185,14 +182,12 @@ def solve_transport(
     """Point 0 of a one-point ``solve_spectrum_point_batch``.
 
     Raises SolverError at (or numerically indistinguishable from) the
-    isolated real poles a lossless chain can develop; scans are expected to
-    step around them or request regularization.
+    isolated real poles a lossless chain can develop, like every solve;
+    scans are expected to step around them or request regularization.
     """
     batch = solve_spectrum_point_batch(config, ddi, [delta])
-    if batch.failures:
-        raise batch.failures[0]
     return TransportSolution(
         float(batch.delta[0]), batch.a[0], batch.t[0], batch.r[0], batch.tt[0],
         batch.rt[0], {key: float(value[0]) for key, value in batch.intensities.items()},
-        float(batch.residual[0]), (),
+        float(batch.residual[0]),
     )

@@ -12,7 +12,7 @@ import numpy as np
 
 from .ddi import DdiMatrix, ddi_matrix
 from .params import SystemConfig, validate
-from .scattering import SolverError, solve_spectrum_point_batch, solve_transport
+from .scattering import solve_spectrum_point_batch, solve_transport
 
 #: Peak locations are refined until stable to this width, Gamma0 units.
 PEAK_REFINE_TOL = 1e-4
@@ -33,13 +33,11 @@ class SpectrumResult:
     """Per-detuning intensities of one scan.
 
     ``intensities`` maps each of T/R/Tt/Rt/loss to an array aligned with
-    ``deltas``; failed points read NaN and their SolverErrors, which carry
-    the detuning, are listed in ``failures`` in grid order.
+    ``deltas``.
     """
 
     deltas: np.ndarray
     intensities: dict[str, np.ndarray]
-    failures: tuple[SolverError, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -78,8 +76,8 @@ class SeparationSweep:
 def scan(
     config: SystemConfig, ddi: DdiMatrix, grid: Sequence[float] | np.ndarray
 ) -> SpectrumResult:
-    """Batch-solve a monotone detuning grid into a spectrum; failed points
-    are recorded, not raised."""
+    """Batch-solve a monotone detuning grid into a spectrum; the first grid
+    point that fails raises its SolverError."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a non-empty 1-D array")
@@ -89,7 +87,7 @@ def scan(
             raise ValueError("grid must be strictly monotone")
 
     solution = solve_spectrum_point_batch(config, ddi, grid)
-    return SpectrumResult(grid, solution.intensities, solution.failures)
+    return SpectrumResult(grid, solution.intensities)
 
 
 def _plateau_maxima(deltas: np.ndarray, values: np.ndarray) -> list[int]:
@@ -116,8 +114,6 @@ def _probe(
 ) -> np.ndarray:
     """Intensity of channels[k] at deltas[k], from one batched solve."""
     solution = solve_spectrum_point_batch(config, ddi, deltas)
-    if solution.failures:
-        raise solution.failures[0]
     return np.array([solution.intensities[c][k] for k, c in enumerate(channels)])
 
 
@@ -233,7 +229,8 @@ def sweep_separation(
 
     Each column rebuilds the propagation phases and the coupling matrix for
     its spacing, so a one-point sweep is bit-identical to a plain scan.
-    Raises the first SolverError of the first column that has one.
+    The first failing point of the first column that has one raises its
+    SolverError.
     """
     l_min, l_max = l_range
     if l_min <= 0.0 or l_max <= 0.0:
@@ -254,8 +251,6 @@ def sweep_separation(
     for k, spacing in enumerate(spacings):
         cfg = validate(dataclasses.replace(config, spacing=float(spacing)))
         result = scan(cfg, ddi_matrix(cfg), grid)
-        if result.failures:
-            raise result.failures[0]
         routed[k] = result.intensities["Tt"]
         transmitted[k] = result.intensities["T"]
     return SeparationSweep(
@@ -273,8 +268,8 @@ def scale_emitters(
     For each N the chain and its coupling matrix are rebuilt, the grid is
     scanned, and the routed-intensity maximum is refined off-grid.  The
     refined sample participates in the transmission minimum so the reported
-    t_bar_min >= t_min ordering is structural.  Raises the first
-    SolverError of the first scan that has one.
+    t_bar_min >= t_min ordering is structural.  The first failing point of
+    the first scan that has one raises its SolverError.
     """
     n_list = list(n_list)
     if not n_list:
@@ -288,8 +283,6 @@ def scale_emitters(
         cfg = validate(dataclasses.replace(config, n_emitters=int(n)))
         ddi = ddi_matrix(cfg)
         result = scan(cfg, ddi, grid)
-        if result.failures:
-            raise result.failures[0]
         i = int(np.argmax(result.intensities["Tt"]))
         if 0 < i < grid.size - 1:
             delta_star = float(_refine_maxima(cfg, ddi, result, [("Tt", i)])[0][0])

@@ -202,6 +202,37 @@ def test_solver_failure_exits_2_without_partial_output(command, tmp_path, capsys
     assert not (tmp_path / "never.csv.manifest.json").exists()
 
 
+GRID_COMMANDS = {
+    "spectrum": ["spectrum"],
+    "scale-n": ["scale-n", "--n-list", "1"],
+    "sweep-separation": ["sweep-separation", "--l-points", "2"],
+}
+
+
+@pytest.mark.parametrize("command", GRID_COMMANDS.values(), ids=GRID_COMMANDS.keys())
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--delta-min", "nan", "--delta-max", "nan", "--delta-points", "1"],
+         "detuning window must be finite"),
+        (["--delta-min", "inf", "--delta-max", "inf"], "detuning window must be finite"),
+        (["--delta-points", "-3"], "detuning points must be >= 1, got -3"),
+        (["--delta-min", "1", "--delta-max", "1", "--delta-points", "5"],
+         "detuning window of 5 points needs min < max"),
+    ],
+    ids=["nan", "inf", "negative-points", "empty-window"],
+)
+def test_grid_override_is_validated(command, flags, message, two_emitter_config,
+                                    tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    code = main([*command, "--config", str(two_emitter_config), "--out", str(out), *flags])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: ")
+    assert message in err
+    assert not out.exists()
+
+
 def test_missing_config_exits_3(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "absent.json")]) == 3
     assert "i/o error" in capsys.readouterr().err

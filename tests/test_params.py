@@ -157,6 +157,9 @@ def test_detuning_grid_validation():
         validate(SystemConfig(detuning=DetuningGrid(0.0, 1.0, 0)))
     with pytest.raises(ConfigError, match="exceeds max"):
         validate(SystemConfig(detuning=DetuningGrid(2.0, 1.0, 5)))
+    with pytest.raises(ConfigError, match="5 points needs min < max"):
+        validate(SystemConfig(detuning=DetuningGrid(1.0, 1.0, 5)))
+    validate(SystemConfig(detuning=DetuningGrid(1.0, 1.0, 1)))
 
 
 @pytest.mark.parametrize(

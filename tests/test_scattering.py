@@ -192,20 +192,16 @@ def test_batch_matches_pointwise_and_preserves_order():
     assert forward == backward.tolist()[::-1]
 
 
-def test_batch_collects_per_point_failures():
+def test_batch_raises_at_the_failing_point():
     config = validate(SystemConfig(n_emitters=1, ddi_mode="off"))
-    out = solve_spectrum_point_batch(config, no_ddi(1), [-1.0, 0.0, 1.0])
-    assert out.intensities["T"][0] == 1.0
-    (failure,) = out.failures
-    assert isinstance(failure, SolverError)
-    assert failure.delta == 0.0
-    assert out.intensities["T"][2] == 1.0
-    # The failed row reads NaN in every field but its detuning.
-    assert out.delta.tolist() == [-1.0, 0.0, 1.0]
-    for key in ("a", *AMPLITUDES):
-        assert np.isnan(getattr(out, key)[1]).all()
-    assert all(np.isnan(column[1]) for column in out.intensities.values())
-    assert np.isnan(out.residual[1])
+    match = r"^singular transport system at delta=\+0 "
+    with pytest.raises(SolverError, match=match) as err:
+        solve_spectrum_point_batch(config, no_ddi(1), [-1.0, 0.0, 1.0])
+    assert err.value.delta == 0.0
+    assert err.value.condition == np.inf
+    # Either side of the pole the photon passes.
+    out = solve_spectrum_point_batch(config, no_ddi(1), [-1.0, 1.0])
+    assert out.intensities["T"].tolist() == [1.0, 1.0]
 
 
 def test_non_finite_solution_never_passes_the_residual_check():
@@ -214,13 +210,14 @@ def test_non_finite_solution_never_passes_the_residual_check():
     config = validate(
         SystemConfig(n_emitters=1, gamma_ur=5e-324, gamma_ul=5e-324, ddi_mode="off")
     )
-    out = solve_spectrum_point_batch(config, no_ddi(1), [0.0, 1.0])
-    (failure,) = out.failures
+    with pytest.raises(SolverError) as err:
+        solve_spectrum_point_batch(config, no_ddi(1), [0.0, 1.0])
+    failure = err.value
     assert failure.delta == 0.0
     assert "non-finite solution" in str(failure)
     assert failure.condition is None  # cond() of this matrix is 1: no hint
     assert "condition" not in str(failure)
-    assert out.intensities["T"][1] == 1.0
+    assert solve_transport(config, no_ddi(1), 1.0).intensities["T"] == 1.0
 
 
 def test_singular_point_fails_alone_in_its_stack():
@@ -234,15 +231,50 @@ def test_singular_point_fails_alone_in_its_stack():
         ddi_mode="off",
     )
     deltas = np.linspace(-2.0, 2.0, 5)
-    out = solve_spectrum_point_batch(config, no_ddi(2), deltas)
-    assert np.isnan(out.residual).tolist() == [False, False, True, False, False]
-    (failure,) = out.failures
-    assert failure.delta == 0.0
-    assert failure.condition == np.inf
-    for i in (0, 1, 3, 4):
-        ref = solve_dense(config, no_ddi(2), deltas[i])
+    with pytest.raises(SolverError, match=r"^singular transport system") as err:
+        solve_spectrum_point_batch(config, no_ddi(2), deltas)
+    assert err.value.delta == 0.0
+    assert err.value.condition == np.inf
+    regular = np.delete(deltas, 2)
+    out = solve_spectrum_point_batch(config, no_ddi(2), regular)
+    for i, delta in enumerate(regular):
+        ref = solve_dense(config, no_ddi(2), delta)
         for key in AMPLITUDES:
             assert np.max(np.abs(getattr(out, key)[i] - ref[key])) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "deltas, pole", [([-1.0, 0.5, 1.0], -1.0), ([1.0, 0.5, -1.0], 1.0)],
+    ids=["ascending", "descending"],
+)
+def test_first_failure_in_input_order_is_raised(deltas, pole):
+    # Lossless and decoupled from the guides, the pair's coupling J makes
+    # -delta + J exactly singular at both delta = -1 and delta = +1.
+    config = validate(SystemConfig(n_emitters=2, ddi_mode="manual", ddi_strength=1.0))
+    ddi = ddi_matrix(config)
+    assert ddi.values[0, 1] == 1.0
+    with pytest.raises(SolverError, match="^singular transport system") as err:
+        solve_spectrum_point_batch(config, ddi, deltas)
+    assert err.value.delta == pole
+    assert err.value.condition == np.inf
+
+
+def test_failure_past_the_first_stack_names_its_detuning():
+    # The last emitter is decoupled, so delta = 0 is the chain's only pole.
+    config = chiral_config(
+        8,
+        gamma=(EMISSION,) * 7 + (0.0,),
+        gamma_dr=(COUPLING,) * 7 + (0.0,),
+        gamma_ur=(COUPLING,) * 7 + (0.0,),
+        ddi_mode="off",
+    )
+    deltas = np.arange(-300.0, 101.0)
+    pole = int(np.flatnonzero(deltas == 0.0)[0])
+    assert pole >= STACK_ELEMENTS // 8**2  # outside the first stacked solve
+    with pytest.raises(SolverError, match="^singular transport system") as err:
+        solve_spectrum_point_batch(config, no_ddi(8), deltas)
+    assert err.value.delta == 0.0
+    assert err.value.condition == np.inf
 
 
 def test_grid_longer_than_one_stack_matches_pointwise():
@@ -252,7 +284,6 @@ def test_grid_longer_than_one_stack_matches_pointwise():
     assert deltas.size > 2 * (STACK_ELEMENTS // 8**2)  # three stacked solves
     batch = solve_spectrum_point_batch(config, ddi, deltas)
     assert batch.delta.tolist() == deltas.tolist()
-    assert not batch.failures
     for i, delta in enumerate(deltas):
         assert_same_point(batch, i, solve_transport(config, ddi, delta))
     for i in (0, 255, 256, 600):
@@ -271,7 +302,6 @@ def test_grid_longer_than_one_stack_matches_pointwise():
 def test_batched_solver_matches_dense_oracle(chain, deltas):
     config, ddi = chain
     batch = solve_spectrum_point_batch(config, ddi, deltas)
-    assert not batch.failures
     for i, delta in enumerate(deltas):
         assert_same_point(batch, i, solve_transport(config, ddi, delta))
         ref = solve_dense(config, ddi, delta)

@@ -89,14 +89,15 @@ class TestScan:
         down = scan(config, ddi, np.linspace(5.0, -5.0, 11))
         assert np.array_equal(up.intensities["Tt"], down.intensities["Tt"][::-1])
 
-    def test_failures_recorded_per_point(self):
+    def test_failed_point_raises(self):
         from photon_router import SystemConfig, validate
 
         config = validate(SystemConfig(n_emitters=1, ddi_mode="off"))
-        result = scan(config, ddi_matrix(config), np.array([-1.0, 0.0, 1.0]))
-        assert len(result.failures) == 1
-        assert result.failures[0].delta == 0.0
-        assert np.isnan(result.intensities["T"][1])
+        with pytest.raises(SolverError, match=r"^singular .* at delta=\+0 ") as err:
+            scan(config, ddi_matrix(config), np.array([-1.0, 0.0, 1.0]))
+        assert err.value.delta == 0.0
+        assert err.value.condition == np.inf
+        result = scan(config, ddi_matrix(config), np.array([-1.0, 1.0]))
         assert result.intensities["T"][0] == 1.0
 
 
@@ -227,8 +228,10 @@ class TestFindPeaks:
 def test_lockstep_refinement_matches_scalar_reference(chain, points, descending):
     config, ddi = chain
     grid = np.linspace(-60.0, 60.0, points)
-    result = scan(config, ddi, grid[::-1] if descending else grid)
-    assume(not result.failures)
+    try:
+        result = scan(config, ddi, grid[::-1] if descending else grid)
+    except SolverError:
+        assume(False)
     peaks = find_peaks(result, *CHANNELS, refine=True, config=config, ddi=ddi)
     assert peaks == reference_peaks(config, ddi, result, CHANNELS)
 
