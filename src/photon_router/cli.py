@@ -2,7 +2,8 @@
 write CSV/JSON artifacts plus a run manifest.
 
 Exit codes: 0 success, 1 config/usage error, 2 solver failure (the offending
-detuning is reported), 3 I/O error.
+detuning is reported), 3 I/O error, 4 internal error (any other exception,
+reported in one line instead of a traceback).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import dataclasses
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 PEAK_CHANNELS = ("T", "R", "Tt", "Rt")
 
@@ -270,6 +273,14 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO
+    except Exception as err:
+        where = traceback.extract_tb(err.__traceback__)[-1]
+        print(
+            f"internal error: {type(err).__name__}: {err}"
+            f" (at {Path(where.filename).name}:{where.lineno})",
+            file=sys.stderr,
+        )
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

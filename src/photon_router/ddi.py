@@ -64,12 +64,19 @@ def ddi_matrix(config: SystemConfig) -> DdiMatrix:
             of the nearest-neighbour law that rescaling diverges, so a
             longer-range pair above |ddi_strength| is a ConfigError.
     off:    all zeros.
+
+    A spacing so small that R^3 underflows to 0 is a ConfigError.
     """
     n = config.n_emitters
     values = np.zeros((n, n))
     if config.ddi_mode != "off" and n > 1:
         step = config.r_step
         angle = config.dipole_angle
+        if not step**3 > 0.0:
+            raise ConfigError([
+                f"spacing {config.spacing} nm is too small: the nearest-neighbour"
+                f" separation R = {step:.3g} underflows R^3 in the dipole-dipole law"
+            ])
         by_offset = [ddi_coupling(k * step, angle) for k in range(1, n)]
         if config.ddi_mode == "manual":
             nearest = by_offset[0]

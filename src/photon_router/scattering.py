@@ -19,12 +19,19 @@ cumulative sums:
     r_j  =   - i sum_{k>=j} v_dl,k e^{+i phi_k} A_k
     rt_j =   - i sum_{k>=j} v_ul,k e^{+i phi_k} A_k
 
-so a chiral chain (v_dl = v_ul = 0) has exactly zero backflow.  Detunings
-are solved as stacks of these systems, each with its own phases, into one
-``TransportSolution`` of arrays over the detunings; the couplings and the
-triangular matrices do not depend on delta and are built once per call.
-Every point must solve: the first detuning that fails, in input order,
-raises its SolverError.
+so a chiral chain (v_dl = v_ul = 0) has exactly zero backflow.
+
+M splits into its diagonal and the coupling block C (the off-diagonal
+waveguide couplings with their phases, plus J; C_jj = 0).  At carrier
+phases C does not depend on delta, so C and its absolute row sums are built
+once per call and every stack copies C in and writes its own diagonal; with
+delta-dependent phases they are built once per stack, from that stack's
+phases.  Detunings are solved as stacks of at most ``STACK_ELEMENTS``
+complex matrix elements, which bounds the memory of one stacked solve, into
+one ``TransportSolution`` of arrays over the detunings.  Each point's
+backward error takes ||M||_inf = max_j (sum_k |C_jk| + |M_jj|), O(N) per
+point.  Every point must solve: the first detuning that fails, in input
+order, raises its SolverError.
 """
 
 from __future__ import annotations
@@ -109,8 +116,8 @@ def solve_spectrum_point_batch(
         raise ValueError(f"coupling matrix is {ddi.n}x{ddi.n} for {n} emitters")
     deltas = np.asarray(deltas, dtype=float)
 
-    # Detuning-independent parts: the channel couplings v = sqrt(rate), the
-    # coupling matrices below and above the diagonal, and the half-widths.
+    # Detuning-independent parts: the channel couplings v = sqrt(rate), their
+    # products below and above the diagonal, and the half-widths.
     gamma = config.rate_profile("gamma")
     if config.regularize:
         gamma = gamma + POLE_REGULARIZATION
@@ -120,18 +127,27 @@ def solve_spectrum_point_batch(
     leftward = np.triu(np.outer(v_dl, v_dl) + np.outer(v_ul, v_ul), 1)
     width = 0.5j * (gamma + rates.sum(axis=0))
     diagonal = np.arange(n)
-    step = np.broadcast_to(config.step_phase(deltas), deltas.shape)
+
+    # Carrier phases share one C (built with the first stack); detuning-
+    # dependent phases build one per stack.
+    step = config.step_phase(deltas)
+    shared = np.ndim(step) == 0
+    steps = np.reshape(step, 1) if shared else step
 
     a, t, r, tt, rt = np.empty((5, deltas.size, n), dtype=complex)
     residual = np.empty(deltas.size)
     size = max(1, STACK_ELEMENTS // n**2)
     for start in range(0, deltas.size, size):
         stack = slice(start, start + size)
-        phases = np.exp(1j * np.outer(step[stack], diagonal))
-        relative = phases[:, :, None] * phases.conj()[:, None, :]
-        matrices = -1j * (rightward * relative + leftward * relative.conj()) + ddi.values
-        matrices[:, diagonal, diagonal] = -deltas[stack, None] - width
-        rhs = -(v_dr * phases)[..., None]
+        if start == 0 or not shared:
+            phases = np.exp(1j * np.outer(steps[stack], diagonal))
+            relative = phases[:, :, None] * phases.conj()[:, None, :]
+            block = -1j * (rightward * relative + leftward * relative.conj()) + ddi.values
+            row_sums = np.abs(block).sum(axis=2)  # C_jj = 0: the off-diagonal sums
+        on_diagonal = -deltas[stack, None] - width
+        matrices = block.repeat(len(on_diagonal), axis=0) if shared else block
+        matrices[:, diagonal, diagonal] = on_diagonal
+        rhs = np.broadcast_to(-(v_dr * phases)[..., None], (len(matrices), n, 1))
         singular = None
         try:
             x = np.linalg.solve(matrices, rhs)
@@ -149,7 +165,9 @@ def solve_spectrum_point_batch(
         # Normwise backward error; a zero scale means b = 0 and x = 0, so the
         # defect itself (0, or NaN for non-finite x) is the residual.
         defect = np.abs(matrices @ x - rhs).max(axis=(1, 2))
-        norm_ax = np.abs(matrices).sum(axis=2).max(axis=1) * np.abs(x).max(axis=(1, 2))
+        # ||M||_inf = max_j (sum_k |C_jk| + |M_jj|), O(N) per point.
+        norm = (row_sums + np.abs(on_diagonal)).max(axis=1)
+        norm_ax = norm * np.abs(x).max(axis=(1, 2))
         scale = norm_ax + np.abs(rhs).max(axis=(1, 2))
         residual[stack] = np.divide(defect, scale, out=defect, where=scale > 0.0)
         failed = np.flatnonzero(~(residual[stack] <= RESIDUAL_LIMIT))

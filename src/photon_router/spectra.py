@@ -12,7 +12,7 @@ import numpy as np
 
 from .ddi import DdiMatrix, ddi_matrix
 from .params import SystemConfig, validate
-from .scattering import solve_spectrum_point_batch, solve_transport
+from .scattering import INTENSITY_KEYS, solve_spectrum_point_batch
 
 #: Peak locations are refined until stable to this width, Gamma0 units.
 PEAK_REFINE_TOL = 1e-4
@@ -109,12 +109,11 @@ def _plateau_maxima(deltas: np.ndarray, values: np.ndarray) -> list[int]:
     return idx
 
 
-def _probe(
-    config: SystemConfig, ddi: DdiMatrix, deltas: np.ndarray, channels: np.ndarray
-) -> np.ndarray:
-    """Intensity of channels[k] at deltas[k], from one batched solve."""
+def _probe(config: SystemConfig, ddi: DdiMatrix, deltas: np.ndarray) -> np.ndarray:
+    """One row of intensities (columns in ``INTENSITY_KEYS`` order) per
+    detuning, from one batched solve."""
     solution = solve_spectrum_point_batch(config, ddi, deltas)
-    return np.array([solution.intensities[c][k] for k, c in enumerate(channels)])
+    return np.column_stack([solution.intensities[key] for key in INTENSITY_KEYS])
 
 
 def _refine_maxima(
@@ -122,23 +121,25 @@ def _refine_maxima(
     ddi: DdiMatrix,
     result: SpectrumResult,
     seeds: list[tuple[str, int]],
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Polish interior grid maxima, given as (channel, index), off-grid.
 
     Each maximum is bracketed by its grid neighbours, tried at the vertex of
     the parabola through its three samples (if that bows down), and narrowed
     by golden-section search to ``PEAK_REFINE_TOL``.  All brackets advance
     in lockstep: each step solves the probes of every open bracket in one
-    batched call.  Returns locations and heights; a height is never below
-    its grid sample, and ties in height resolve toward smaller detuning.
+    batched call.  Returns locations, heights and the row of all
+    intensities there (``INTENSITY_KEYS`` order), from the winning probe or
+    the scan; a height is never below its grid sample, and ties in height
+    resolve toward smaller detuning.
     """
     x = result.deltas
     up = 1 if x[-1] > x[0] else -1  # neighbours in ascending detuning
-    channels = np.array([channel for channel, _ in seeds], dtype=object)
+    k = np.arange(len(seeds))
+    column = np.array([INTENSITY_KEYS.index(channel) for channel, _ in seeds], dtype=int)
     i = np.array([index for _, index in seeds], dtype=int)
-    y_lo, y_mid, y_hi = np.array(
-        [result.intensities[c][[k - up, k, k + up]] for c, k in seeds], dtype=float
-    ).reshape(-1, 3).T
+    rows = np.column_stack([result.intensities[key] for key in INTENSITY_KEYS])
+    y_lo, y_mid, y_hi = rows[i - up, column], rows[i, column], rows[i + up, column]
     lo, hi = x[i - up], x[i + up]
 
     curvature = y_lo - 2.0 * y_mid + y_hi
@@ -148,33 +149,29 @@ def _refine_maxima(
     vertex = x[i] + 0.5 * h * (y_lo - y_hi) / np.where(bowed, curvature, -1.0)
     vertex = np.minimum(np.maximum(vertex, lo), hi)
 
-    # Rows 0/1: bracket ends a/b, inner points c/d and the heights there.
+    # Rows 0/1: bracket ends a/b, inner points c/d and the intensities there.
     ends = np.array([lo, hi])
     inner = np.array([hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)])
-    first = _probe(
-        config,
-        ddi,
-        np.concatenate([vertex[bowed], *inner]),
-        np.concatenate([channels[bowed], channels, channels]),
-    )
-    f_vertex = np.full(i.size, -np.inf)
-    f_vertex[bowed] = first[: bowed.sum()]
-    f = first[bowed.sum() :].reshape(2, i.size)
+    first = _probe(config, ddi, np.concatenate([vertex[bowed], *inner]))
+    at_vertex = np.full_like(rows[i], -np.inf)
+    at_vertex[bowed] = first[: bowed.sum()]
+    at_inner = first[bowed.sum() :].reshape(2, k.size, len(INTENSITY_KEYS))
     while (j := np.flatnonzero(ends[1] - ends[0] > PEAK_REFINE_TOL)).size:
         # Keep the side of the higher inner point; the far end moves in.
-        near = np.where(f[0, j] >= f[1, j], 0, 1)
+        near = np.where(at_inner[0, j, column[j]] >= at_inner[1, j, column[j]], 0, 1)
         far = 1 - near
         ends[far, j] = inner[far, j]
         inner[far, j] = inner[near, j]
-        f[far, j] = f[near, j]
+        at_inner[far, j] = at_inner[near, j]
         inner[near, j] = ends[far, j] - _INVPHI * (ends[far, j] - ends[near, j])
-        f[near, j] = _probe(config, ddi, inner[near, j], channels[j])
+        at_inner[near, j] = _probe(config, ddi, inner[near, j])
 
-    location, height = x[i], y_mid
-    for at, value in ((vertex, f_vertex), (inner[0], f[0]), (inner[1], f[1])):
+    location, best = x[i], rows[i]
+    for at, row in ((vertex, at_vertex), (inner[0], at_inner[0]), (inner[1], at_inner[1])):
+        value, height = row[k, column], best[k, column]
         wins = (value > height) | ((value == height) & (at < location))
-        location, height = np.where(wins, at, location), np.where(wins, value, height)
-    return location, height
+        location, best = np.where(wins, at, location), np.where(wins[:, None], row, best)
+    return location, best[k, column], best
 
 
 def find_peaks(
@@ -207,7 +204,7 @@ def find_peaks(
         for i in _plateau_maxima(result.deltas, result.intensities[channel])
     ]
     if refine:
-        locations, heights = _refine_maxima(config, ddi, result, seeds)
+        locations, heights, _ = _refine_maxima(config, ddi, result, seeds)
     else:
         locations = [result.deltas[i] for _, i in seeds]
         heights = [result.intensities[channel][i] for channel, i in seeds]
@@ -285,10 +282,12 @@ def scale_emitters(
         result = scan(cfg, ddi, grid)
         i = int(np.argmax(result.intensities["Tt"]))
         if 0 < i < grid.size - 1:
-            delta_star = float(_refine_maxima(cfg, ddi, result, [("Tt", i)])[0][0])
+            location, _, rows = _refine_maxima(cfg, ddi, result, [("Tt", i)])
+            delta_star, row = float(location[0]), rows[0]
         else:
             delta_star = float(grid[i])
-        at_peak = solve_transport(cfg, ddi, delta_star).intensities
+            row = [result.intensities[key][i] for key in INTENSITY_KEYS]
+        at_peak = dict(zip(INTENSITY_KEYS, map(float, row)))
         records.append(
             ScalingRecord(
                 n=int(n),

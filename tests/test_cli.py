@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import photon_router.cli as cli
 from photon_router.cli import main
 
 TWO_EMITTER = {
@@ -230,6 +231,34 @@ def test_grid_override_is_validated(command, flags, message, two_emitter_config,
     assert code == 1
     assert err.startswith("config error: ")
     assert message in err
+    assert not out.exists()
+
+
+def _injected_fault(*args, **kwargs):
+    raise ZeroDivisionError("injected fault")
+
+
+@pytest.mark.parametrize(
+    "overrides, fault, code, prefix",
+    [
+        ({"spacing": 1e-300}, None, 1, "config error: spacing 1e-300 nm is too small"),
+        ({}, _injected_fault, 4, "internal error: ZeroDivisionError: injected fault"),
+    ],
+    ids=["spacing-underflow", "internal-error"],
+)
+def test_no_input_ends_in_a_traceback(overrides, fault, code, prefix, tmp_path,
+                                      monkeypatch, capsys):
+    config = tmp_path / "chain.json"
+    config.write_text(json.dumps(TWO_EMITTER | overrides))
+    if fault is not None:
+        monkeypatch.setattr(cli, "scan", fault)
+    out = tmp_path / "never.csv"
+    assert main([
+        "spectrum", "--config", str(config), "--out", str(out), "--delta-points", "11",
+    ]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

@@ -292,6 +292,67 @@ def test_grid_longer_than_one_stack_matches_pointwise():
             assert np.max(np.abs(getattr(batch, key)[i] - ref[key])) < 1e-10
 
 
+class RecordingSolve:
+    """Stands in for ``np.linalg.solve`` and keeps every stacked system it
+    was given, with its solution."""
+
+    def __init__(self):
+        self.solve, self.systems = np.linalg.solve, []
+
+    def __call__(self, matrices, rhs):
+        x = self.solve(matrices, rhs)
+        self.systems.append((matrices.copy(), np.array(rhs), x))
+        return x
+
+
+def test_carrier_phase_grid_shares_one_coupling_block():
+    config = symmetric_config(8, gamma=EMISSION)
+    ddi = ddi_matrix(config)
+    deltas = np.linspace(-120.0, 120.0, 601)
+    size = STACK_ELEMENTS // 8**2
+    assert deltas.size > 2 * size  # three stacked solves
+    recorder = RecordingSolve()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "solve", recorder)
+        batch = solve_spectrum_point_batch(config, ddi, deltas)
+    stacks = [matrices for matrices, _, _ in recorder.systems]
+    assert [len(m) for m in stacks] == [size, size, deltas.size - 2 * size]
+    # Every point's system is the same coupling block plus its own diagonal.
+    matrices = np.concatenate(stacks)
+    diagonal = np.eye(8, dtype=bool)
+    assert (matrices[:, ~diagonal] == matrices[0, ~diagonal]).all()
+    assert np.array_equal(matrices[:, diagonal].real, -deltas[:, None] * np.ones(8))
+    for i, delta in enumerate(deltas):
+        assert_same_point(batch, i, solve_transport(config, ddi, delta))
+    for i in (0, size - 1, size, 2 * size - 1, 2 * size, 600):
+        ref = solve_dense(config, ddi, deltas[i])
+        for key in AMPLITUDES:
+            assert np.max(np.abs(getattr(batch, key)[i] - ref[key])) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    chain=random_chains(),
+    deltas=st.lists(
+        st.floats(min_value=-60.0, max_value=60.0), min_size=1, max_size=6
+    ),
+)
+def test_residual_is_the_dense_normwise_backward_error(chain, deltas):
+    # |M x - b|_inf / (||M||_inf ||x||_inf + ||b||_inf) with every norm taken
+    # over the full systems the solver factorised.
+    config, ddi = chain
+    recorder = RecordingSolve()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "solve", recorder)
+        batch = solve_spectrum_point_batch(config, ddi, deltas)
+    ((matrices, rhs, x),) = recorder.systems
+    defect = np.abs(matrices @ x - rhs).max(axis=(1, 2))
+    norm = np.abs(matrices).sum(axis=2).max(axis=1)
+    scale = norm * np.abs(x).max(axis=(1, 2)) + np.abs(rhs).max(axis=(1, 2))
+    dense = np.divide(defect, scale, out=defect.copy(), where=scale > 0.0)
+    np.testing.assert_allclose(batch.residual, dense, rtol=1e-12, atol=0.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     chain=random_chains(),

@@ -290,6 +290,20 @@ class TestScaleEmitters:
         assert record.t_bar_min >= record.t_min - 1e-12
         assert report.window == (-20.0, 20.0, 201)
 
+    @pytest.mark.parametrize(
+        "grid", [np.linspace(-20.0, 20.0, 41), np.linspace(5.0, 50.0, 10)],
+        ids=["refined", "grid-edge"],
+    )
+    def test_record_is_read_from_the_winning_solve(self, grid):
+        # The figures at delta_star come from the refinement probe (or the
+        # scan sample) that won, bit-equal to a fresh solve there.
+        config = chiral_config(3)
+        (record,) = scale_emitters(config, [3], grid).records
+        at_peak = solve_transport(config, ddi_matrix(config), record.delta_star).intensities
+        assert record.tt_max == at_peak["Tt"]
+        assert record.t_bar_min == at_peak["T"]
+        assert record.loss_at_peak == at_peak["loss"]
+
     def test_failed_scan_point_raises(self):
         # The second emitter is decoupled, so delta = 0 is a pole of the scan.
         config = chiral_config(
