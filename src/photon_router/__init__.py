@@ -4,8 +4,8 @@ coupled to a two-waveguide ladder (four-port router).
 The library solves the scattering problem for arbitrary chain length with
 chiral or symmetric couplings, spontaneous emission and all-to-all
 dipole-dipole interaction: one N x N system in the emitter amplitudes per
-detuning, stacked over a whole detuning grid, with the field amplitudes
-recovered by cumulative sums.  It also provides closed-form one- and
+detuning, stacked over a whole detuning grid, with the amplitudes at the
+four output ports recovered by cumulative sums.  It also provides closed-form one- and
 two-emitter oracles, spectrum scans, peak refinement, separation sweeps and
 chain-length scaling reports, all built on that one batched solve; peak
 refinement advances every peak of every channel in lockstep, one batched
@@ -27,7 +27,6 @@ from .params import (
     DetuningGrid,
     SystemConfig,
     load_config,
-    to_megahertz,
     validate,
 )
 from .scattering import (
@@ -41,7 +40,6 @@ from .spectra import (
     ScalingRecord,
     ScalingReport,
     SeparationSweep,
-    SpectrumResult,
     find_peaks,
     scale_emitters,
     scan,
@@ -54,7 +52,6 @@ __all__ = [
     "DetuningGrid",
     "SystemConfig",
     "load_config",
-    "to_megahertz",
     "validate",
     "DdiMatrix",
     "ddi_coupling",
@@ -72,7 +69,6 @@ __all__ = [
     "ScalingRecord",
     "ScalingReport",
     "SeparationSweep",
-    "SpectrumResult",
     "find_peaks",
     "scale_emitters",
     "scan",

@@ -106,7 +106,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     peaks_path = out.with_suffix(".peaks.json")
-    columns = [result.deltas, *(result.intensities[key] for key in INTENSITY_KEYS)]
+    columns = [result.delta, *(result.intensities[key] for key in INTENSITY_KEYS)]
     _write_artifacts(
         "spectrum",
         config,

@@ -65,17 +65,17 @@ def ddi_matrix(config: SystemConfig) -> DdiMatrix:
             longer-range pair above |ddi_strength| is a ConfigError.
     off:    all zeros.
 
-    A spacing so small that R^3 underflows to 0 is a ConfigError.
+    A spacing too small for a finite nearest-neighbour coupling is a ConfigError.
     """
     n = config.n_emitters
     values = np.zeros((n, n))
     if config.ddi_mode != "off" and n > 1:
         step = config.r_step
         angle = config.dipole_angle
-        if not step**3 > 0.0:
+        if not (step**3 > 0.0 and math.isfinite(ddi_coupling(step, angle))):
             raise ConfigError([
-                f"spacing {config.spacing} nm is too small: the nearest-neighbour"
-                f" separation R = {step:.3g} underflows R^3 in the dipole-dipole law"
+                f"spacing {config.spacing} nm is too small: at the nearest-neighbour"
+                f" separation R = {step:.3g} the dipole-dipole law is not finite"
             ])
         by_offset = [ddi_coupling(k * step, angle) for k in range(1, n)]
         if config.ddi_mode == "manual":

@@ -4,8 +4,8 @@ All rates are expressed in units of the free-space decay rate Gamma0 and all
 lengths in nanometres.  Group velocities are folded into the coupling rates,
 so the amplitude-level coupling of an emitter to a directional channel is
 recovered as sqrt(rate) wherever the solver needs it.  The absolute value of
-Gamma0 (in MHz) is carried only as metadata for converting outputs to
-physical frequency; it never enters the equations.
+Gamma0 (in MHz) is metadata: only the detuning-dependent propagation phases
+read it (``SystemConfig.step_phase``).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -85,7 +86,7 @@ class SystemConfig:
         for name in _RATE_FIELDS:
             value = getattr(self, name)
             if isinstance(value, (list, np.ndarray)):
-                value = tuple(float(v) if _is_real(v) else v for v in value)
+                value = tuple(float(v) if _is_finite(v) else v for v in value)
                 object.__setattr__(self, name, value)
 
     @property
@@ -127,12 +128,11 @@ class SystemConfig:
         return self.theta * (1.0 + delta * self.gamma0_mhz * 1e6 / carrier_hz)
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _is_finite(value) -> bool:
-    return _is_real(value) and math.isfinite(value)
+    """A real number, not a bool, within the float range; an integer is
+    compared, never converted, so one beyond that range is not finite."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and abs(value) <= sys.float_info.max
 
 
 def _is_count(value) -> bool:
@@ -154,6 +154,8 @@ def validate(config: SystemConfig) -> SystemConfig:
     Raises ConfigError listing all violations at once, so a bad config file
     can be fixed in a single pass.  Wrongly typed values (a string rate, a
     fractional or boolean emitter count) are violations like any other.
+    Once the fields are valid, theta, r_step and each emitter's total rate
+    must be finite too.
     """
     errors: list[str] = []
     if not _is_count(config.n_emitters):
@@ -198,12 +200,19 @@ def validate(config: SystemConfig) -> SystemConfig:
             )
     if errors:
         raise ConfigError(errors)
+
+    for name, wavelength in (("theta", "lambda_sp"), ("r_step", "lambda_qd")):
+        if not math.isfinite(getattr(config, name)):
+            errors.append(f"{name} = 2 pi spacing / {wavelength} is not finite")
+    rates = [getattr(config, name) for name in _RATE_FIELDS]
+    for j in range(max((len(v) for v in rates if isinstance(v, tuple)), default=1)):
+        gamma, *channels = (float(v[j] if isinstance(v, tuple) else v) for v in rates)
+        if not math.isfinite(gamma + sum(channels)):  # the solver's order
+            errors.append(f"emitter {j + 1}: total rate overflows")
+            break
+    if errors:
+        raise ConfigError(errors)
     return config
-
-
-def to_megahertz(rate_in_gamma0: float, config: SystemConfig) -> float:
-    """Convert a rate or detuning from Gamma0 units to MHz."""
-    return rate_in_gamma0 * config.gamma0_mhz
 
 
 def load_config(path: str | Path) -> SystemConfig:

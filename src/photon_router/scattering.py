@@ -19,7 +19,8 @@ cumulative sums:
     r_j  =   - i sum_{k>=j} v_dl,k e^{+i phi_k} A_k
     rt_j =   - i sum_{k>=j} v_ul,k e^{+i phi_k} A_k
 
-so a chiral chain (v_dl = v_ul = 0) has exactly zero backflow.
+so a chiral chain (v_dl = v_ul = 0) has exactly zero backflow.  Only the
+output ports are returned: t_N, tt_N, r_1 and rt_1.
 
 M splits into its diagonal and the coupling block C (the off-diagonal
 waveguide couplings with their phases, plus J; C_jj = 0).  At carrier
@@ -81,13 +82,13 @@ def port_intensities(t, r, tt, rt) -> dict:
 
 @dataclass(frozen=True)
 class TransportSolution:
-    """Emitter and segment amplitudes, port intensities (see
+    """Emitter amplitudes ``a``, output-port amplitudes (as in
+    ``analytic.FourPortAmplitudes``), port intensities (see
     ``port_intensities``) and the backward error of the reduced solve.
 
-    From ``solve_spectrum_point_batch`` every field has a leading detuning
-    axis: ``delta``, ``residual`` and each intensity have shape (P,), the
-    amplitudes (P, N).  ``solve_transport`` returns one point: float delta,
-    intensities and residual, 1-D amplitudes.
+    From ``solve_spectrum_point_batch`` ``a`` has shape (P, N) and every
+    other array (P,); ``solve_transport`` returns one point: ``a`` of shape
+    (N,), scalars elsewhere.
     """
 
     delta: np.ndarray
@@ -134,7 +135,8 @@ def solve_spectrum_point_batch(
     shared = np.ndim(step) == 0
     steps = np.reshape(step, 1) if shared else step
 
-    a, t, r, tt, rt = np.empty((5, deltas.size, n), dtype=complex)
+    a = np.empty((deltas.size, n), dtype=complex)
+    t, r, tt, rt = np.empty((4, deltas.size), dtype=complex)
     residual = np.empty(deltas.size)
     size = max(1, STACK_ELEMENTS // n**2)
     for start in range(0, deltas.size, size):
@@ -185,12 +187,13 @@ def solve_spectrum_point_batch(
         a[stack] = x[..., 0]
         forward = phases.conj() * a[stack]
         backward = phases * a[stack]
-        t[stack] = 1.0 - 1j * np.cumsum(v_dr * forward, axis=1)
-        tt[stack] = -1j * np.cumsum(v_ur * forward, axis=1)
-        r[stack] = -1j * np.cumsum((v_dl * backward)[:, ::-1], axis=1)[:, ::-1]
-        rt[stack] = -1j * np.cumsum((v_ul * backward)[:, ::-1], axis=1)[:, ::-1]
+        # cumsum's last column, not np.sum: the same additions, so the same bits.
+        t[stack] = 1.0 - 1j * np.cumsum(v_dr * forward, axis=1)[:, -1]
+        tt[stack] = -1j * np.cumsum(v_ur * forward, axis=1)[:, -1]
+        r[stack] = -1j * np.cumsum((v_dl * backward)[:, ::-1], axis=1)[:, -1]
+        rt[stack] = -1j * np.cumsum((v_ul * backward)[:, ::-1], axis=1)[:, -1]
 
-    intensities = port_intensities(t[:, -1], r[:, 0], tt[:, -1], rt[:, 0])
+    intensities = port_intensities(t, r, tt, rt)
     return TransportSolution(deltas, a, t, r, tt, rt, intensities, residual)
 
 

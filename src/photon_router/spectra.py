@@ -12,7 +12,7 @@ import numpy as np
 
 from .ddi import DdiMatrix, ddi_matrix
 from .params import SystemConfig, validate
-from .scattering import INTENSITY_KEYS, solve_spectrum_point_batch
+from .scattering import INTENSITY_KEYS, TransportSolution, solve_spectrum_point_batch
 
 #: Peak locations are refined until stable to this width, Gamma0 units.
 PEAK_REFINE_TOL = 1e-4
@@ -26,18 +26,6 @@ class Peak:
     location: float
     height: float
     refined: bool
-
-
-@dataclass
-class SpectrumResult:
-    """Per-detuning intensities of one scan.
-
-    ``intensities`` maps each of T/R/Tt/Rt/loss to an array aligned with
-    ``deltas``.
-    """
-
-    deltas: np.ndarray
-    intensities: dict[str, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -75,9 +63,9 @@ class SeparationSweep:
 
 def scan(
     config: SystemConfig, ddi: DdiMatrix, grid: Sequence[float] | np.ndarray
-) -> SpectrumResult:
-    """Batch-solve a monotone detuning grid into a spectrum; the first grid
-    point that fails raises its SolverError."""
+) -> TransportSolution:
+    """Batch-solve a monotone detuning grid into the solver's
+    TransportSolution; the first grid point that fails raises its SolverError."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a non-empty 1-D array")
@@ -86,8 +74,7 @@ def scan(
         if not (np.all(steps > 0) or np.all(steps < 0)):
             raise ValueError("grid must be strictly monotone")
 
-    solution = solve_spectrum_point_batch(config, ddi, grid)
-    return SpectrumResult(grid, solution.intensities)
+    return solve_spectrum_point_batch(config, ddi, grid)
 
 
 def _plateau_maxima(deltas: np.ndarray, values: np.ndarray) -> list[int]:
@@ -119,7 +106,7 @@ def _probe(config: SystemConfig, ddi: DdiMatrix, deltas: np.ndarray) -> np.ndarr
 def _refine_maxima(
     config: SystemConfig,
     ddi: DdiMatrix,
-    result: SpectrumResult,
+    result: TransportSolution,
     seeds: list[tuple[str, int]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Polish interior grid maxima, given as (channel, index), off-grid.
@@ -133,7 +120,7 @@ def _refine_maxima(
     the scan; a height is never below its grid sample, and ties in height
     resolve toward smaller detuning.
     """
-    x = result.deltas
+    x = result.delta
     up = 1 if x[-1] > x[0] else -1  # neighbours in ascending detuning
     k = np.arange(len(seeds))
     column = np.array([INTENSITY_KEYS.index(channel) for channel, _ in seeds], dtype=int)
@@ -175,7 +162,7 @@ def _refine_maxima(
 
 
 def find_peaks(
-    result: SpectrumResult,
+    result: TransportSolution,
     *channels: str,
     refine: bool = False,
     config: SystemConfig | None = None,
@@ -188,7 +175,7 @@ def find_peaks(
     channels' peaks in lockstep; it re-solves the transport problem, so it
     needs the config and coupling matrix that produced the scan.
     """
-    if result.deltas.size == 0:
+    if result.delta.size == 0:
         raise ValueError("empty grid")
     if not channels:
         raise ValueError("find_peaks needs at least one channel")
@@ -201,12 +188,12 @@ def find_peaks(
     seeds = [
         (channel, i)
         for channel in channels
-        for i in _plateau_maxima(result.deltas, result.intensities[channel])
+        for i in _plateau_maxima(result.delta, result.intensities[channel])
     ]
     if refine:
         locations, heights, _ = _refine_maxima(config, ddi, result, seeds)
     else:
-        locations = [result.deltas[i] for _, i in seeds]
+        locations = [result.delta[i] for _, i in seeds]
         heights = [result.intensities[channel][i] for channel, i in seeds]
     peaks = [
         Peak(channel=channel, location=float(x), height=float(y), refined=refine)

@@ -101,3 +101,29 @@ def solve_dense(
     n = config.n_emitters
     keys = ("a", "t", "r", "tt", "rt")
     return {key: x[k * n : (k + 1) * n] for k, key in enumerate(keys)}
+
+
+def segment_amplitudes(
+    config: SystemConfig, deltas: np.ndarray, a: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Field amplitudes t, r, tt, rt in every segment, shape (P, N), from the
+    emitter amplitudes ``a`` (P, N) at ``deltas`` (P,) of a batched solve.
+
+    The cumulative sums of the ``photon_router.scattering`` docstring, in the
+    solver's order of operations, so the solver's ports equal the last (t, tt)
+    or first (r, rt) segment bit for bit.
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    step = np.broadcast_to(config.step_phase(deltas), deltas.shape)
+    phases = np.exp(1j * np.outer(step, np.arange(config.n_emitters)))
+    v_dr, v_dl, v_ur, v_ul = (
+        np.sqrt(config.rate_profile(name))
+        for name in ("gamma_dr", "gamma_dl", "gamma_ur", "gamma_ul")
+    )
+    forward, backward = phases.conj() * a, phases * a
+    return {
+        "t": 1.0 - 1j * np.cumsum(v_dr * forward, axis=1),
+        "r": -1j * np.cumsum((v_dl * backward)[:, ::-1], axis=1)[:, ::-1],
+        "tt": -1j * np.cumsum(v_ur * forward, axis=1),
+        "rt": -1j * np.cumsum((v_ul * backward)[:, ::-1], axis=1)[:, ::-1],
+    }

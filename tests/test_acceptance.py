@@ -24,6 +24,7 @@ from photon_router import (
 )
 
 from conftest import COUPLING, EMISSION, chiral_config, symmetric_config
+from dense_oracle import segment_amplitudes
 
 
 def report(number: int, description: str, ok: bool, detail: str = ""):
@@ -52,7 +53,7 @@ def test_criterion_2_chiral_resonance_routes_with_pi_phase():
     sol = solve_transport(config, no_ddi(1), 0.0)
     routed = sol.intensities["Tt"]
     through = sol.intensities["T"]
-    phase = abs(cmath.phase(sol.tt[0]))
+    phase = abs(cmath.phase(sol.tt))
     ok = (
         abs(routed - 1.0) <= 1e-10
         and through <= 1e-10
@@ -175,15 +176,15 @@ def test_criterion_9_oracle_equivalence():
             ref = single_symmetric(delta, COUPLING, gamma)
             worst = max(
                 worst,
-                abs(num.t[-1] - ref.t), abs(num.r[0] - ref.r),
-                abs(num.tt[-1] - ref.tt), abs(num.rt[0] - ref.rt),
+                abs(num.t - ref.t), abs(num.r - ref.r),
+                abs(num.tt - ref.tt), abs(num.rt - ref.rt),
             )
             num = solve_transport(chi, no_ddi(1), delta)
             ref = single_chiral(delta, COUPLING, gamma)
             worst = max(
                 worst,
-                abs(num.t[-1] - ref.t), abs(num.r[0] - ref.r),
-                abs(num.tt[-1] - ref.tt), abs(num.rt[0] - ref.rt),
+                abs(num.t - ref.t), abs(num.r - ref.r),
+                abs(num.tt - ref.tt), abs(num.rt - ref.rt),
             )
 
     coupled = ddi_matrix(chiral_config(2))
@@ -197,8 +198,8 @@ def test_criterion_9_oracle_equivalence():
             ref = two_chiral(delta, COUPLING, gamma, exchange, config.theta)
             worst = max(
                 worst,
-                abs(num.t[-1] - ref.t), abs(num.r[0] - ref.r),
-                abs(num.tt[-1] - ref.tt), abs(num.rt[0] - ref.rt),
+                abs(num.t - ref.t), abs(num.r - ref.r),
+                abs(num.tt - ref.tt), abs(num.rt - ref.rt),
             )
 
     ok = worst < 1e-8
@@ -257,9 +258,11 @@ def test_criterion_10_property_suite():
             )
         )
         sol = solve_transport(config, ddi_matrix(config), rng.uniform(-50.0, 50.0))
+        fields = segment_amplitudes(config, [sol.delta], sol.a[None])
         backflow = max(
             backflow,
-            np.abs(sol.r).max(), np.abs(sol.rt).max(),
+            abs(sol.r), abs(sol.rt),
+            np.abs(fields["r"]).max(), np.abs(fields["rt"]).max(),
             sol.intensities["R"], sol.intensities["Rt"],
         )
         min_loss = min(min_loss, sol.intensities["loss"])

@@ -151,6 +151,8 @@ def test_validation_failure_exits_1(tmp_path, capsys):
         {"n_emitters": True, "gamma_dr": 1.0},
         {"gamma_dr": "x"},
         {"gamma0_mhz": float("nan"), "gamma_dr": 1.0},
+        {"gamma_dr": 10**400},  # an integer no float can hold
+        {"gamma_dr": [10**400]},
     ],
 )
 def test_wrongly_typed_config_exits_1(tmp_path, capsys, data):
@@ -242,9 +244,10 @@ def _injected_fault(*args, **kwargs):
     "overrides, fault, code, prefix",
     [
         ({"spacing": 1e-300}, None, 1, "config error: spacing 1e-300 nm is too small"),
+        ({"spacing": 1e-103}, None, 1, "config error: spacing 1e-103 nm is too small"),
         ({}, _injected_fault, 4, "internal error: ZeroDivisionError: injected fault"),
     ],
-    ids=["spacing-underflow", "internal-error"],
+    ids=["spacing-underflow", "coupling-overflow", "internal-error"],
 )
 def test_no_input_ends_in_a_traceback(overrides, fault, code, prefix, tmp_path,
                                       monkeypatch, capsys):
@@ -258,6 +261,31 @@ def test_no_input_ends_in_a_traceback(overrides, fault, code, prefix, tmp_path,
     ]) == code
     err = capsys.readouterr().err
     assert err.startswith(prefix)
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"lambda_sp": 1e-320}, "theta = 2 pi spacing / lambda_sp is not finite"),
+        ({"gamma": 1e308, "gamma_dr": 1e308}, "emitter 1: total rate"),
+        ({"lambda_qd": 1e-320}, "r_step = 2 pi spacing / lambda_qd is not finite"),
+    ],
+    ids=["theta-overflow", "rate-overflow", "r-step-overflow"],
+)
+def test_solver_inputs_derived_from_valid_fields_must_be_finite(
+    overrides, message, tmp_path, capsys
+):
+    config = tmp_path / "chain.json"
+    config.write_text(json.dumps(TWO_EMITTER | overrides))
+    out = tmp_path / "never.csv"
+    assert main([
+        "spectrum", "--config", str(config), "--out", str(out), "--delta-points", "11",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert message in err
     assert err.count("\n") == 1
     assert not out.exists()
 

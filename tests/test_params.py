@@ -1,15 +1,16 @@
+import dataclasses
 import json
 import math
+import warnings
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from photon_router import (
     ConfigError,
     DetuningGrid,
     SystemConfig,
     load_config,
-    to_megahertz,
     validate,
 )
 
@@ -82,11 +83,6 @@ def test_chirality_requires_both_left_channels_blocked():
     assert chiral_config(1).chiral
     assert not chiral_config(1, gamma_dl=0.5).chiral
     assert not chiral_config(2, gamma_ul=(0.0, 0.1)).chiral
-
-
-def test_to_megahertz_uses_metadata_scale():
-    config = chiral_config(1)
-    assert to_megahertz(11.03, config) == pytest.approx(82.725)
 
 
 def test_step_phase_carrier_by_default():
@@ -191,3 +187,64 @@ def test_wrong_types_reported_together():
     text = "\n".join(err.value.errors)
     for fragment in ("n_emitters", "gamma_dr", "gamma0_mhz"):
         assert fragment in text
+
+
+def test_derived_checks_wait_for_valid_fields():
+    # theta overflows too, but a wrongly typed field is reported alone.
+    with pytest.raises(ConfigError) as err:
+        validate(SystemConfig(lambda_sp=1e-320, gamma_dr="x"))
+    assert err.value.errors == ["gamma_dr must be non-negative, got 'x'"]
+    with pytest.raises(ConfigError, match="theta = 2 pi spacing / lambda_sp"):
+        validate(SystemConfig(lambda_sp=1e-320))
+
+
+def test_total_rate_overflow_names_the_emitter():
+    with pytest.raises(ConfigError, match="^emitter 2: total rate"):
+        validate(SystemConfig(n_emitters=2, gamma=(0.0, 1e308), gamma_ul=1e308))
+    validate(SystemConfig(n_emitters=2, gamma=(1e308, 0.0), gamma_ul=(0.0, 1e308)))
+
+
+HOSTILE_NUMBERS = (
+    st.sampled_from(
+        [5e-324, 1e-320, 2.2e-308, -0.0, 1e308, -1e308, math.nan, math.inf, 2**1024]
+    )
+    | st.floats()
+    | st.integers()
+)
+SCALARS = st.none() | st.booleans() | st.text(max_size=3) | HOSTILE_NUMBERS
+HOSTILE = (
+    SCALARS
+    | st.lists(SCALARS, max_size=3)
+    | st.dictionaries(st.text(max_size=3), SCALARS, max_size=2)
+)
+#: Detuning objects with missing, extra or hostile keys.
+DETUNINGS = st.dictionaries(
+    st.sampled_from(["min", "max", "points", "step"]), HOSTILE, max_size=4
+)
+#: Empty, short and over-long per-emitter rate lists of hostile numbers.
+RATE_LISTS = st.lists(HOSTILE_NUMBERS, max_size=40)
+
+VALID = {"n_emitters": 2, "gamma": 6.86, "gamma_dr": 11.03, "gamma_ur": 11.03}
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    overrides=st.dictionaries(
+        st.sampled_from([field.name for field in dataclasses.fields(SystemConfig)]),
+        HOSTILE | RATE_LISTS | DETUNINGS,
+        max_size=6,
+    ),
+    keep_valid=st.booleans(),
+)
+def test_load_config_returns_a_config_or_a_config_error(tmp_path, overrides, keep_valid):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps((VALID if keep_valid else {}) | overrides))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            config = load_config(path)
+        except ConfigError:
+            return
+    assert isinstance(config, SystemConfig)
+

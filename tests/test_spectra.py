@@ -6,7 +6,7 @@ import photon_router.spectra as spectra
 from photon_router import (
     Peak,
     SolverError,
-    SpectrumResult,
+    TransportSolution,
     ddi_matrix,
     find_peaks,
     scale_emitters,
@@ -27,9 +27,19 @@ from refine_oracle import refine_maximum
 CHANNELS = ("T", "R", "Tt", "Rt")
 
 
+def spectrum(deltas, intensities):
+    """A scan result that carries only its grid and intensities."""
+    deltas = np.asarray(deltas, dtype=float)
+    ports = np.zeros(deltas.size, dtype=complex)
+    return TransportSolution(
+        deltas, np.zeros((deltas.size, 0), dtype=complex), ports, ports, ports, ports,
+        intensities, np.zeros(deltas.size),
+    )
+
+
 def synthetic(values, channel="T"):
     deltas = np.arange(float(len(values)))
-    return SpectrumResult(deltas=deltas, intensities={channel: np.asarray(values, float)})
+    return spectrum(deltas, {channel: np.asarray(values, float)})
 
 
 def reference_peaks(config, ddi, result, channels):
@@ -40,8 +50,8 @@ def reference_peaks(config, ddi, result, channels):
             return solve_transport(config, ddi, delta).intensities[channel]
 
         y = result.intensities[channel]
-        for i in spectra._plateau_maxima(result.deltas, y):
-            location, height = refine_maximum(result.deltas, y, i, evaluate)
+        for i in spectra._plateau_maxima(result.delta, y):
+            location, height = refine_maximum(result.delta, y, i, evaluate)
             peaks.append(Peak(channel, float(location), float(height), True))
     return sorted(peaks, key=lambda p: p.location)
 
@@ -52,7 +62,7 @@ class TestScan:
         result = scan(config, ddi_matrix(config), np.linspace(-50.0, 50.0, 501))
         routed = result.intensities["Tt"]
         i = int(np.argmax(routed))
-        assert result.deltas[i] == pytest.approx(0.0, abs=1e-9)
+        assert result.delta[i] == pytest.approx(0.0, abs=1e-9)
         assert routed[i] == pytest.approx(1.0, abs=1e-9)
         assert np.all(np.abs(result.intensities["loss"]) <= 1e-9)
 
@@ -114,7 +124,7 @@ class TestFindPeaks:
     def test_plateau_tie_breaks_toward_smaller_delta(self, order):
         deltas = np.arange(5.0)[::order]
         values = np.array([0.0, 0.7, 0.7, 0.7, 0.1])[::order]
-        result = SpectrumResult(deltas=deltas, intensities={"T": values})
+        result = spectrum(deltas, {"T": values})
         assert [p.location for p in find_peaks(result, "T")] == [1.0]
 
     def test_boundary_rises_are_not_peaks(self):
@@ -123,10 +133,7 @@ class TestFindPeaks:
 
     def test_empty_grid_and_unknown_channel(self):
         with pytest.raises(ValueError, match="empty grid"):
-            find_peaks(
-                SpectrumResult(deltas=np.array([]), intensities={"T": np.array([])}),
-                "T",
-            )
+            find_peaks(spectrum([], {"T": np.array([])}), "T")
         with pytest.raises(KeyError):
             find_peaks(synthetic([0.0, 1.0, 0.0]), "bogus")
 
@@ -166,9 +173,9 @@ class TestFindPeaks:
 
 
     def test_several_channels_in_one_call(self):
-        result = SpectrumResult(
-            deltas=np.arange(5.0),
-            intensities={
+        result = spectrum(
+            np.arange(5.0),
+            {
                 "T": np.array([0.0, 0.5, 0.1, 0.9, 0.2]),
                 "R": np.array([0.0, 0.1, 0.0, 0.0, 0.0]),
             },
@@ -208,9 +215,9 @@ class TestFindPeaks:
 
         # The first Tt peak on its own: a three-point window around it.
         i = int(np.argmax(result.intensities["Tt"][:60]))
-        window = SpectrumResult(
-            deltas=result.deltas[i - 1 : i + 2],
-            intensities={k: v[i - 1 : i + 2] for k, v in result.intensities.items()},
+        window = spectrum(
+            result.delta[i - 1 : i + 2],
+            {k: v[i - 1 : i + 2] for k, v in result.intensities.items()},
         )
         calls.clear()
         (alone,) = find_peaks(window, "Tt", refine=True, config=config, ddi=ddi)
