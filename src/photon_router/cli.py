@@ -1,5 +1,7 @@
-"""Command-line front end: parse a config, run the requested computation,
-write CSV/JSON artifacts plus a run manifest.
+"""Command-line front end.  ``main`` loads the config, runs the command (which
+only computes its grid record and {path: text} artifacts), writes every
+artifact, then the manifest named after the first, and prints one ``wrote``
+line; point and chain-length counts are in the manifest's grid record only.
 
 Exit codes: 0 success, 1 config/usage error, 2 solver failure (the offending
 detuning is reported), 3 I/O error, 4 internal error (any other exception,
@@ -35,10 +37,6 @@ PEAK_CHANNELS = ("T", "R", "Tt", "Rt")
 _UNITS_HEADER = "# units: detuning and rates in Gamma0, lengths in nm"
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
@@ -48,7 +46,7 @@ def _csv(header: list[str], columns: list[np.ndarray]) -> str:
     """Header lines, then one row per index of the columns, formatted from
     Python floats converted lazily (no column is held as a list)."""
     rows = zip(*(map(float, column) for column in columns))
-    lines = header + [",".join(map(_fmt, row)) for row in rows]
+    lines = header + [",".join(map("{:.17g}".format, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -56,79 +54,38 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _write_artifacts(
-    command: str,
-    config: SystemConfig,
-    grid: dict,
-    artifacts: dict[Path, str],
-    started: float,
-) -> None:
-    """Write the data artifacts, then a manifest named after the first one."""
-    for path, text in artifacts.items():
-        _write_text(path, text)
-    first = next(iter(artifacts))
-    payload = {
-        "command": command,
-        "version": __version__,
-        "config": dataclasses.asdict(config),
-        "derived": {"theta": config.theta, "r_step": config.r_step,
-                    "chiral": config.chiral},
-        "grid": grid,
-        "outputs": [str(p) for p in artifacts],
-        "wall_clock_s": time.perf_counter() - started,
-    }
-    _write_text(first.with_suffix(first.suffix + ".manifest.json"), _json(payload))
-
-
-def _delta_grid(config: SystemConfig, args: argparse.Namespace) -> DetuningGrid:
-    """The config's detuning window, or the command's default, with the
-    --delta-* overrides applied and checked like a config file's window."""
-    base = config.detuning or DetuningGrid(
-        args.default_min, args.default_max, args.default_points
-    )
+def _with_grid(config: SystemConfig, args: argparse.Namespace) -> SystemConfig:
+    """The config with its detuning window, or the command's default, and the
+    --delta-* overrides applied, checked like a config file's window."""
+    base = config.detuning or args.default_grid
     grid = DetuningGrid(
         min=base.min if args.delta_min is None else args.delta_min,
         max=base.max if args.delta_max is None else args.delta_max,
         points=base.points if args.delta_points is None else args.delta_points,
     )
-    return validate(dataclasses.replace(config, detuning=grid)).detuning
+    return validate(dataclasses.replace(config, detuning=grid))
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    config = load_config(args.config)
-    grid = _delta_grid(config, args)
+def cmd_spectrum(args: argparse.Namespace, config: SystemConfig) -> tuple[dict, dict]:
+    config = _with_grid(config, args)
     ddi = ddi_matrix(config)
-    result = scan(config, ddi, grid.to_array())
+    result = scan(config, ddi, config.detuning.to_array())
     peaks = find_peaks(
         result, *PEAK_CHANNELS, refine=args.refine_peaks, config=config, ddi=ddi
     )
-
     out = Path(args.out)
-    peaks_path = out.with_suffix(".peaks.json")
     columns = [result.delta, *(result.intensities[key] for key in INTENSITY_KEYS)]
-    _write_artifacts(
-        "spectrum",
-        config,
-        dataclasses.asdict(grid) | {"refine_peaks": args.refine_peaks},
-        {
-            out: _csv([_UNITS_HEADER, "delta," + ",".join(INTENSITY_KEYS)], columns),
-            peaks_path: _json([dataclasses.asdict(p) for p in peaks]),
-        },
-        started,
-    )
-    print(f"wrote {out} ({grid.points} points), {peaks_path}")
-    return EXIT_OK
+    return dataclasses.asdict(config.detuning) | {"refine_peaks": args.refine_peaks}, {
+        out: _csv([_UNITS_HEADER, "delta," + ",".join(INTENSITY_KEYS)], columns),
+        out.with_suffix(".peaks.json"): _json([dataclasses.asdict(p) for p in peaks]),
+    }
 
 
-def cmd_sweep_separation(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    config = load_config(args.config)
-    grid = _delta_grid(config, args)
+def cmd_sweep_separation(args: argparse.Namespace, config: SystemConfig) -> tuple[dict, dict]:
+    config = _with_grid(config, args)
     sweep = sweep_separation(
-        config, (args.l_min, args.l_max), args.l_points, grid.to_array()
+        config, (args.l_min, args.l_max), args.l_points, config.detuning.to_array()
     )
-
     # Long format: spacing-major rows, one per (spacing, detuning).
     columns = [
         np.tile(sweep.deltas, sweep.spacings.size),
@@ -136,48 +93,28 @@ def cmd_sweep_separation(args: argparse.Namespace) -> int:
         sweep.routed.ravel(),
         sweep.transmitted.ravel(),
     ]
-    out = Path(args.out)
-    _write_artifacts(
-        "sweep-separation",
-        config,
-        dataclasses.asdict(grid)
-        | {"l_min": args.l_min, "l_max": args.l_max, "l_points": args.l_points},
-        {out: _csv([_UNITS_HEADER, "delta,L_nm,Tt,T"], columns)},
-        started,
-    )
-    print(f"wrote {out} ({args.l_points} spacings x {grid.points} points)")
-    return EXIT_OK
+    record = {"l_min": args.l_min, "l_max": args.l_max, "l_points": args.l_points}
+    return dataclasses.asdict(config.detuning) | record, {
+        Path(args.out): _csv([_UNITS_HEADER, "delta,L_nm,Tt,T"], columns)
+    }
 
 
-def cmd_scale_n(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    config = load_config(args.config)
-    grid = _delta_grid(config, args)
+def cmd_scale_n(args: argparse.Namespace, config: SystemConfig) -> tuple[dict, dict]:
+    config = _with_grid(config, args)
     try:
         n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError([f"--n-list must be comma-separated integers, got {args.n_list!r}"])
-    report = scale_emitters(config, n_list, grid.to_array())
-
-    out = Path(args.out)
+    report = scale_emitters(config, n_list, config.detuning.to_array())
     payload = {
         "window": dict(zip(("min", "max", "points"), report.window)),
         "records": [dataclasses.asdict(r) for r in report.records],
     }
-    _write_artifacts(
-        "scale-n",
-        config,
-        dataclasses.asdict(grid) | {"n_list": n_list},
-        {out: _json(payload)},
-        started,
-    )
-    print(f"wrote {out} ({len(n_list)} chain lengths)")
-    return EXIT_OK
+    record = dataclasses.asdict(config.detuning) | {"n_list": n_list}
+    return record, {Path(args.out): _json(payload)}
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    config = load_config(args.config)
+def cmd_validate(args: argparse.Namespace, config: SystemConfig) -> tuple[dict, dict]:
     print(f"n_emitters: {config.n_emitters}")
     print(f"chiral: {'true' if config.chiral else 'false'}")
     print(f"theta: {config.theta:.6f} rad ({config.theta / np.pi:.4f} pi)")
@@ -186,12 +123,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     ddi = ddi_matrix(config)
     if config.n_emitters > 1 and config.ddi_mode != "off":
         print(f"ddi nearest-neighbour: {ddi.values[0, 1]:.4f} Gamma0")
-    if args.dump_ddi is not None:
-        out = Path(args.dump_ddi)
-        text = _csv(["# pairwise coupling rates in Gamma0"], list(ddi.values.T))
-        _write_artifacts("validate", config, {}, {out: text}, started)
-        print(f"wrote {out}")
-    return EXIT_OK
+    if args.dump_ddi is None:
+        return {}, {}
+    text = _csv(["# pairwise coupling rates in Gamma0"], list(ddi.values.T))
+    return {}, {Path(args.dump_ddi): text}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -199,15 +134,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError([message])
 
 
-def _add_delta_flags(sub, default_min, default_max, default_points):
+def _add_delta_flags(sub, default_grid: DetuningGrid) -> None:
     sub.add_argument("--delta-min", type=float, default=None, help="Gamma0 units")
     sub.add_argument("--delta-max", type=float, default=None, help="Gamma0 units")
     sub.add_argument("--delta-points", type=int, default=None)
-    sub.set_defaults(
-        default_min=default_min,
-        default_max=default_max,
-        default_points=default_points,
-    )
+    sub.set_defaults(default_grid=default_grid)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum.add_argument("--config", required=True)
     spectrum.add_argument("--out", required=True)
     spectrum.add_argument("--refine-peaks", action="store_true")
-    _add_delta_flags(spectrum, -300.0, 300.0, 2001)
+    _add_delta_flags(spectrum, DetuningGrid(-300.0, 300.0, 2001))
     spectrum.set_defaults(run=cmd_spectrum)
 
     sweep = sub.add_parser(
@@ -234,14 +165,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--l-min", type=float, default=5.0, help="nm")
     sweep.add_argument("--l-max", type=float, default=100.0, help="nm")
     sweep.add_argument("--l-points", type=int, default=96)
-    _add_delta_flags(sweep, -40.0, 40.0, 201)
+    _add_delta_flags(sweep, DetuningGrid(-40.0, 40.0, 201))
     sweep.set_defaults(run=cmd_sweep_separation)
 
     scale = sub.add_parser("scale-n", help="chain-length scaling -> JSON report")
     scale.add_argument("--config", required=True)
     scale.add_argument("--out", required=True)
     scale.add_argument("--n-list", required=True, help="comma-separated chain lengths")
-    _add_delta_flags(scale, -300.0, 300.0, 2001)
+    _add_delta_flags(scale, DetuningGrid(-300.0, 300.0, 2001))
     scale.set_defaults(run=cmd_scale_n)
 
     check = sub.add_parser("validate", help="validate a config, print derived values")
@@ -256,7 +187,26 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.run(args)
+        started = time.perf_counter()
+        config = load_config(args.config)
+        grid, artifacts = args.run(args, config)
+        if artifacts:
+            for path, text in artifacts.items():
+                _write_text(path, text)
+            first = next(iter(artifacts))
+            manifest = {
+                "command": args.command,
+                "version": __version__,
+                "config": dataclasses.asdict(config),
+                "derived": {"theta": config.theta, "r_step": config.r_step,
+                            "chiral": config.chiral},
+                "grid": grid,
+                "outputs": [str(p) for p in artifacts],
+                "wall_clock_s": time.perf_counter() - started,
+            }
+            _write_text(first.with_suffix(first.suffix + ".manifest.json"), _json(manifest))
+            print("wrote " + ", ".join(map(str, artifacts)))
+        return EXIT_OK
     except ConfigError as err:
         for line in err.errors:
             print(f"config error: {line}", file=sys.stderr)

@@ -61,34 +61,38 @@ def ddi_matrix(config: SystemConfig) -> DdiMatrix:
     auto:   every pair gets the free-space law at its separation.
     manual: nearest neighbours pinned to ``ddi_strength``; longer-range pairs
             follow the same distance law, rescaled accordingly.  Near a node
-            of the nearest-neighbour law that rescaling diverges, so a
-            longer-range pair above |ddi_strength| is a ConfigError.
+            of the nearest-neighbour law that rescaling diverges: an
+            overflow or a longer-range pair above |ddi_strength| is a ConfigError.
     off:    all zeros.
 
-    A spacing too small for a finite nearest-neighbour coupling is a ConfigError.
+    A spacing whose law is not finite at some pair's separation is a ConfigError.
     """
     n = config.n_emitters
     values = np.zeros((n, n))
     if config.ddi_mode != "off" and n > 1:
-        step = config.r_step
-        angle = config.dipole_angle
-        if not (step**3 > 0.0 and math.isfinite(ddi_coupling(step, angle))):
-            raise ConfigError([
-                f"spacing {config.spacing} nm is too small: at the nearest-neighbour"
-                f" separation R = {step:.3g} the dipole-dipole law is not finite"
-            ])
-        by_offset = [ddi_coupling(k * step, angle) for k in range(1, n)]
+        by_offset = []
+        for k in range(1, n):
+            separation = k * config.r_step
+            try:
+                coupling = ddi_coupling(separation, config.dipole_angle)
+            except (OverflowError, ZeroDivisionError, ValueError):  # R^3 or R out of range
+                coupling = math.nan
+            if not math.isfinite(coupling):  # R^3 underflowed or overflowed
+                size = "small" if separation < 1.0 else "large"
+                raise ConfigError([f"spacing {config.spacing} nm is too {size}: at separation"
+                                   f" R = {separation:.3g} the dipole-dipole law is not finite"])
+            by_offset.append(coupling)
         if config.ddi_mode == "manual":
             nearest = by_offset[0]
             scale = config.ddi_strength / nearest if nearest else math.inf
             by_offset = [scale * j for j in by_offset]
             longest = max(map(abs, by_offset[1:]), default=0.0)
-            if not nearest or longest > abs(config.ddi_strength):
+            if not math.isfinite(scale) or longest > abs(config.ddi_strength):
                 raise ConfigError([
                     f"ddi_mode 'manual': the free-space nearest-neighbour coupling at"
                     f" spacing {config.spacing} nm is {nearest:.3g} Gamma0, so pinning"
-                    f" it to ddi_strength {config.ddi_strength} makes a longer-range"
-                    " pair exceed |ddi_strength|"
+                    f" it to ddi_strength {config.ddi_strength} overflows or makes a"
+                    " longer-range pair exceed |ddi_strength|"
                 ])
         for k, coupling in enumerate(by_offset, start=1):
             idx = np.arange(n - k)

@@ -27,6 +27,9 @@ DDI_MODES = ("auto", "manual", "off")
 #: config requests pole regularization for lossless scans.
 POLE_REGULARIZATION = 1e-9
 
+#: Largest detuning magnitude, Gamma0: keeps every grid and refinement step finite.
+DETUNING_LIMIT = sys.float_info.max / 4
+
 _RATE_FIELDS = ("gamma", "gamma_dr", "gamma_dl", "gamma_ur", "gamma_ul")
 
 _SPEED_OF_LIGHT_NM_S = 2.99792458e17
@@ -154,8 +157,9 @@ def validate(config: SystemConfig) -> SystemConfig:
     Raises ConfigError listing all violations at once, so a bad config file
     can be fixed in a single pass.  Wrongly typed values (a string rate, a
     fractional or boolean emitter count) are violations like any other.
-    Once the fields are valid, theta, r_step and each emitter's total rate
-    must be finite too.
+    Once the fields are valid, theta and r_step over the chain's length, each
+    emitter's total rate and, with delta-dependent phases, the step phase
+    over the chain and the detuning window must be finite too.
     """
     errors: list[str] = []
     if not _is_count(config.n_emitters):
@@ -189,8 +193,8 @@ def validate(config: SystemConfig) -> SystemConfig:
             errors.append(f"detuning points must be an integer, got {grid.points!r}")
         elif grid.points < 1:
             errors.append(f"detuning points must be >= 1, got {grid.points}")
-        if not (_is_finite(grid.min) and _is_finite(grid.max)):
-            errors.append("detuning window must be finite")
+        if not all(_is_finite(v) and abs(v) <= DETUNING_LIMIT for v in (grid.min, grid.max)):
+            errors.append(f"detuning window must be finite, within +-{DETUNING_LIMIT:.3g}")
         elif grid.min > grid.max:
             errors.append(f"detuning min {grid.min} exceeds max {grid.max}")
         elif grid.min == grid.max and _is_count(grid.points) and grid.points > 1:
@@ -201,9 +205,14 @@ def validate(config: SystemConfig) -> SystemConfig:
     if errors:
         raise ConfigError(errors)
 
+    span = max(config.n_emitters - 1, 1)  # lattice steps to the last emitter
     for name, wavelength in (("theta", "lambda_sp"), ("r_step", "lambda_qd")):
-        if not math.isfinite(getattr(config, name)):
-            errors.append(f"{name} = 2 pi spacing / {wavelength} is not finite")
+        if not math.isfinite(span * getattr(config, name)):
+            errors.append(f"{name} = 2 pi spacing / {wavelength} is not finite over the chain")
+    ends = (config.detuning.min, config.detuning.max) if config.detuning else ()
+    if config.delta_dependent_phases and not all(  # linear in delta: check the ends
+            math.isfinite(span * config.step_phase(delta)) for delta in ends):
+        errors.append("the step phase is not finite over the chain and detuning window")
     rates = [getattr(config, name) for name in _RATE_FIELDS]
     for j in range(max((len(v) for v in rates if isinstance(v, tuple)), default=1)):
         gamma, *channels = (float(v[j] if isinstance(v, tuple) else v) for v in rates)

@@ -59,8 +59,9 @@ _CHANNELS = ("gamma_dr", "gamma_dl", "gamma_ur", "gamma_ul")
 class SolverError(RuntimeError):
     """Raised for a detuning whose transport system is singular
     (condition inf), near-singular (backward error above ``RESIDUAL_LIMIT``;
-    condition from ``np.linalg.cond``) or solves to non-finite amplitudes
-    (no condition estimate).  Carries ``delta`` and ``condition``."""
+    condition from ``np.linalg.cond``), solves to non-finite amplitudes or
+    intensities, or has a matrix norm beyond the float range (no condition
+    estimate for either).  Carries ``delta`` and ``condition``."""
 
     def __init__(self, message: str, delta: float, condition: float | None = None):
         self.delta = delta
@@ -101,6 +102,7 @@ class TransportSolution:
     residual: np.ndarray
 
 
+@np.errstate(over="ignore", invalid="ignore")  # out-of-range values fail their point
 def solve_spectrum_point_batch(
     config: SystemConfig, ddi: DdiMatrix, deltas: Sequence[float] | np.ndarray
 ) -> TransportSolution:
@@ -109,8 +111,9 @@ def solve_spectrum_point_batch(
     Detunings are stacked into direct solves of at most ``STACK_ELEMENTS``
     matrix elements each; a singular stack is re-solved point by point.
     Raises the SolverError of the first detuning, in input order, whose
-    system is singular, whose backward error exceeds ``RESIDUAL_LIMIT`` or
-    whose solution is not finite.
+    system is singular, whose backward error exceeds ``RESIDUAL_LIMIT``,
+    whose matrix norm overflows or whose solution is not finite; once all
+    have solved, that of the first whose intensities overflow.
     """
     n = config.n_emitters
     if ddi.n != n:
@@ -165,24 +168,26 @@ def solve_spectrum_point_batch(
                     break
 
         # Normwise backward error; a zero scale means b = 0 and x = 0, so the
-        # defect itself (0, or NaN for non-finite x) is the residual.
+        # defect itself is the residual.  An inf norm bounds nothing: it fails.
         defect = np.abs(matrices @ x - rhs).max(axis=(1, 2))
         # ||M||_inf = max_j (sum_k |C_jk| + |M_jj|), O(N) per point.
         norm = (row_sums + np.abs(on_diagonal)).max(axis=1)
         norm_ax = norm * np.abs(x).max(axis=(1, 2))
         scale = norm_ax + np.abs(rhs).max(axis=(1, 2))
         residual[stack] = np.divide(defect, scale, out=defect, where=scale > 0.0)
-        failed = np.flatnonzero(~(residual[stack] <= RESIDUAL_LIMIT))
+        failed = np.flatnonzero(~((residual[stack] <= RESIDUAL_LIMIT) & np.isfinite(norm)))
         if failed.size:
             i = failed[0]
             delta = float(deltas[start + i])
             if i == singular:
                 raise SolverError("singular transport system", delta, np.inf)
-            if np.isfinite(x[i]).all():
-                raise SolverError(
-                    "near-singular transport system", delta, np.linalg.cond(matrices[i])
-                )
-            raise SolverError("non-finite solution of the transport system", delta)
+            if not np.isfinite(x[i]).all():
+                raise SolverError("non-finite solution of the transport system", delta)
+            if not np.isfinite(norm[i]):
+                raise SolverError("transport system beyond the float range", delta)
+            raise SolverError(
+                "near-singular transport system", delta, np.linalg.cond(matrices[i])
+            )
 
         a[stack] = x[..., 0]
         forward = phases.conj() * a[stack]
@@ -194,6 +199,9 @@ def solve_spectrum_point_batch(
         rt[stack] = -1j * np.cumsum((v_ul * backward)[:, ::-1], axis=1)[:, -1]
 
     intensities = port_intensities(t, r, tt, rt)
+    lost = np.flatnonzero(~np.isfinite(intensities["loss"]))  # as soon as one intensity is
+    if lost.size:
+        raise SolverError("non-finite solution of the transport system", float(deltas[lost[0]]))
     return TransportSolution(deltas, a, t, r, tt, rt, intensities, residual)
 
 

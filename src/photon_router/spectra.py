@@ -61,6 +61,13 @@ class SeparationSweep:
     transmitted: np.ndarray
 
 
+def _check_monotone(grid: np.ndarray) -> None:
+    """Raise unless the detuning grid is strictly monotone, in either direction."""
+    steps = np.diff(grid)
+    if not (np.all(steps > 0) or np.all(steps < 0)):
+        raise ValueError("grid must be strictly monotone")
+
+
 def scan(
     config: SystemConfig, ddi: DdiMatrix, grid: Sequence[float] | np.ndarray
 ) -> TransportSolution:
@@ -69,11 +76,7 @@ def scan(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a non-empty 1-D array")
-    if grid.size > 1:
-        steps = np.diff(grid)
-        if not (np.all(steps > 0) or np.all(steps < 0)):
-            raise ValueError("grid must be strictly monotone")
-
+    _check_monotone(grid)
     return solve_spectrum_point_batch(config, ddi, grid)
 
 
@@ -113,7 +116,8 @@ def _refine_maxima(
 
     Each maximum is bracketed by its grid neighbours, tried at the vertex of
     the parabola through its three samples (if that bows down), and narrowed
-    by golden-section search to ``PEAK_REFINE_TOL``.  All brackets advance
+    by golden-section search to ``PEAK_REFINE_TOL``, or to 64 ulps of the
+    bracket's detunings where those are coarser.  All brackets advance
     in lockstep: each step solves the probes of every open bracket in one
     batched call.  Returns locations, heights and the row of all
     intensities there (``INTENSITY_KEYS`` order), from the winning probe or
@@ -143,7 +147,9 @@ def _refine_maxima(
     at_vertex = np.full_like(rows[i], -np.inf)
     at_vertex[bowed] = first[: bowed.sum()]
     at_inner = first[bowed.sum() :].reshape(2, k.size, len(INTENSITY_KEYS))
-    while (j := np.flatnonzero(ends[1] - ends[0] > PEAK_REFINE_TOL)).size:
+    # Below 64 ulps rounding could stall the search: its points would coincide.
+    tol = np.maximum(PEAK_REFINE_TOL, 64.0 * np.spacing(np.maximum(abs(lo), abs(hi))))
+    while (j := np.flatnonzero(ends[1] - ends[0] > tol)).size:
         # Keep the side of the higher inner point; the far end moves in.
         near = np.where(at_inner[0, j, column[j]] >= at_inner[1, j, column[j]], 0, 1)
         far = 1 - near
@@ -168,8 +174,8 @@ def find_peaks(
     config: SystemConfig | None = None,
     ddi: DdiMatrix | None = None,
 ) -> list[Peak]:
-    """Local maxima of one or more channels, sorted by location (stable, so
-    equal locations keep channel order).
+    """Local maxima of one or more channels on a strictly monotone grid,
+    sorted by location (stable, so equal locations keep channel order).
 
     ``refine`` polishes every maximum off-grid (see ``_refine_maxima``), all
     channels' peaks in lockstep; it re-solves the transport problem, so it
@@ -177,6 +183,7 @@ def find_peaks(
     """
     if result.delta.size == 0:
         raise ValueError("empty grid")
+    _check_monotone(result.delta)
     if not channels:
         raise ValueError("find_peaks needs at least one channel")
     for channel in channels:

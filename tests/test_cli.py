@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import photon_router.cli as cli
 from photon_router.cli import main
@@ -91,6 +98,45 @@ def test_spectrum_artifacts_and_determinism(two_emitter_config, tmp_path):
         1.0 - columns["T"] - columns["R"] - columns["Tt"] - columns["Rt"],
         atol=1e-15,
     )
+
+
+MANIFEST_KEYS = ["command", "version", "config", "derived", "grid", "outputs",
+                 "wall_clock_s"]
+DELTA_FLAGS = ["--delta-min", "-20", "--delta-max", "20", "--delta-points", "5"]
+
+
+@pytest.mark.parametrize(
+    "command, flags, artifacts",
+    [
+        ("spectrum", ["--out", "{}/s.csv", *DELTA_FLAGS], ["s.csv", "s.peaks.json"]),
+        ("sweep-separation", ["--out", "{}/w.csv", "--l-points", "2", *DELTA_FLAGS],
+         ["w.csv"]),
+        ("scale-n", ["--out", "{}/n.json", "--n-list", "1,2", *DELTA_FLAGS], ["n.json"]),
+        ("validate", ["--dump-ddi", "{}/ddi.csv"], ["ddi.csv"]),
+    ],
+    ids=["spectrum", "sweep-separation", "scale-n", "validate-dump-ddi"],
+)
+def test_every_command_writes_its_artifacts_then_one_manifest(
+    command, flags, artifacts, two_emitter_config, tmp_path, capsys
+):
+    argv = [command, "--config", str(two_emitter_config)]
+    assert main(argv + [flag.format(tmp_path) for flag in flags]) == 0
+    paths = [str(tmp_path / name) for name in artifacts]
+    assert capsys.readouterr().out.splitlines()[-1] == "wrote " + ", ".join(paths)
+    manifest_path = tmp_path / f"{artifacts[0]}.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert list(manifest) == MANIFEST_KEYS
+    assert manifest["command"] == command
+    assert manifest["outputs"] == paths
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [two_emitter_config.name, *artifacts, manifest_path.name]
+    )
+
+
+def test_validate_without_dump_writes_nothing(two_emitter_config, tmp_path, capsys):
+    assert main(["validate", "--config", str(two_emitter_config)]) == 0
+    assert "wrote" not in capsys.readouterr().out
+    assert [p.name for p in tmp_path.iterdir()] == [two_emitter_config.name]
 
 
 def test_spectrum_refined_routing_peak(two_emitter_config, tmp_path):
@@ -222,8 +268,10 @@ GRID_COMMANDS = {
         (["--delta-points", "-3"], "detuning points must be >= 1, got -3"),
         (["--delta-min", "1", "--delta-max", "1", "--delta-points", "5"],
          "detuning window of 5 points needs min < max"),
+        (["--delta-min", "0", "--delta-max", "1.7976931348623157e308", "--delta-points", "4"],
+         "detuning window must be finite, within +-4.49e+307"),
     ],
-    ids=["nan", "inf", "negative-points", "empty-window"],
+    ids=["nan", "inf", "negative-points", "empty-window", "beyond-the-grid-limit"],
 )
 def test_grid_override_is_validated(command, flags, message, two_emitter_config,
                                     tmp_path, capsys):
@@ -245,9 +293,12 @@ def _injected_fault(*args, **kwargs):
     [
         ({"spacing": 1e-300}, None, 1, "config error: spacing 1e-300 nm is too small"),
         ({"spacing": 1e-103}, None, 1, "config error: spacing 1e-103 nm is too small"),
+        ({"spacing": 1e200}, None, 1, "config error: spacing 1e+200 nm is too large"),
+        ({"lambda_qd": 1e-250}, None, 1, "config error: spacing 32.75 nm is too large"),
         ({}, _injected_fault, 4, "internal error: ZeroDivisionError: injected fault"),
     ],
-    ids=["spacing-underflow", "coupling-overflow", "internal-error"],
+    ids=["spacing-underflow", "coupling-overflow", "spacing-r3-overflow",
+         "wavelength-r3-overflow", "internal-error"],
 )
 def test_no_input_ends_in_a_traceback(overrides, fault, code, prefix, tmp_path,
                                       monkeypatch, capsys):
@@ -271,8 +322,13 @@ def test_no_input_ends_in_a_traceback(overrides, fault, code, prefix, tmp_path,
         ({"lambda_sp": 1e-320}, "theta = 2 pi spacing / lambda_sp is not finite"),
         ({"gamma": 1e308, "gamma_dr": 1e308}, "emitter 1: total rate"),
         ({"lambda_qd": 1e-320}, "r_step = 2 pi spacing / lambda_qd is not finite"),
+        ({"n_emitters": 3, "spacing": 2e307, "lambda_sp": 1.0, "lambda_qd": 1e308},
+         "theta = 2 pi spacing / lambda_sp is not finite over the chain"),
+        ({"spacing": 1e159, "lambda_qd": 1e159, "delta_dependent_phases": True},
+         "the step phase is not finite over the chain and detuning window"),
     ],
-    ids=["theta-overflow", "rate-overflow", "r-step-overflow"],
+    ids=["theta-overflow", "rate-overflow", "r-step-overflow", "chain-phase-overflow",
+         "step-phase-overflow"],
 )
 def test_solver_inputs_derived_from_valid_fields_must_be_finite(
     overrides, message, tmp_path, capsys
@@ -351,3 +407,99 @@ def test_sweep_single_column_matches_spectrum(two_emitter_config, tmp_path):
     assert np.array_equal(sweep["delta"], spectrum["delta"])
     assert np.array_equal(sweep["Tt"], spectrum["Tt"])
     assert np.array_equal(sweep["T"], spectrum["T"])
+
+
+#: Finite but hostile numbers: subnormals, the float range's ends, spacings
+#: and wavelengths far beyond physical ones, and a few ordinary values.
+EXTREMES = [5e-324, 1e-320, 2.2e-308, 1e-300, 1e-250, 1e-103, 0.0, -1e308, 1e-3, 1.0,
+            6.86, 11.03, 32.75, 211.8, 655.0, 1e104, 1e200, 1e308]
+#: Rates, lengths and scales: mostly non-negative, so that most configs pass
+#: validation and reach the solver.
+HOSTILE_SIZES = st.sampled_from(EXTREMES) | st.floats(min_value=0.0, allow_infinity=False)
+HOSTILE_REALS = (st.sampled_from(EXTREMES + [-x for x in EXTREMES])
+                 | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def hostile_configs(draw):
+    """The two-emitter reference config with about half its fields hostile."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    rates = HOSTILE_SIZES | st.lists(HOSTILE_SIZES, min_size=n, max_size=n)
+    hostile = {
+        "dipole_angle": HOSTILE_REALS, "ddi_strength": HOSTILE_REALS,
+        **dict.fromkeys(("spacing", "lambda_qd", "lambda_sp", "gamma0_mhz"), HOSTILE_SIZES),
+        **dict.fromkeys(("gamma", "gamma_dr", "gamma_dl", "gamma_ur", "gamma_ul"), rates),
+    }
+    config = TWO_EMITTER | {"n_emitters": n, "ddi_strength": 23.1, "gamma_dl": 0.0,
+                            "gamma_ul": 0.0, "dipole_angle": math.pi / 2,
+                            "gamma0_mhz": 7.5}
+    for name, values in hostile.items():
+        config[name] = draw(st.just(config[name]) | values)
+    low, high = sorted([draw(HOSTILE_REALS), draw(HOSTILE_REALS)])
+    return config | {
+        "ddi_mode": draw(st.sampled_from(["auto", "manual", "off"])),
+        "regularize": draw(st.booleans()),
+        "delta_dependent_phases": draw(st.booleans()),
+        "detuning": {"min": low, "max": high, "points": draw(st.integers(1, 5))},
+    }
+
+
+def all_numbers(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return [x for child in node for x in all_numbers(child)]
+    return [node] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+
+
+def written_numbers(path):
+    if path.suffix == ".json":
+        return all_numbers(json.loads(path.read_text()))
+    rows = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return [float(v) for row in rows[1:] for v in row.split(",")]  # rows[0]: header
+
+
+FIVE_POINTS = TWO_EMITTER | {"detuning": {"min": -20.0, "max": 20.0, "points": 5}}
+
+
+@settings(max_examples=50, deadline=None)
+@given(config=hostile_configs(),
+       spacings=st.just((5.0, 100.0)) | st.tuples(HOSTILE_SIZES, HOSTILE_SIZES),
+       refine=st.booleans())
+@example(config=FIVE_POINTS | {"spacing": 1e200}, spacings=(5.0, 100.0), refine=True)
+@example(config=FIVE_POINTS | {"lambda_qd": 1e-250}, spacings=(5.0, 100.0), refine=True)
+def test_main_exits_0_to_3_with_finite_artifacts(config, spacings, refine):
+    """Every command ends in a result or a typed error, never an internal
+    error (4), a traceback or a warning; a success writes only finite numbers."""
+    with tempfile.TemporaryDirectory() as folder:
+        folder = Path(folder)
+        config_path = folder / "config.json"
+        config_path.write_text(json.dumps(config))
+        n_list = ",".join(str(n) for n in range(1, config["n_emitters"] + 1))
+        l_min, l_max = sorted(spacings)
+        commands = [
+            ["spectrum", "--out", "s.csv", *(["--refine-peaks"] if refine else [])],
+            ["sweep-separation", "--out", "w.csv", f"--l-min={l_min!r}",
+             f"--l-max={l_max!r}", "--l-points", "2"],
+            ["scale-n", "--out", "n.json", "--n-list", n_list],
+            ["validate", "--dump-ddi", "d.csv"],
+        ]
+        for command, *flags in commands:
+            outdir = folder / command
+            argv = [command, "--config", str(config_path)]
+            argv += [str(outdir / f) if f.endswith((".csv", ".json")) else f for f in flags]
+            stderr = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                code = main(argv)
+            assert code in (0, 1, 2, 3), (command, stderr.getvalue())
+            assert "Traceback" not in stderr.getvalue()
+            assert not caught, (command, [str(w.message) for w in caught])
+            if code == 0:
+                written = list(outdir.iterdir())
+                assert written
+                for path in written:
+                    numbers = written_numbers(path)
+                    assert all(math.isfinite(x) for x in numbers), (command, path.name)

@@ -42,6 +42,14 @@ def test_non_positive_separation_rejected():
             ddi_coupling(bad, math.pi / 2.0)
 
 
+def test_overflow_at_a_longer_range_pair_is_a_config_error():
+    # R = 4e102 cubes to a finite 6.4e307; the second neighbour's 8e102 does not.
+    spacing = 4e102 * 655.0 / (2.0 * math.pi)
+    assert math.isfinite(ddi_matrix(chiral_config(2, spacing=spacing)).values[0, 1])
+    with pytest.raises(ConfigError, match=r"too large: at separation R = 8e\+102"):
+        ddi_matrix(chiral_config(3, spacing=spacing))
+
+
 def test_matrix_auto_two_emitters():
     matrix = ddi_matrix(chiral_config(2)).values
     assert matrix[0, 0] == 0.0 and matrix[1, 1] == 0.0
@@ -77,6 +85,14 @@ def test_manual_rescaling_near_a_coupling_node_rejected(spacing):
     # or 1.8e5 Gamma0 (467.2 nm).
     config = chiral_config(3, ddi_mode="manual", ddi_strength=23.10, spacing=spacing)
     with pytest.raises(ConfigError, match=r"longer-range pair exceed \|ddi_strength\|"):
+        ddi_matrix(config)
+
+
+def test_manual_rescaling_overflow_rejected():
+    # At lambda_qd = 0.001 nm the nearest-neighbour law is ~1e-6 Gamma0, so
+    # pinning it to 1e303 overflows the rescaling; no longer-range pair exists.
+    config = chiral_config(2, ddi_mode="manual", ddi_strength=1e303, lambda_qd=0.001)
+    with pytest.raises(ConfigError, match=r"pinning it to ddi_strength 1e\+303 overflows"):
         ddi_matrix(config)
 
 

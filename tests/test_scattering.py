@@ -148,6 +148,36 @@ def test_matches_two_emitter_closed_form_with_coupling():
         assert abs(num.tt - ref.tt) < 1e-10
 
 
+CLOSED_FORMS = {f.__name__: f for f in (single_symmetric, single_chiral, two_chiral)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    form=st.sampled_from(sorted(CLOSED_FORMS)),
+    coupling=st.floats(min_value=0.1, max_value=30.0),
+    gamma=st.floats(min_value=0.1, max_value=20.0),  # lossy: no real poles
+    exchange=st.floats(min_value=-40.0, max_value=40.0),
+    spacing=st.floats(min_value=1.0, max_value=500.0),
+    deltas=st.lists(st.floats(min_value=-200.0, max_value=200.0), min_size=1, max_size=8),
+)
+def test_batched_solver_matches_closed_forms(form, coupling, gamma, exchange, spacing,
+                                             deltas):
+    n = 2 if form == "two_chiral" else 1
+    leftward = coupling if form == "single_symmetric" else 0.0
+    config = validate(SystemConfig(
+        n_emitters=n, gamma=gamma, gamma_dr=coupling, gamma_dl=leftward,
+        gamma_ur=coupling, gamma_ul=leftward, spacing=spacing,
+    ))
+    # The exchange J and the phase theta enter only the two-emitter form.
+    ddi = DdiMatrix([[0.0, exchange], [exchange, 0.0]]) if n == 2 else no_ddi(1)
+    extra = (exchange, config.theta) if n == 2 else ()
+    batch = solve_spectrum_point_batch(config, ddi, deltas)
+    for i, delta in enumerate(deltas):
+        ref = CLOSED_FORMS[form](delta, coupling, gamma, *extra)
+        for key in AMPLITUDES:
+            assert abs(getattr(batch, key)[i] - getattr(ref, key)) < 1e-10, (key, delta)
+
+
 def test_scalar_and_tuple_rates_solve_identically():
     scalar = chiral_config(3)
     per_emitter = chiral_config(
@@ -233,6 +263,30 @@ def test_non_finite_solution_never_passes_the_residual_check():
     assert failure.condition is None  # cond() of this matrix is 1: no hint
     assert "condition" not in str(failure)
     assert solve_transport(config, no_ddi(1), 1.0).intensities["T"] == 1.0
+
+
+def test_matrix_norm_beyond_the_float_range_fails_the_point():
+    # The amplitudes solve, but |C_12| + |M_11| = 1.2e308 + 6e307 overflows,
+    # so no backward error bounds them.
+    config = chiral_config(2, gamma_ul=1.2e308)
+    with pytest.raises(SolverError, match=r"^transport system beyond the float range"
+                       r" at delta=\+0$") as err:
+        solve_spectrum_point_batch(config, ddi_matrix(config), [0.0, 1.0])
+    assert err.value.condition is None
+    assert solve_transport(chiral_config(2, gamma_ul=1e308), ddi_matrix(config), 0.0)
+
+
+def test_overflowing_intensities_fail_the_point():
+    # Rates from 5e-324 to 1.2e308 pass the backward-error check at this
+    # point, but |t|^2 overflows: the point fails instead of returning inf.
+    config = validate(SystemConfig(
+        n_emitters=4, gamma=32.75, gamma_dr=11.03,
+        gamma_ur=(5e-324, 1.3307240419230212e46, 1.0, 1.1962991164495308e308),
+        spacing=5.0, lambda_sp=33.0, dipole_angle=5e-324,
+    ))
+    with pytest.raises(SolverError, match=r"^non-finite solution of the transport"
+                       r" system at delta=\+0$"):
+        solve_spectrum_point_batch(config, ddi_matrix(config), [0.0])
 
 
 def test_singular_point_fails_alone_in_its_stack():

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import photon_router.spectra as spectra
 from photon_router import (
+    DdiMatrix,
     Peak,
     SolverError,
     TransportSolution,
@@ -11,6 +12,7 @@ from photon_router import (
     find_peaks,
     scale_emitters,
     scan,
+    solve_spectrum_point_batch,
     solve_transport,
     sweep_separation,
 )
@@ -136,6 +138,30 @@ class TestFindPeaks:
             find_peaks(spectrum([], {"T": np.array([])}), "T")
         with pytest.raises(KeyError):
             find_peaks(synthetic([0.0, 1.0, 0.0]), "bogus")
+
+    def test_non_monotone_solution_rejected(self):
+        # The Tt maximum's neighbours swapped: refining between them would
+        # report 0.670383 at 33.7639, not the true 0.67049 at 33.5283.
+        config = chiral_config(2)
+        ddi = ddi_matrix(config)
+        grid = np.linspace(-60.0, 60.0, 121)
+        grid[[93, 95]] = grid[[95, 93]]
+        result = solve_spectrum_point_batch(config, ddi, grid)
+        for refine in (False, True):
+            with pytest.raises(ValueError, match="grid must be strictly monotone"):
+                find_peaks(result, "Tt", refine=refine, config=config, ddi=ddi)
+
+    def test_refinement_stops_at_the_float_resolution(self):
+        # At delta ~ 1e15 one ulp is 0.125 Gamma0: a bracket can never shrink
+        # to PEAK_REFINE_TOL, so the search stops at 64 ulps instead of looping.
+        config = chiral_config(2)
+        exchange = 1e15
+        ddi = DdiMatrix([[0.0, exchange], [exchange, 0.0]])
+        result = scan(config, ddi, np.linspace(exchange - 60.0, exchange + 60.0, 121))
+        (raw,) = find_peaks(result, "Tt")
+        (peak,) = find_peaks(result, "Tt", refine=True, config=config, ddi=ddi)
+        assert peak.refined and peak.height >= raw.height
+        assert abs(peak.location - raw.location) <= 1.0
 
     def test_refine_requires_solver_context(self):
         with pytest.raises(ValueError, match="config and ddi"):
