@@ -24,7 +24,7 @@ from . import __version__
 from .ddi import ddi_matrix
 from .params import ConfigError, DetuningGrid, SystemConfig, load_config, validate
 from .scattering import INTENSITY_KEYS, SolverError
-from .spectra import find_peaks, scale_emitters, scan, sweep_separation
+from .spectra import SeparationSweep, find_peaks, scale_emitters, scan, sweep_separation
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -36,18 +36,32 @@ PEAK_CHANNELS = ("T", "R", "Tt", "Rt")
 
 _UNITS_HEADER = "# units: detuning and rates in Gamma0, lengths in nm"
 
+#: One CSV value: the same bytes as "{:.17g}".format.
+_CELL = "%.17g"
+
 
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
 
 
-def _csv(header: list[str], columns: list[np.ndarray]) -> str:
-    """Header lines, then one row per index of the columns, formatted from
-    Python floats converted lazily (no column is held as a list)."""
-    rows = zip(*(map(float, column) for column in columns))
-    lines = header + [",".join(map("{:.17g}".format, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+def _csv(header: list[str], cells: np.ndarray, body: str | None = None) -> str:
+    """Header lines, then the ``body`` template with its ``_CELL``s filled by
+    ``cells`` in C order, each formatted once from a Python float; by default
+    one row per row of a 2-D ``cells``."""
+    if body is None:
+        body = (",".join([_CELL] * cells.shape[1]) + "\n") * cells.shape[0]
+    return "\n".join(header) + "\n" + body % tuple(cells.ravel().tolist())
+
+
+def _sweep_csv(sweep: SeparationSweep) -> str:
+    """Long format: spacing-major rows delta,L_nm,Tt,T.  Each detuning and
+    spacing is formatted once, into the template; only Tt and T are cells."""
+    deltas = [_CELL % delta for delta in sweep.deltas.tolist()]
+    tails = [f",{_CELL % spacing},{_CELL},{_CELL}\n" for spacing in sweep.spacings.tolist()]
+    body = "".join(tail.join(deltas) + tail for tail in tails)
+    cells = np.stack([sweep.routed, sweep.transmitted], axis=-1)
+    return _csv([_UNITS_HEADER, "delta,L_nm,Tt,T"], cells, body)
 
 
 def _json(payload) -> str:
@@ -74,9 +88,10 @@ def cmd_spectrum(args: argparse.Namespace, config: SystemConfig) -> tuple[dict, 
         result, *PEAK_CHANNELS, refine=args.refine_peaks, config=config, ddi=ddi
     )
     out = Path(args.out)
-    columns = [result.delta, *(result.intensities[key] for key in INTENSITY_KEYS)]
+    table = np.column_stack([result.delta, *(result.intensities[key] for key in INTENSITY_KEYS)])
+    header = [_UNITS_HEADER, "delta," + ",".join(INTENSITY_KEYS)]
     return dataclasses.asdict(config.detuning) | {"refine_peaks": args.refine_peaks}, {
-        out: _csv([_UNITS_HEADER, "delta," + ",".join(INTENSITY_KEYS)], columns),
+        out: _csv(header, table),
         out.with_suffix(".peaks.json"): _json([dataclasses.asdict(p) for p in peaks]),
     }
 
@@ -86,17 +101,8 @@ def cmd_sweep_separation(args: argparse.Namespace, config: SystemConfig) -> tupl
     sweep = sweep_separation(
         config, (args.l_min, args.l_max), args.l_points, config.detuning.to_array()
     )
-    # Long format: spacing-major rows, one per (spacing, detuning).
-    columns = [
-        np.tile(sweep.deltas, sweep.spacings.size),
-        np.repeat(sweep.spacings, sweep.deltas.size),
-        sweep.routed.ravel(),
-        sweep.transmitted.ravel(),
-    ]
     record = {"l_min": args.l_min, "l_max": args.l_max, "l_points": args.l_points}
-    return dataclasses.asdict(config.detuning) | record, {
-        Path(args.out): _csv([_UNITS_HEADER, "delta,L_nm,Tt,T"], columns)
-    }
+    return dataclasses.asdict(config.detuning) | record, {Path(args.out): _sweep_csv(sweep)}
 
 
 def cmd_scale_n(args: argparse.Namespace, config: SystemConfig) -> tuple[dict, dict]:
@@ -125,7 +131,7 @@ def cmd_validate(args: argparse.Namespace, config: SystemConfig) -> tuple[dict, 
         print(f"ddi nearest-neighbour: {ddi.values[0, 1]:.4f} Gamma0")
     if args.dump_ddi is None:
         return {}, {}
-    text = _csv(["# pairwise coupling rates in Gamma0"], list(ddi.values.T))
+    text = _csv(["# pairwise coupling rates in Gamma0"], ddi.values)
     return {}, {Path(args.dump_ddi): text}
 
 

@@ -30,6 +30,12 @@ POLE_REGULARIZATION = 1e-9
 #: Largest detuning magnitude, Gamma0: keeps every grid and refinement step finite.
 DETUNING_LIMIT = sys.float_info.max / 4
 
+#: Longest chain ``validate`` accepts: one N x N complex system is then 16 MB.
+EMITTER_LIMIT = 1000
+
+#: Most points a detuning window may hold.
+POINTS_LIMIT = 10**6
+
 _RATE_FIELDS = ("gamma", "gamma_dr", "gamma_dl", "gamma_ur", "gamma_ul")
 
 _SPEED_OF_LIGHT_NM_S = 2.99792458e17
@@ -166,6 +172,8 @@ def validate(config: SystemConfig) -> SystemConfig:
         errors.append(f"n_emitters must be an integer, got {config.n_emitters!r}")
     elif config.n_emitters < 1:
         errors.append(f"n_emitters must be >= 1, got {config.n_emitters}")
+    elif config.n_emitters > EMITTER_LIMIT:
+        errors.append(f"n_emitters must be <= {EMITTER_LIMIT}, got {config.n_emitters}")
     for name in _RATE_FIELDS:
         _check_rate(name, getattr(config, name), config.n_emitters, errors)
     for name in ("spacing", "lambda_qd", "lambda_sp", "gamma0_mhz"):
@@ -193,6 +201,8 @@ def validate(config: SystemConfig) -> SystemConfig:
             errors.append(f"detuning points must be an integer, got {grid.points!r}")
         elif grid.points < 1:
             errors.append(f"detuning points must be >= 1, got {grid.points}")
+        elif grid.points > POINTS_LIMIT:
+            errors.append(f"detuning points must be <= {POINTS_LIMIT}, got {grid.points}")
         if not all(_is_finite(v) and abs(v) <= DETUNING_LIMIT for v in (grid.min, grid.max)):
             errors.append(f"detuning window must be finite, within +-{DETUNING_LIMIT:.3g}")
         elif grid.min > grid.max:

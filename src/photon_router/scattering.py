@@ -25,11 +25,12 @@ output ports are returned: t_N, tt_N, r_1 and rt_1.
 M splits into its diagonal and the coupling block C (the off-diagonal
 waveguide couplings with their phases, plus J; C_jj = 0).  At carrier
 phases C does not depend on delta, so C and its absolute row sums are built
-once per call and every stack copies C in and writes its own diagonal; with
-delta-dependent phases they are built once per stack, from that stack's
-phases.  Detunings are solved as stacks of at most ``STACK_ELEMENTS``
-complex matrix elements, which bounds the memory of one stacked solve, into
-one ``TransportSolution`` of arrays over the detunings.  Each point's
+once per call (once per chain, for ``_solve_chains``) and every stack copies
+C in and writes its own diagonal; with delta-dependent phases they are
+built once per stack, from that stack's phases.  Points are solved as
+stacks of at most ``STACK_ELEMENTS`` complex matrix elements, which bounds
+the memory of one stacked solve, into one ``TransportSolution`` of arrays
+over the points.  Each point's
 backward error takes ||M||_inf = max_j (sum_k |C_jk| + |M_jj|), O(N) per
 point.  Every point must solve: the first detuning that fails, in input
 order, raises its SolverError.
@@ -119,6 +120,33 @@ def solve_spectrum_point_batch(
     if ddi.n != n:
         raise ValueError(f"coupling matrix is {ddi.n}x{ddi.n} for {n} emitters")
     deltas = np.asarray(deltas, dtype=float)
+    steps = np.asarray(config.step_phase(deltas))[None]
+    return _solve_chains(config, deltas, steps, ddi.values[None])
+
+
+def _per_point(values: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    """Per-chain ``values`` at each point of a stack, given each point's chain:
+    a view of that chain's entry when the stack lies in one chain."""
+    return values[chain[0]] if chain[0] == chain[-1] else values.take(chain, axis=0)
+
+
+def _solve_chains(
+    config: SystemConfig, deltas: np.ndarray, steps: np.ndarray, couplings: np.ndarray
+) -> TransportSolution:
+    """The solver core: C chains that share the config's N, rates and
+    detuning list (P,) but each have their own step phase and coupling
+    matrix, as the spacings of a separation sweep do.
+
+    ``steps`` is (C,) at carrier phases or (C, P) with delta-dependent
+    phases; ``couplings`` is (C, N, N).  Points run chain-major, point
+    c * P + p being chain c at ``deltas[p]``; failures are raised as in
+    ``solve_spectrum_point_batch``, over that order.  Callers hold
+    ``np.errstate(over="ignore", invalid="ignore")``, as
+    out-of-range values fail their point.
+    """
+    n = config.n_emitters
+    flat = np.tile(deltas, len(couplings))
+    chains = np.arange(len(couplings)).repeat(deltas.size)
 
     # Detuning-independent parts: the channel couplings v = sqrt(rate), their
     # products below and above the diagonal, and the half-widths.
@@ -132,27 +160,32 @@ def solve_spectrum_point_batch(
     width = 0.5j * (gamma + rates.sum(axis=0))
     diagonal = np.arange(n)
 
-    # Carrier phases share one C (built with the first stack); detuning-
-    # dependent phases build one per stack.
-    step = config.step_phase(deltas)
-    shared = np.ndim(step) == 0
-    steps = np.reshape(step, 1) if shared else step
+    # Carrier phases build one C per chain (with the first stack), which each
+    # stack takes per point; delta-dependent phases build one per stack.
+    shared = steps.ndim == 1
+    steps = steps.ravel()
 
-    a = np.empty((deltas.size, n), dtype=complex)
-    t, r, tt, rt = np.empty((4, deltas.size), dtype=complex)
-    residual = np.empty(deltas.size)
+    a = np.empty((flat.size, n), dtype=complex)
+    t, r, tt, rt = np.empty((4, flat.size), dtype=complex)
+    residual = np.empty(flat.size)
     size = max(1, STACK_ELEMENTS // n**2)
-    for start in range(0, deltas.size, size):
+    for start in range(0, flat.size, size):
         stack = slice(start, start + size)
+        chain = chains[stack]
         if start == 0 or not shared:
-            phases = np.exp(1j * np.outer(steps[stack], diagonal))
+            exchange = couplings if shared else _per_point(couplings, chain)
+            phases = np.exp(1j * np.outer(steps if shared else steps[stack], diagonal))
             relative = phases[:, :, None] * phases.conj()[:, None, :]
-            block = -1j * (rightward * relative + leftward * relative.conj()) + ddi.values
+            block = -1j * (rightward * relative + leftward * relative.conj()) + exchange
             row_sums = np.abs(block).sum(axis=2)  # C_jj = 0: the off-diagonal sums
-        on_diagonal = -deltas[stack, None] - width
-        matrices = block.repeat(len(on_diagonal), axis=0) if shared else block
+        on_diagonal = -flat[stack, None] - width
+        if shared:
+            matrices = block.take(chain, axis=0)
+            stack_phases, sums = _per_point(phases, chain), _per_point(row_sums, chain)
+        else:
+            matrices, stack_phases, sums = block, phases, row_sums
         matrices[:, diagonal, diagonal] = on_diagonal
-        rhs = np.broadcast_to(-(v_dr * phases)[..., None], (len(matrices), n, 1))
+        rhs = np.broadcast_to(-(v_dr * stack_phases)[..., None], (len(matrices), n, 1))
         singular = None
         try:
             x = np.linalg.solve(matrices, rhs)
@@ -171,14 +204,14 @@ def solve_spectrum_point_batch(
         # defect itself is the residual.  An inf norm bounds nothing: it fails.
         defect = np.abs(matrices @ x - rhs).max(axis=(1, 2))
         # ||M||_inf = max_j (sum_k |C_jk| + |M_jj|), O(N) per point.
-        norm = (row_sums + np.abs(on_diagonal)).max(axis=1)
+        norm = (sums + np.abs(on_diagonal)).max(axis=1)
         norm_ax = norm * np.abs(x).max(axis=(1, 2))
         scale = norm_ax + np.abs(rhs).max(axis=(1, 2))
         residual[stack] = np.divide(defect, scale, out=defect, where=scale > 0.0)
         failed = np.flatnonzero(~((residual[stack] <= RESIDUAL_LIMIT) & np.isfinite(norm)))
         if failed.size:
             i = failed[0]
-            delta = float(deltas[start + i])
+            delta = float(flat[start + i])
             if i == singular:
                 raise SolverError("singular transport system", delta, np.inf)
             if not np.isfinite(x[i]).all():
@@ -190,8 +223,8 @@ def solve_spectrum_point_batch(
             )
 
         a[stack] = x[..., 0]
-        forward = phases.conj() * a[stack]
-        backward = phases * a[stack]
+        forward = stack_phases.conj() * a[stack]
+        backward = stack_phases * a[stack]
         # cumsum's last column, not np.sum: the same additions, so the same bits.
         t[stack] = 1.0 - 1j * np.cumsum(v_dr * forward, axis=1)[:, -1]
         tt[stack] = -1j * np.cumsum(v_ur * forward, axis=1)[:, -1]
@@ -201,8 +234,8 @@ def solve_spectrum_point_batch(
     intensities = port_intensities(t, r, tt, rt)
     lost = np.flatnonzero(~np.isfinite(intensities["loss"]))  # as soon as one intensity is
     if lost.size:
-        raise SolverError("non-finite solution of the transport system", float(deltas[lost[0]]))
-    return TransportSolution(deltas, a, t, r, tt, rt, intensities, residual)
+        raise SolverError("non-finite solution of the transport system", float(flat[lost[0]]))
+    return TransportSolution(flat, a, t, r, tt, rt, intensities, residual)
 
 
 def solve_transport(

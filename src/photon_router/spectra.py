@@ -12,10 +12,19 @@ import numpy as np
 
 from .ddi import DdiMatrix, ddi_matrix
 from .params import SystemConfig, validate
-from .scattering import INTENSITY_KEYS, TransportSolution, solve_spectrum_point_batch
+from .scattering import (
+    INTENSITY_KEYS,
+    STACK_ELEMENTS,
+    TransportSolution,
+    _solve_chains,
+    solve_spectrum_point_batch,
+)
 
 #: Peak locations are refined until stable to this width, Gamma0 units.
 PEAK_REFINE_TOL = 1e-4
+
+#: Most (spacing, detuning) points one separation sweep may solve.
+SWEEP_POINTS_LIMIT = 10**6
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -68,16 +77,22 @@ def _check_monotone(grid: np.ndarray) -> None:
         raise ValueError("grid must be strictly monotone")
 
 
+def _checked_grid(grid: Sequence[float] | np.ndarray) -> np.ndarray:
+    """The detuning grid as a float array, which must be 1-D, non-empty and
+    strictly monotone."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("grid must be a non-empty 1-D array")
+    _check_monotone(grid)
+    return grid
+
+
 def scan(
     config: SystemConfig, ddi: DdiMatrix, grid: Sequence[float] | np.ndarray
 ) -> TransportSolution:
     """Batch-solve a monotone detuning grid into the solver's
     TransportSolution; the first grid point that fails raises its SolverError."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("grid must be a non-empty 1-D array")
-    _check_monotone(grid)
-    return solve_spectrum_point_batch(config, ddi, grid)
+    return solve_spectrum_point_batch(config, ddi, _checked_grid(grid))
 
 
 def _plateau_maxima(deltas: np.ndarray, values: np.ndarray) -> list[int]:
@@ -210,6 +225,7 @@ def find_peaks(
     return peaks
 
 
+@np.errstate(over="ignore", invalid="ignore")  # out-of-range values fail their point
 def sweep_separation(
     config: SystemConfig,
     l_range: tuple[float, float],
@@ -218,10 +234,14 @@ def sweep_separation(
 ) -> SeparationSweep:
     """Re-solve the full spectrum for each inter-emitter separation.
 
-    Each column rebuilds the propagation phases and the coupling matrix for
-    its spacing, so a one-point sweep is bit-identical to a plain scan.
-    The first failing point of the first column that has one raises its
-    SolverError.
+    Every spacing is validated, and its coupling matrix built, before any
+    solve, so a ConfigError at any spacing comes before a SolverError at an
+    earlier one.  Whole spacings then share solver calls of at most
+    max(P, ``STACK_ELEMENTS`` // N^2) points (P detunings), in spacing-major
+    order, each point with its spacing's phases and couplings; a one-point
+    sweep is bit-identical to a plain scan.  The first failing point in
+    that order raises its SolverError; as in one spectrum, an overflow of
+    the intensities alone is raised only once its call's points have solved.
     """
     l_min, l_max = l_range
     if l_min <= 0.0 or l_max <= 0.0:
@@ -234,16 +254,32 @@ def sweep_separation(
         )
     if l_points < 1:
         raise ValueError(f"l_points must be >= 1, got {l_points}")
+    grid = _checked_grid(grid)
+    if l_points * grid.size > SWEEP_POINTS_LIMIT:
+        raise ValueError(
+            f"a sweep of {l_points} spacings x {grid.size} detunings exceeds"
+            f" {SWEEP_POINTS_LIMIT} points"
+        )
 
     spacings = np.linspace(l_min, l_max, l_points)
-    grid = np.asarray(grid, dtype=float)
+    steps, first_rows = [], []
+    for spacing in spacings:
+        cfg = validate(dataclasses.replace(config, spacing=float(spacing)))
+        steps.append(cfg.step_phase(grid))
+        # J_jk depends on |j - k| only, so row 0 holds J in O(N) memory.
+        first_rows.append(ddi_matrix(cfg).values[0])
+    n = config.n_emitters
+    offset = abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    per_call = max(grid.size, STACK_ELEMENTS // n**2) // grid.size
+
     routed = np.empty((l_points, grid.size))
     transmitted = np.empty((l_points, grid.size))
-    for k, spacing in enumerate(spacings):
-        cfg = validate(dataclasses.replace(config, spacing=float(spacing)))
-        result = scan(cfg, ddi_matrix(cfg), grid)
-        routed[k] = result.intensities["Tt"]
-        transmitted[k] = result.intensities["T"]
+    for k in range(0, l_points, per_call):
+        call = slice(k, k + per_call)
+        couplings = np.array(first_rows[call])[:, offset]
+        result = _solve_chains(config, grid, np.array(steps[call]), couplings)
+        routed[call] = result.intensities["Tt"].reshape(-1, grid.size)
+        transmitted[call] = result.intensities["T"].reshape(-1, grid.size)
     return SeparationSweep(
         spacings=spacings, deltas=grid, routed=routed, transmitted=transmitted
     )

@@ -11,7 +11,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import photon_router.cli as cli
+from photon_router import SeparationSweep, SystemConfig, sweep_separation, validate
 from photon_router.cli import main
+from photon_router.params import EMITTER_LIMIT, POINTS_LIMIT
+from photon_router.spectra import SWEEP_POINTS_LIMIT
 
 TWO_EMITTER = {
     "n_emitters": 2,
@@ -384,6 +387,111 @@ def test_scale_n_bad_lists_exit_1(two_emitter_config, tmp_path, capsys):
     assert main(base + ["--n-list", ""]) == 1
     assert main(base + ["--n-list", "3,2"]) == 1
     assert main(base + ["--n-list", "1,two"]) == 1
+    assert not out.exists()
+
+
+def per_value_csv(header, columns):
+    """The writer the %-templates replaced: one "{:.17g}" format per value,
+    one ",".join per row."""
+    rows = zip(*(map(float, column) for column in columns))
+    return "\n".join(header + [",".join(map("{:.17g}".format, row)) for row in rows]) + "\n"
+
+
+#: Every float class a table can hold: signed zeros, subnormals, the float
+#: range's ends, infinities and nan, then anything.
+HOSTILE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308,
+     1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan,
+     0.1, -40.0, 1.0 / 3.0]
+) | st.floats()
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 7).flatmap(lambda width: st.lists(
+    st.lists(HOSTILE_FLOATS, min_size=width, max_size=width), min_size=1, max_size=12)))
+def test_table_writer_matches_per_value_format(rows):
+    cells = np.array(rows)
+    header = ["# header", "a,b"]
+    assert cli._csv(header, cells) == per_value_csv(header, list(cells.T))
+
+
+def long_format_columns(sweep):
+    return [
+        np.tile(sweep.deltas, sweep.spacings.size),
+        np.repeat(sweep.spacings, sweep.deltas.size),
+        sweep.routed.ravel(),
+        sweep.transmitted.ravel(),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.tuples(st.integers(1, 5), st.integers(1, 6)), data=st.data())
+def test_sweep_writer_matches_per_value_format(shape, data):
+    spacings, points = shape
+    values = st.lists(HOSTILE_FLOATS, min_size=spacings * points, max_size=spacings * points)
+    sweep = SeparationSweep(
+        spacings=np.array(data.draw(st.lists(HOSTILE_FLOATS, min_size=spacings,
+                                             max_size=spacings))),
+        deltas=np.array(data.draw(st.lists(HOSTILE_FLOATS, min_size=points, max_size=points))),
+        routed=np.array(data.draw(values)).reshape(shape),
+        transmitted=np.array(data.draw(values)).reshape(shape),
+    )
+    expected = per_value_csv([cli._UNITS_HEADER, "delta,L_nm,Tt,T"], long_format_columns(sweep))
+    assert cli._sweep_csv(sweep) == expected
+
+
+def test_sweep_over_several_solver_calls_writes_per_value_format(two_emitter_config, tmp_path):
+    # 25 spacings of 201 two-emitter points: 20 spacings share one solver call.
+    out = tmp_path / "sweep.csv"
+    assert main([
+        "sweep-separation", "--config", str(two_emitter_config), "--out", str(out),
+        "--l-points", "25", "--delta-points", "201",
+    ]) == 0
+    config = validate(SystemConfig(**TWO_EMITTER))
+    sweep = sweep_separation(config, (5.0, 100.0), 25, np.linspace(-40.0, 40.0, 201))
+    header = [cli._UNITS_HEADER, "delta,L_nm,Tt,T"]
+    assert out.read_text() == per_value_csv(header, long_format_columns(sweep))
+
+
+def test_data_artifacts_repeat_byte_for_byte_in_one_process(two_emitter_config, tmp_path):
+    flags = ["--delta-min", "-40", "--delta-max", "40", "--delta-points", "81"]
+    runs = {
+        "spectrum": (["--refine-peaks"], ["s.csv", "s.peaks.json"]),
+        "sweep-separation": (["--l-points", "30"], ["w.csv"]),
+        "scale-n": (["--n-list", "1,2,3"], ["n.json"]),
+    }
+    for command, (extra, artifacts) in runs.items():
+        written = []
+        for run in ("first", "second"):
+            folder = tmp_path / command / run
+            argv = [command, "--config", str(two_emitter_config), "--out",
+                    str(folder / artifacts[0]), *flags, *extra]
+            assert main(argv) == 0
+            written.append([(folder / name).read_bytes() for name in artifacts])
+        assert written[0] == written[1], command
+
+
+@pytest.mark.parametrize(
+    "config, command, message",
+    [
+        (TWO_EMITTER | {"n_emitters": EMITTER_LIMIT + 1}, ["spectrum"],
+         f"n_emitters must be <= {EMITTER_LIMIT}, got {EMITTER_LIMIT + 1}"),
+        (TWO_EMITTER, ["spectrum", "--delta-points", str(POINTS_LIMIT + 1)],
+         f"detuning points must be <= {POINTS_LIMIT}, got {POINTS_LIMIT + 1}"),
+        (TWO_EMITTER, ["sweep-separation", "--l-points", str(SWEEP_POINTS_LIMIT)],
+         f"a sweep of {SWEEP_POINTS_LIMIT} spacings x 201 detunings exceeds"),
+    ],
+    ids=["emitters", "detuning-points", "sweep-points"],
+)
+def test_oversized_runs_exit_1_before_allocating(config, command, message, tmp_path, capsys):
+    # Each is rejected by validate or sweep_separation's argument checks.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "never.csv"
+    assert main([command[0], "--config", str(path), "--out", str(out), *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}")
+    assert err.count("config error: ") == 1
     assert not out.exists()
 
 

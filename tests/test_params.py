@@ -13,6 +13,7 @@ from photon_router import (
     load_config,
     validate,
 )
+from photon_router.params import EMITTER_LIMIT, POINTS_LIMIT
 
 from conftest import chiral_config
 
@@ -156,6 +157,21 @@ def test_detuning_grid_validation():
     with pytest.raises(ConfigError, match="5 points needs min < max"):
         validate(SystemConfig(detuning=DetuningGrid(1.0, 1.0, 5)))
     validate(SystemConfig(detuning=DetuningGrid(1.0, 1.0, 1)))
+
+
+def test_chain_length_and_point_count_are_bounded():
+    # Checked on the fields alone: no config of that size is ever built into arrays.
+    assert validate(SystemConfig(n_emitters=EMITTER_LIMIT)).n_emitters == EMITTER_LIMIT
+    with pytest.raises(ConfigError) as err:
+        validate(SystemConfig(n_emitters=EMITTER_LIMIT + 1))
+    assert err.value.errors == [f"n_emitters must be <= {EMITTER_LIMIT}, got {EMITTER_LIMIT + 1}"]
+    validate(SystemConfig(detuning=DetuningGrid(0.0, 1.0, POINTS_LIMIT)))
+    with pytest.raises(ConfigError) as err:
+        validate(SystemConfig(detuning=DetuningGrid(0.0, 1.0, 10**18)))
+    assert err.value.errors == [f"detuning points must be <= {POINTS_LIMIT}, got {10**18}"]
+    with pytest.raises(ConfigError) as err:
+        validate(SystemConfig(n_emitters=10**9, detuning=DetuningGrid(0.0, 1.0, POINTS_LIMIT + 1)))
+    assert len(err.value.errors) == 2
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import photon_router.spectra as spectra
 from photon_router import (
+    ConfigError,
     DdiMatrix,
     Peak,
     SolverError,
@@ -22,6 +25,7 @@ from conftest import (
     EMISSION,
     chiral_config,
     random_chains,
+    replace,
     symmetric_config,
 )
 from refine_oracle import refine_maximum
@@ -298,6 +302,83 @@ class TestSweepSeparation:
         good = (routed >= 0.60) & (transmitted <= 0.20)
         assert (good & (sweep.deltas < 0.0)).any()
         assert (good & (sweep.deltas > 0.0)).any()
+
+    @pytest.mark.parametrize(
+        "n, points, l_points, overrides",
+        [
+            (2, 201, 25, {}),                              # 20 spacings per call: 2 calls
+            (2, 201, 25, {"delta_dependent_phases": True}),
+            (12, 21, 7, {}),                               # 5 spacings per call
+            (12, 150, 3, {"delta_dependent_phases": True}),  # 2 stacks per spacing
+            (3, 41, 4, {"gamma_dl": 2.0, "gamma_ul": 1.5}),  # symmetric: one call
+        ],
+        ids=["n2-carrier", "n2-delta-phases", "n12-carrier", "n12-delta-phases", "n3-symmetric"],
+    )
+    def test_bits_equal_one_scan_per_spacing(self, n, points, l_points, overrides):
+        config = chiral_config(n, **overrides)
+        grid = np.linspace(-40.0, 40.0, points)
+        sweep = sweep_separation(config, (5.0, 100.0), l_points, grid)
+        for k, spacing in enumerate(sweep.spacings):
+            cfg = replace(config, spacing=float(spacing))
+            result = scan(cfg, ddi_matrix(cfg), grid)
+            assert np.array_equal(sweep.routed[k], result.intensities["Tt"]), spacing
+            assert np.array_equal(sweep.transmitted[k], result.intensities["T"]), spacing
+
+    def test_rejects_an_empty_or_unordered_grid(self):
+        config = chiral_config(2)
+        with pytest.raises(ValueError, match="non-empty"):
+            sweep_separation(config, (5.0, 50.0), 3, np.array([]))
+        with pytest.raises(ValueError, match="strictly monotone"):
+            sweep_separation(config, (5.0, 50.0), 3, np.array([0.0, 2.0, 1.0]))
+
+    def test_sweep_size_is_bounded(self):
+        # Rejected on its arguments: nothing of that size is allocated.
+        config = chiral_config(2)
+        grid = np.linspace(-40.0, 40.0, 201)
+        too_many = spectra.SWEEP_POINTS_LIMIT // grid.size + 1
+        with pytest.raises(ValueError, match=f"{too_many} spacings x 201 detunings exceeds"):
+            sweep_separation(config, (5.0, 100.0), too_many, grid)
+
+    @staticmethod
+    def _pole_sweep(pole_columns, l_points=25, **overrides):
+        """Two lossless emitters decoupled from both waveguides: M = J - delta,
+        exactly singular at delta = J(spacing).  The grid (201 points, so 20
+        spacings share a solver call) holds J of the given spacing columns."""
+        config = chiral_config(2, gamma=0.0, gamma_dr=0.0, gamma_ur=0.0, **overrides)
+        spacings = np.linspace(20.0, 100.0, l_points)
+        grid = np.linspace(-150.0, 150.0, 201)
+        for k in pole_columns:
+            exchange = ddi_matrix(replace(config, spacing=float(spacings[k]))).values[0, 1]
+            grid[np.argmin(abs(grid - exchange))] = exchange
+        return config, grid
+
+    @staticmethod
+    def _first_failure_of_one_scan_per_spacing(config, l_points, grid):
+        for spacing in np.linspace(20.0, 100.0, l_points):
+            cfg = replace(config, spacing=float(spacing))
+            try:
+                scan(cfg, ddi_matrix(cfg), grid)
+            except SolverError as err:
+                return err
+        raise AssertionError("no spacing failed")
+
+    @pytest.mark.parametrize("pole_columns", [(0, 22), (22,)], ids=["first-and-later", "later-only"])
+    def test_first_failing_point_in_spacing_major_order_raises(self, pole_columns):
+        config, grid = self._pole_sweep(pole_columns)
+        expected = self._first_failure_of_one_scan_per_spacing(config, 25, grid)
+        with pytest.raises(SolverError, match="singular transport system") as err:
+            sweep_separation(config, (20.0, 100.0), 25, grid)
+        assert err.value.delta == expected.delta
+        assert str(err.value) == str(expected)
+
+    def test_every_spacing_is_validated_before_any_solve(self):
+        # theta = 2 pi L / lambda_sp overflows for L above about 50 nm, so the
+        # later spacings are config errors; the first spacing has a pole.
+        config, grid = self._pole_sweep((0,), lambda_sp=1.748e-306)
+        first = self._first_failure_of_one_scan_per_spacing(config, 25, grid)
+        assert isinstance(first, SolverError)
+        with pytest.raises(ConfigError, match="theta = 2 pi spacing / lambda_sp"):
+            sweep_separation(config, (20.0, 100.0), 25, grid)
 
     def test_half_wavelength_column_conserves_flux(self):
         config = chiral_config(2, gamma=0.0)
