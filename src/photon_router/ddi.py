@@ -68,9 +68,8 @@ def ddi_matrix(config: SystemConfig) -> DdiMatrix:
     A spacing whose law is not finite at some pair's separation is a ConfigError.
     """
     n = config.n_emitters
-    values = np.zeros((n, n))
+    by_offset = [0.0] * (n - 1)  # ddi_mode "off"
     if config.ddi_mode != "off" and n > 1:
-        by_offset = []
         for k in range(1, n):
             separation = k * config.r_step
             try:
@@ -81,7 +80,7 @@ def ddi_matrix(config: SystemConfig) -> DdiMatrix:
                 size = "small" if separation < 1.0 else "large"
                 raise ConfigError([f"spacing {config.spacing} nm is too {size}: at separation"
                                    f" R = {separation:.3g} the dipole-dipole law is not finite"])
-            by_offset.append(coupling)
+            by_offset[k - 1] = coupling
         if config.ddi_mode == "manual":
             nearest = by_offset[0]
             scale = config.ddi_strength / nearest if nearest else math.inf
@@ -94,8 +93,5 @@ def ddi_matrix(config: SystemConfig) -> DdiMatrix:
                     f" it to ddi_strength {config.ddi_strength} overflows or makes a"
                     " longer-range pair exceed |ddi_strength|"
                 ])
-        for k, coupling in enumerate(by_offset, start=1):
-            idx = np.arange(n - k)
-            values[idx, idx + k] = coupling
-            values[idx + k, idx] = coupling
-    return DdiMatrix(values)
+    idx = np.arange(n)
+    return DdiMatrix(np.array([0.0, *by_offset])[abs(np.subtract.outer(idx, idx))])

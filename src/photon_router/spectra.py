@@ -96,22 +96,14 @@ def scan(
 
 
 def _plateau_maxima(deltas: np.ndarray, values: np.ndarray) -> list[int]:
-    """Indices of interior local maxima; a plateau reports its edge with
-    the smaller detuning, on either grid direction."""
-    idx: list[int] = []
-    n = len(values)
-    i = 1
-    while i < n - 1:
-        if not values[i] > values[i - 1]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and values[j + 1] == values[i]:
-            j += 1
-        if j + 1 < n and values[j + 1] < values[i]:
-            idx.append(i if deltas[i] < deltas[j] else j)
-        i = j + 1
-    return idx
+    """Indices of interior local maxima: runs of equal values above the runs
+    on both sides.  A plateau reports its edge with the smaller detuning, on
+    either grid direction."""
+    starts = np.flatnonzero(values[1:] != values[:-1]) + 1
+    first, last = np.append(0, starts), np.append(starts, len(values)) - 1
+    level = values[first]
+    higher = (level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])
+    return np.where(deltas[first] < deltas[last], first, last)[1:-1][higher].tolist()
 
 
 def _probe(config: SystemConfig, ddi: DdiMatrix, deltas: np.ndarray) -> np.ndarray:
@@ -240,8 +232,7 @@ def sweep_separation(
     max(P, ``STACK_ELEMENTS`` // N^2) points (P detunings), in spacing-major
     order, each point with its spacing's phases and couplings; a one-point
     sweep is bit-identical to a plain scan.  The first failing point in
-    that order raises its SolverError; as in one spectrum, an overflow of
-    the intensities alone is raised only once its call's points have solved.
+    that order raises its SolverError.
     """
     l_min, l_max = l_range
     if l_min <= 0.0 or l_max <= 0.0:

@@ -20,6 +20,8 @@ Per emitter j (phase phi_j = (j-1)*Theta, amplitude coupling v = sqrt(rate)):
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from photon_router import DdiMatrix, SystemConfig
@@ -127,3 +129,15 @@ def segment_amplitudes(
         "tt": -1j * np.cumsum(v_ur * forward, axis=1),
         "rt": -1j * np.cumsum((v_ul * backward)[:, ::-1], axis=1)[:, ::-1],
     }
+
+
+def collective_modes(config: SystemConfig, ddi: DdiMatrix) -> np.ndarray:
+    """Eigenvalues lambda_m of the chain's collective modes at carrier phases:
+    the 5N system with its fields eliminated is M(delta) = M0 - delta I, and
+    these are the eigenvalues of M0 (every amplitude has a pole at lambda_m)."""
+    n = config.n_emitters
+    carrier = dataclasses.replace(config, delta_dependent_phases=False)
+    matrix, _ = assemble_system(carrier, ddi, 0.0)
+    fields, emitters = matrix[: 4 * n], matrix[4 * n :]
+    reduced = emitters[:, :n] - emitters[:, n:] @ np.linalg.solve(fields[:, n:], fields[:, :n])
+    return np.linalg.eigvals(reduced)

@@ -254,6 +254,27 @@ def test_solver_failure_exits_2_without_partial_output(command, tmp_path, capsys
     assert not (tmp_path / "never.csv.manifest.json").exists()
 
 
+def test_flux_balance_violation_exits_2(tmp_path, capsys):
+    # Rates across the float range solve with a tiny backward error, but
+    # T = 5.07 at delta = -1: the run fails instead of writing loss = -4.07.
+    config = tmp_path / "spread.json"
+    config.write_text(json.dumps({
+        "n_emitters": 4, "gamma": 32.75, "gamma_dr": 11.03,
+        "gamma_ur": [5e-324, 1.3307240419230212e46, 1.0, 1.1962991164495308e308],
+        "spacing": 5.0, "lambda_sp": 33.0, "dipole_angle": 5e-324,
+    }))
+    out = tmp_path / "never.csv"
+    code = main([
+        "spectrum", "--config", str(config), "--out", str(out),
+        "--delta-min", "-1", "--delta-max", "-0.5", "--delta-points", "2",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "solver error: flux balance violated (loss -4.07) at delta=-1\n"
+    )
+    assert not out.exists()
+
+
 GRID_COMMANDS = {
     "spectrum": ["spectrum"],
     "scale-n": ["scale-n", "--n-list", "1"],

@@ -17,10 +17,10 @@ from photon_router import (
     validate,
 )
 
-from photon_router.scattering import STACK_ELEMENTS
+from photon_router.scattering import FLUX_TOLERANCE, STACK_ELEMENTS
 
 from conftest import COUPLING, EMISSION, chiral_config, random_chains, symmetric_config
-from dense_oracle import assemble_system, segment_amplitudes, solve_dense
+from dense_oracle import assemble_system, collective_modes, segment_amplitudes, solve_dense
 
 #: Segment of each output port: after the last emitter or before the first.
 PORTS = {"t": -1, "r": 0, "tt": -1, "rt": 0}
@@ -276,17 +276,97 @@ def test_matrix_norm_beyond_the_float_range_fails_the_point():
     assert solve_transport(chiral_config(2, gamma_ul=1e308), ddi_matrix(config), 0.0)
 
 
+#: A chain whose rates span the float range: its backward error passes at
+#: points where its intensities overflow (delta = 0, -48.2) or break the flux
+#: balance (delta = -1, 3).
+SPREAD_RATES = SystemConfig(
+    n_emitters=4, gamma=32.75, gamma_dr=11.03,
+    gamma_ur=(5e-324, 1.3307240419230212e46, 1.0, 1.1962991164495308e308),
+    spacing=5.0, lambda_sp=33.0, dipole_angle=5e-324,
+)
+
+
 def test_overflowing_intensities_fail_the_point():
     # Rates from 5e-324 to 1.2e308 pass the backward-error check at this
     # point, but |t|^2 overflows: the point fails instead of returning inf.
-    config = validate(SystemConfig(
-        n_emitters=4, gamma=32.75, gamma_dr=11.03,
-        gamma_ur=(5e-324, 1.3307240419230212e46, 1.0, 1.1962991164495308e308),
-        spacing=5.0, lambda_sp=33.0, dipole_angle=5e-324,
-    ))
+    config = validate(SPREAD_RATES)
     with pytest.raises(SolverError, match=r"^non-finite solution of the transport"
                        r" system at delta=\+0$"):
         solve_spectrum_point_batch(config, ddi_matrix(config), [0.0])
+
+
+def test_overflowing_intensities_fail_in_input_order():
+    # A fifth, silent emitter makes delta = 0 singular; the overflowing
+    # intensities at -48.2 come first in input order, so they are raised.
+    config = validate(SPREAD_RATES)
+    silent = validate(dataclasses.replace(
+        config, n_emitters=5, gamma=(32.75,) * 4 + (0.0,), gamma_dr=(11.03,) * 4 + (0.0,),
+        gamma_ur=config.gamma_ur + (0.0,),
+    ))
+    exchange = np.zeros((5, 5))
+    exchange[:4, :4] = ddi_matrix(config).values
+    match = r"^non-finite solution of the transport system at delta=-48\.2$"
+    for deltas in ([-48.2], [-48.2, 0.0]):
+        with pytest.raises(SolverError, match=match):
+            solve_spectrum_point_batch(silent, DdiMatrix(exchange), deltas)
+    with pytest.raises(SolverError, match=r"^singular transport system at delta=\+0 "):
+        solve_spectrum_point_batch(silent, DdiMatrix(exchange), [0.0])
+
+
+def test_flux_balance_violation_fails_the_point():
+    # Finite amplitudes with a backward error of 1e-172, yet T = 1.03
+    # at delta = 3 and T = 5.07 at delta = -1: more photon out than in.
+    config = validate(SPREAD_RATES)
+    ddi = ddi_matrix(config)
+    with pytest.raises(SolverError, match=r"^flux balance violated \(loss -0\.0314\)"
+                       r" at delta=\+3$") as err:
+        solve_spectrum_point_batch(config, ddi, [-0.5, 3.0, -1.0])
+    assert err.value.condition is None
+    loss = solve_transport(config, ddi, -0.5).intensities["loss"]
+    assert loss == pytest.approx(0.7623, abs=1e-4)
+
+
+OFFSETS = (0.0, 1e-9, -1e-9, 1e-7, -1e-7, 1e-5, -1e-5, 1e-3, -1e-3)
+
+
+@pytest.mark.parametrize("phases", [False, True], ids=["carrier", "delta-dependent"])
+@pytest.mark.parametrize(
+    "make, n", [(chiral_config, 10), (chiral_config, 30), (symmetric_config, 30),
+                (symmetric_config, 100)],
+    ids=["N10-chiral", "N30-chiral", "N30-symmetric", "N100-symmetric"],
+)
+def test_lossless_reference_chains_pass_the_flux_check_at_their_modes(make, n, phases):
+    # The chains that set FLUX_TOLERANCE: the worst loss, next to the
+    # narrowest subradiant modes, stays 100x inside it.
+    config = make(n, gamma=0.0, delta_dependent_phases=phases)
+    ddi = ddi_matrix(config)
+    deltas = np.add.outer(OFFSETS, collective_modes(config, ddi).real).ravel()
+    loss = solve_spectrum_point_batch(config, ddi, deltas).intensities["loss"]
+    assert loss.min() > -FLUX_TOLERANCE / 100
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    rates=st.tuples(*(st.floats(min_value=0.0, max_value=20.0) for _ in range(4))),
+    spacing=st.floats(min_value=1.0, max_value=200.0),
+    phases=st.booleans(),
+    offset=st.sampled_from(OFFSETS),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_lossless_chains_never_trip_the_flux_check(n, rates, spacing, phases, offset, seed):
+    dr, dl, ur, ul = rates
+    config = validate(SystemConfig(
+        n_emitters=n, gamma=0.0, gamma_dr=dr, gamma_dl=dl, gamma_ur=ur, gamma_ul=ul,
+        spacing=spacing, delta_dependent_phases=phases,
+    ))
+    exchange = np.random.default_rng(seed).uniform(-30.0, 30.0, (n, n))
+    ddi = DdiMatrix(0.5 * (exchange + exchange.T) * (1.0 - np.eye(n)))
+    for delta in collective_modes(config, ddi).real + offset:
+        try:
+            solve_transport(config, ddi, delta)
+        except SolverError as err:  # a real pole may be singular, never unbalanced
+            assert not str(err).startswith("flux balance"), str(err)
 
 
 def test_singular_point_fails_alone_in_its_stack():

@@ -133,6 +133,26 @@ class TestFindPeaks:
         result = spectrum(deltas, {"T": values})
         assert [p.location for p in find_peaks(result, "T")] == [1.0]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.sampled_from([0.0, 0.3, 0.7, 1.0, float("nan")]) | st.floats(),
+                        min_size=1, max_size=12),
+        order=st.sampled_from([1, -1]),
+    )
+    def test_plateau_maxima_by_definition(self, values, order):
+        # Brute force: every span [a, b] of equal values whose neighbours
+        # are both lower, reported at its edge with the smaller detuning.
+        values = np.array(values)
+        deltas = np.arange(float(len(values)))[::order]
+        expected = [
+            a if deltas[a] < deltas[b] else b
+            for a in range(1, len(values) - 1)
+            for b in range(a, len(values) - 1)
+            if all(values[a : b + 1] == values[a])
+            and values[a - 1] < values[a] > values[b + 1]
+        ]
+        assert spectra._plateau_maxima(deltas, values) == expected
+
     def test_boundary_rises_are_not_peaks(self):
         assert find_peaks(synthetic([0.0, 0.5, 1.0]), "T") == []
         assert find_peaks(synthetic([1.0, 0.5, 0.0]), "T") == []
