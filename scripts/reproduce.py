@@ -14,6 +14,8 @@ manifests) under OUTDIR/EXPERIMENT/.  With no names given, all of them run:
                   detuning and spacing (5-100 nm), long-format CSV
   scaling         spectra of 5/10/20/30-emitter chains plus the
                   chain-length scaling report
+  ablation        the same scaling report with the dipole-dipole
+                  interaction switched off
 """
 
 import argparse
@@ -74,6 +76,10 @@ EXPERIMENTS = {
         for n in (5, 10, 20, 30)
     ] + [(
         "scale-n", "chain_02", chiral(2, EMISSION), "scaling.json",
+        ("--n-list", "1,2,5,10,20,30", *WIDE),
+    )],
+    "ablation": [(
+        "scale-n", "chain_02_without_ddi", chiral(2, EMISSION, "off"), "scaling.json",
         ("--n-list", "1,2,5,10,20,30", *WIDE),
     )],
 }

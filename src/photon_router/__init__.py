@@ -5,22 +5,14 @@ The library solves the scattering problem for arbitrary chain length with
 chiral or symmetric couplings, spontaneous emission and all-to-all
 dipole-dipole interaction: one N x N system in the emitter amplitudes per
 detuning, stacked over a whole detuning grid, with the amplitudes at the
-four output ports recovered by cumulative sums.  It also provides closed-form one- and
-two-emitter oracles, spectrum scans, peak refinement, separation sweeps and
-chain-length scaling reports, all built on that one batched solve; peak
-refinement advances every peak of every channel in lockstep, one batched
-solve per golden-section step.
+four output ports recovered by cumulative sums.  It also provides spectrum
+scans, peak refinement, separation sweeps and chain-length scaling reports,
+all built on that one batched solve; peak refinement advances every peak of
+every channel in lockstep, one batched solve per golden-section step.
 """
 
 __version__ = "0.1.0"
 
-from .analytic import (
-    FourPortAmplitudes,
-    PoleError,
-    single_chiral,
-    single_symmetric,
-    two_chiral,
-)
 from .ddi import DdiMatrix, ddi_coupling, ddi_matrix
 from .params import (
     ConfigError,
@@ -60,11 +52,6 @@ __all__ = [
     "TransportSolution",
     "solve_spectrum_point_batch",
     "solve_transport",
-    "FourPortAmplitudes",
-    "PoleError",
-    "single_chiral",
-    "single_symmetric",
-    "two_chiral",
     "Peak",
     "ScalingRecord",
     "ScalingReport",

@@ -121,12 +121,12 @@ def cmd_scale_n(args: argparse.Namespace, config: SystemConfig) -> tuple[dict, d
 
 
 def cmd_validate(args: argparse.Namespace, config: SystemConfig) -> tuple[dict, dict]:
+    ddi = ddi_matrix(config)  # a config it rejects prints nothing
     print(f"n_emitters: {config.n_emitters}")
     print(f"chiral: {'true' if config.chiral else 'false'}")
     print(f"theta: {config.theta:.6f} rad ({config.theta / np.pi:.4f} pi)")
     print(f"r_step: {config.r_step:.6f} rad")
     print(f"ddi_mode: {config.ddi_mode}")
-    ddi = ddi_matrix(config)
     if config.n_emitters > 1 and config.ddi_mode != "off":
         print(f"ddi nearest-neighbour: {ddi.values[0, 1]:.4f} Gamma0")
     if args.dump_ddi is None:

@@ -54,6 +54,12 @@ RESIDUAL_LIMIT = 1e-10
 #: (N = 100 symmetric); validated up to N = 100 only.
 FLUX_TOLERANCE = 1e-5
 
+#: Accepted points must have |loss - sum_j gamma_j |A_j|^2| <= FLUX_IDENTITY_LIMIT * s,
+#: s = 1 + sum_j Gamma_j |A_j|^2 with Gamma_j the emitter's total rate.  The
+#: worst measured was 1.2e-14 * s (N = 100 symmetric lossless, at its
+#: collective modes); validated up to N = 100 only.
+FLUX_IDENTITY_LIMIT = 1e-10
+
 #: Complex elements per stacked N x N solve; bounds a batch's memory.
 STACK_ELEMENTS = 2**14
 
@@ -67,8 +73,10 @@ class SolverError(RuntimeError):
     (condition inf), near-singular (backward error above ``RESIDUAL_LIMIT``;
     condition from ``np.linalg.cond``), solves to non-finite amplitudes or
     intensities, has a matrix norm beyond the float range, or violates the
-    flux balance (loss below ``-FLUX_TOLERANCE``); no condition estimate for
-    the last three.  Carries ``delta`` and ``condition``."""
+    flux balance (loss below ``-FLUX_TOLERANCE``, or not the power the
+    emitters radiate, sum_j gamma_j |A_j|^2, to ``FLUX_IDENTITY_LIMIT``); no
+    condition estimate for the last three.  Carries ``delta`` and
+    ``condition``."""
 
     def __init__(self, message: str, delta: float, condition: float | None = None):
         self.delta = delta
@@ -90,13 +98,14 @@ def port_intensities(t, r, tt, rt) -> dict:
 
 @dataclass(frozen=True)
 class TransportSolution:
-    """Emitter amplitudes ``a``, output-port amplitudes (as in
-    ``analytic.FourPortAmplitudes``), port intensities (see
-    ``port_intensities``) and the backward error of the reduced solve.
+    """Emitter amplitudes ``a``, the amplitudes at the four output ports
+    (``t`` and ``r`` of the lower waveguide, ``tt`` and ``rt`` of the upper),
+    port intensities (see ``port_intensities``) and the backward error of
+    the reduced solve.
 
     From ``solve_spectrum_point_batch`` ``a`` has shape (P, N) and every
     other array (P,); ``solve_transport`` returns one point: ``a`` of shape
-    (N,), scalars elsewhere.
+    (N,), a float ``delta`` and scalars elsewhere.
     """
 
     delta: np.ndarray
@@ -120,7 +129,7 @@ def solve_spectrum_point_batch(
     Raises the SolverError of the first failing detuning in input order,
     named by the first check it fails: singular, non-finite solution, matrix
     norm beyond the float range, backward error above ``RESIDUAL_LIMIT``,
-    non-finite intensities, loss below ``-FLUX_TOLERANCE``.
+    non-finite intensities, flux balance (see ``SolverError``).
     """
     n = config.n_emitters
     if ddi.n != n:
@@ -155,7 +164,7 @@ def _solve_chains(
     chains = np.arange(len(couplings)).repeat(deltas.size)
 
     # Detuning-independent parts: the channel couplings v = sqrt(rate), their
-    # products below and above the diagonal, and the half-widths.
+    # products below and above the diagonal, and the total rates Gamma_j.
     gamma = config.rate_profile("gamma")
     if config.regularize:
         gamma = gamma + POLE_REGULARIZATION
@@ -163,7 +172,8 @@ def _solve_chains(
     v_dr, v_dl, v_ur, v_ul = np.sqrt(rates)
     rightward = np.tril(np.outer(v_dr, v_dr) + np.outer(v_ur, v_ur), -1)
     leftward = np.triu(np.outer(v_dl, v_dl) + np.outer(v_ul, v_ul), 1)
-    width = 0.5j * (gamma + rates.sum(axis=0))
+    total = gamma + rates.sum(axis=0)
+    width = 0.5j * total
     diagonal = np.arange(n)
 
     # Carrier phases build one C per chain (with the first stack), which each
@@ -225,10 +235,16 @@ def _solve_chains(
         rt[stack] = -1j * np.cumsum((v_ul * backward)[:, ::-1], axis=1)[:, -1]
         ports = port_intensities(t[stack], r[stack], tt[stack], rt[stack])
         power[:, stack] = list(ports.values())
-        # The one acceptance check; loss >= -tol also fails a NaN or -inf loss.
+        # The one acceptance check.  Flux balance: loss >= -tol (which also
+        # fails a NaN or -inf loss), and loss is the power the emitters
+        # radiate, to within a finite bound.
         loss = power[-1, stack]
+        weight = np.abs(a[stack]) ** 2
+        bound = FLUX_IDENTITY_LIMIT * (1.0 + weight @ total)
+        identity = (np.abs(loss - weight @ gamma) <= bound) & np.isfinite(bound)
+        balanced = (loss >= -FLUX_TOLERANCE) & identity
         accepted = (residual[stack] <= RESIDUAL_LIMIT) & np.isfinite(norm)
-        failed = np.flatnonzero(~(accepted & (loss >= -FLUX_TOLERANCE)))
+        failed = np.flatnonzero(~(accepted & balanced))
         if failed.size:
             i = failed[0]
             delta = float(flat[start + i])

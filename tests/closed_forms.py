@@ -14,7 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .scattering import port_intensities
+from photon_router.scattering import port_intensities
 
 
 class PoleError(ArithmeticError):

@@ -44,7 +44,17 @@ def symmetric_config(n: int, gamma: float = 0.0, **overrides) -> SystemConfig:
 def reference_scaling():
     """Chain-length scaling of the reference platform on the standard
     reproduction grid; shared because the N=30 column dominates runtime."""
-    config = chiral_config(2)
+    return _scaling("auto")
+
+
+@pytest.fixture(scope="session")
+def reference_scaling_without_ddi():
+    """The same scaling with the dipole-dipole interaction switched off."""
+    return _scaling("off")
+
+
+def _scaling(ddi_mode: str):
+    config = chiral_config(2, ddi_mode=ddi_mode)
     grid = np.linspace(-300.0, 300.0, 2001)
     return scale_emitters(config, [1, 2, 5, 10, 20, 30], grid)
 

@@ -16,13 +16,11 @@ from photon_router import (
     ddi_matrix,
     find_peaks,
     scan,
-    single_chiral,
-    single_symmetric,
     solve_transport,
-    two_chiral,
     validate,
 )
 
+from closed_forms import single_chiral, single_symmetric, two_chiral
 from conftest import COUPLING, EMISSION, chiral_config, symmetric_config
 from dense_oracle import segment_amplitudes
 
@@ -294,3 +292,22 @@ def test_criterion_10_property_suite():
     report(10, "property suite: flux, backflow, loss sign, coupling structure, residuals",
            ok, f"flux={max_flux_error:.2e}, backflow={backflow}, min_loss={min_loss:.2e}, "
                f"residual={max_residual:.2e}, rejected={rejected}")
+
+
+def test_criterion_11_chain_length_not_ddi_lifts_routing(
+    reference_scaling, reference_scaling_without_ddi
+):
+    # Routing maxima of the reference chain with and without the coherent
+    # dipole-dipole interaction: both columns rise with N to about 0.95.
+    expected = {
+        "auto": (0.5819, 0.6705, 0.7203, 0.8505, 0.9265, 0.9507),
+        "off": (0.5819, 0.6165, 0.7762, 0.8701, 0.9296, 0.9517),
+    }
+    ok = True
+    detail = []
+    for mode, scaling in (("auto", reference_scaling), ("off", reference_scaling_without_ddi)):
+        heights = [record.tt_max for record in scaling.records]
+        ok = ok and all(abs(h - e) <= 1e-3 for h, e in zip(heights, expected[mode], strict=True))
+        detail.append(f"{mode}: " + "/".join(f"{h:.4f}" for h in heights))
+    report(11, "chain scaling with DDI on and off: Tt_max within 1e-3 of both columns",
+           ok, "; ".join(detail))

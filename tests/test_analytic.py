@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from photon_router import PoleError, single_chiral, single_symmetric, two_chiral
-
+from closed_forms import PoleError, single_chiral, single_symmetric, two_chiral
 from conftest import COUPLING, EMISSION
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

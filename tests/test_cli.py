@@ -142,6 +142,16 @@ def test_validate_without_dump_writes_nothing(two_emitter_config, tmp_path, caps
     assert [p.name for p in tmp_path.iterdir()] == [two_emitter_config.name]
 
 
+def test_validate_prints_nothing_for_a_rejected_config(tmp_path, capsys):
+    # The spacing passes load_config, but the dipole-dipole law fails on it.
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({"n_emitters": 2, "spacing": 1e-120, "gamma_dr": 1.0}))
+    assert main(["validate", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: spacing 1e-120 nm is too small")
+
+
 def test_spectrum_refined_routing_peak(two_emitter_config, tmp_path):
     out = tmp_path / "spectrum.csv"
     assert main([

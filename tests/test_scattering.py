@@ -9,16 +9,14 @@ from photon_router import (
     SolverError,
     SystemConfig,
     ddi_matrix,
-    single_chiral,
-    single_symmetric,
     solve_spectrum_point_batch,
     solve_transport,
-    two_chiral,
     validate,
 )
 
-from photon_router.scattering import FLUX_TOLERANCE, STACK_ELEMENTS
+from photon_router.scattering import FLUX_IDENTITY_LIMIT, FLUX_TOLERANCE, STACK_ELEMENTS
 
+from closed_forms import single_chiral, single_symmetric, two_chiral
 from conftest import COUPLING, EMISSION, chiral_config, random_chains, symmetric_config
 from dense_oracle import assemble_system, collective_modes, segment_amplitudes, solve_dense
 
@@ -317,13 +315,36 @@ def test_flux_balance_violation_fails_the_point():
     # Finite amplitudes with a backward error of 1e-172, yet T = 1.03
     # at delta = 3 and T = 5.07 at delta = -1: more photon out than in.
     config = validate(SPREAD_RATES)
-    ddi = ddi_matrix(config)
     with pytest.raises(SolverError, match=r"^flux balance violated \(loss -0\.0314\)"
                        r" at delta=\+3$") as err:
-        solve_spectrum_point_batch(config, ddi, [-0.5, 3.0, -1.0])
+        solve_spectrum_point_batch(config, ddi_matrix(config), [3.0, -1.0])
     assert err.value.condition is None
-    loss = solve_transport(config, ddi, -0.5).intensities["loss"]
-    assert loss == pytest.approx(0.7623, abs=1e-4)
+
+
+def test_loss_that_is_not_the_radiated_power_fails_the_point():
+    # A positive loss of 0.762 at delta = -0.5, but the emitters radiate
+    # sum_j gamma_j |A_j|^2 = 0.810 into non-guided modes: the identity fails.
+    config = validate(SPREAD_RATES)
+    with pytest.raises(SolverError, match=r"^flux balance violated \(loss 0\.762\)"
+                       r" at delta=-0\.5$") as err:
+        solve_spectrum_point_batch(config, ddi_matrix(config), [-0.5])
+    assert err.value.condition is None
+
+
+@settings(max_examples=25, deadline=None)
+@given(chain=random_chains(), offset=st.sampled_from((0.0, 1e-7, -1e-3)))
+def test_loss_is_the_power_the_emitters_radiate(chain, offset):
+    # loss = 1 - T - R - Tt - Rt = sum_j gamma_j |A_j|^2 on random lossy chains
+    # at and next to their collective modes, with either phase convention.
+    config, ddi = chain
+    deltas = collective_modes(config, ddi).real + offset
+    solution = solve_spectrum_point_batch(config, ddi, deltas)
+    gamma = config.rate_profile("gamma")
+    total = gamma + sum(config.rate_profile(name) for name in
+                        ("gamma_dr", "gamma_dl", "gamma_ur", "gamma_ul"))
+    weight = np.abs(solution.a) ** 2
+    error = np.abs(solution.intensities["loss"] - weight @ gamma)
+    assert np.all(error <= FLUX_IDENTITY_LIMIT * (1.0 + weight @ total))
 
 
 OFFSETS = (0.0, 1e-9, -1e-9, 1e-7, -1e-7, 1e-5, -1e-5, 1e-3, -1e-3)
