@@ -25,15 +25,34 @@ output ports are returned: t_N, tt_N, r_1 and rt_1.
 M splits into its diagonal and the coupling block C (the off-diagonal
 waveguide couplings with their phases, plus J; C_jj = 0).  At carrier
 phases C does not depend on delta, so C and its absolute row sums are built
-once per call (once per chain, for ``_solve_chains``) and every stack copies
-C in and writes its own diagonal; with delta-dependent phases they are
-built once per stack, from that stack's phases.  Points are solved as
-stacks of at most ``STACK_ELEMENTS`` complex matrix elements, which bounds
-the memory of one stacked solve, into one ``TransportSolution`` of arrays
-over the points.  Each point's
-backward error takes ||M||_inf = max_j (sum_k |C_jk| + |M_jj|), O(N) per
-point.  One check per stack accepts each point, solved and flux-balanced,
-or raises the SolverError of the first that fails, in input order.
+once per call (once per chain, for ``_solve_chains``); with delta-dependent
+phases they are built once per stack, from that stack's phases.  Points are
+solved as stacks of at most ``STACK_ELEMENTS`` complex matrix elements,
+which bounds the memory of one stacked solve, into one ``TransportSolution``
+of arrays over the points.  Each point's backward error takes
+||M||_inf = max_j (sum_k |C_jk| + |M_jj|), O(N) per point.  One check per
+stack accepts each point, solved and flux-balanced, or raises the
+SolverError of the first that fails, in input order.
+
+Two solvers fill the stacks.  The LU copies C into each point's matrix,
+writes its diagonal and factorises it: O(N^3) per point.  The modal solver
+uses M(delta) = M0 - delta I at carrier phases, M0 = C - diag(i Gamma/2):
+one eigendecomposition M0 = V Lambda V^-1 per chain (the chain's collective
+modes) and w = V^-1 b, then A = V (w / (lambda - delta)) per point, O(N^2),
+with the backward error taken from |M0 A - delta A - b|.  ``scan`` and
+``sweep_separation`` use the modes at carrier phases; the LU re-solves
+
+- every point of a chain whose decomposition or V^-1 b raises LinAlgError
+  or is not finite (identical emitters without DDI form one Jordan block);
+- every point within ``RESIDUAL_LIMIT`` * ||M(delta)||_inf of a mode, where
+  the modes would return a finite answer to a singular system;
+- every point whose modal result the check rejects,
+
+and the LU's verdict stands.  Delta-dependent phases, where M is no shift
+of one matrix, and ``solve_spectrum_point_batch`` with its views
+(``solve_transport``, the peak-refinement probes) use the LU alone: at
+N = 30 one decomposition costs about as much as an LU of a few dozen
+points, more than a refinement step solves.
 """
 
 from __future__ import annotations
@@ -118,11 +137,10 @@ class TransportSolution:
     residual: np.ndarray
 
 
-@np.errstate(over="ignore", invalid="ignore")  # out-of-range values fail their point
 def solve_spectrum_point_batch(
     config: SystemConfig, ddi: DdiMatrix, deltas: Sequence[float] | np.ndarray
 ) -> TransportSolution:
-    """Solve every detuning of a 1-D list, in input order.
+    """Solve every detuning of a 1-D list, in input order, by LU.
 
     Detunings are stacked into direct solves of at most ``STACK_ELEMENTS``
     matrix elements each; a singular stack is re-solved point by point.
@@ -131,12 +149,20 @@ def solve_spectrum_point_batch(
     norm beyond the float range, backward error above ``RESIDUAL_LIMIT``,
     non-finite intensities, flux balance (see ``SolverError``).
     """
+    return _solve_grid(config, ddi, deltas, modal=False)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # out-of-range values fail their point
+def _solve_grid(
+    config: SystemConfig, ddi: DdiMatrix, deltas: Sequence[float] | np.ndarray, modal: bool
+) -> TransportSolution:
+    """One chain over a 1-D list of detunings (see ``_solve_chains``)."""
     n = config.n_emitters
     if ddi.n != n:
         raise ValueError(f"coupling matrix is {ddi.n}x{ddi.n} for {n} emitters")
     deltas = np.asarray(deltas, dtype=float)
     steps = np.asarray(config.step_phase(deltas))[None]
-    return _solve_chains(config, deltas, steps, ddi.values[None])
+    return _solve_chains(config, deltas, steps, ddi.values[None], modal)
 
 
 def _per_point(values: np.ndarray, chain: np.ndarray) -> np.ndarray:
@@ -145,8 +171,31 @@ def _per_point(values: np.ndarray, chain: np.ndarray) -> np.ndarray:
     return values[chain[0]] if chain[0] == chain[-1] else values.take(chain, axis=0)
 
 
+def _modes(m0: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each chain's eigenvalues lambda (C, N), eigenvectors V (C, N, N) and
+    w = V^-1 b (C, N), for M0 (C, N, N) and b (C, N).  A chain whose
+    decomposition raises LinAlgError or is not finite gets NaN, so every one
+    of its points fails the modal check and goes to the LU."""
+    try:
+        lam, vecs = np.linalg.eig(m0)
+        w = np.linalg.solve(vecs, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(m0) == 1:
+            nan = np.full_like(m0, np.nan)
+            return nan[:, 0], nan, nan[:, 0]
+        parts = [_modes(m0[c : c + 1], rhs[c : c + 1]) for c in range(len(m0))]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+    finite = np.isfinite(lam).all(1) & np.isfinite(vecs).all((1, 2)) & np.isfinite(w).all(1)
+    lam[~finite], vecs[~finite], w[~finite] = np.nan, np.nan, np.nan
+    return lam, vecs, w
+
+
 def _solve_chains(
-    config: SystemConfig, deltas: np.ndarray, steps: np.ndarray, couplings: np.ndarray
+    config: SystemConfig,
+    deltas: np.ndarray,
+    steps: np.ndarray,
+    couplings: np.ndarray,
+    modal: bool,
 ) -> TransportSolution:
     """The solver core: C chains that share the config's N, rates and
     detuning list (P,) but each have their own step phase and coupling
@@ -155,9 +204,10 @@ def _solve_chains(
     ``steps`` is (C,) at carrier phases or (C, P) with delta-dependent
     phases; ``couplings`` is (C, N, N).  Points run chain-major, point
     c * P + p being chain c at ``deltas[p]``; failures are raised as in
-    ``solve_spectrum_point_batch``, over that order.  Callers hold
-    ``np.errstate(over="ignore", invalid="ignore")``, as
-    out-of-range values fail their point.
+    ``solve_spectrum_point_batch``, over that order.  ``modal`` solves
+    carrier-phase points from each chain's modes first (see the module
+    docstring).  Callers hold ``np.errstate(over="ignore",
+    invalid="ignore")``, as out-of-range values fail their point.
     """
     n = config.n_emitters
     flat = np.tile(deltas, len(couplings))
@@ -179,12 +229,41 @@ def _solve_chains(
     # Carrier phases build one C per chain (with the first stack), which each
     # stack takes per point; delta-dependent phases build one per stack.
     shared = steps.ndim == 1
+    modal = modal and shared
     steps = steps.ravel()
 
     a = np.empty((flat.size, n), dtype=complex)
     t, r, tt, rt = np.empty((4, flat.size), dtype=complex)
     residual = np.empty(flat.size)
     power = np.empty((len(INTENSITY_KEYS), flat.size))  # one row per intensity
+
+    def record(points, x, defect, norm, rhs_max, phases):
+        """Store the points' amplitudes, output ports, intensities and
+        backward error; return which are solved (backward error at most
+        ``RESIDUAL_LIMIT``, finite norm) and which flux-balanced."""
+        # Normwise backward error; a zero scale means b = 0 and x = 0, so the
+        # defect itself is the residual.  An inf norm bounds nothing: it fails.
+        scale = norm * np.abs(x).max(axis=1) + rhs_max
+        residual[points] = np.divide(defect, scale, out=defect, where=scale > 0.0)
+        a[points] = x
+        forward = phases.conj() * x
+        backward = phases * x
+        # cumsum's last column, not np.sum: the same additions, so the same bits.
+        t[points] = 1.0 - 1j * np.cumsum(v_dr * forward, axis=1)[:, -1]
+        tt[points] = -1j * np.cumsum(v_ur * forward, axis=1)[:, -1]
+        r[points] = -1j * np.cumsum((v_dl * backward)[:, ::-1], axis=1)[:, -1]
+        rt[points] = -1j * np.cumsum((v_ul * backward)[:, ::-1], axis=1)[:, -1]
+        ports = port_intensities(t[points], r[points], tt[points], rt[points])
+        power[:, points] = list(ports.values())
+        # Flux balance: loss >= -tol (which also fails a NaN or -inf loss),
+        # and loss is the power the emitters radiate, to within a finite bound.
+        loss = power[-1, points]
+        weight = np.abs(x) ** 2
+        bound = FLUX_IDENTITY_LIMIT * (1.0 + weight @ total)
+        identity = (np.abs(loss - weight @ gamma) <= bound) & np.isfinite(bound)
+        balanced = (loss >= -FLUX_TOLERANCE) & identity
+        return (residual[points] <= RESIDUAL_LIMIT) & np.isfinite(norm), balanced
+
     size = max(1, STACK_ELEMENTS // n**2)
     for start in range(0, flat.size, size):
         stack = slice(start, start + size)
@@ -195,14 +274,46 @@ def _solve_chains(
             relative = phases[:, :, None] * phases.conj()[:, None, :]
             block = -1j * (rightward * relative + leftward * relative.conj()) + exchange
             row_sums = np.abs(block).sum(axis=2)  # C_jj = 0: the off-diagonal sums
+            if modal:
+                m0 = block.copy()
+                m0[:, diagonal, diagonal] = -width
+                lam, vecs, w = _modes(m0, -(v_dr * phases))
         on_diagonal = -flat[stack, None] - width
         if shared:
-            matrices = block.take(chain, axis=0)
             stack_phases, sums = _per_point(phases, chain), _per_point(row_sums, chain)
         else:
-            matrices, stack_phases, sums = block, phases, row_sums
-        matrices[:, diagonal, diagonal] = on_diagonal
-        rhs = np.broadcast_to(-(v_dr * stack_phases)[..., None], (len(matrices), n, 1))
+            stack_phases, sums = phases, row_sums
+        # ||M||_inf = max_j (sum_k |C_jk| + |M_jj|), O(N) per point.
+        norm = (sums + np.abs(on_diagonal)).max(axis=1)
+
+        lu, points = slice(None), stack  # the points the LU solves
+        if modal:
+            # A = V (w / (lambda - delta)), one (N, N) @ (N, 1) product per
+            # point, so a point's bits depend on its detuning and chain only.
+            detuning = flat[stack, None]
+            gap = _per_point(lam, chain) - detuning
+            with np.errstate(divide="ignore"):  # at a mode: inf, which fails the point
+                y = _per_point(w, chain) / gap
+            x = (_per_point(vecs, chain) @ y[..., None])[..., 0]
+            rhs = -(v_dr * stack_phases)
+            mx = (_per_point(m0, chain) @ x[..., None])[..., 0]
+            defect = np.abs(mx - detuning * x - rhs).max(axis=1)
+            solved, balanced = record(
+                stack, x, defect, norm, np.abs(rhs).max(axis=-1), stack_phases
+            )
+            near = (np.abs(gap) <= RESIDUAL_LIMIT * norm[:, None]).any(axis=1)
+            lu = np.flatnonzero(near | ~(solved & balanced))
+            if not lu.size:
+                continue
+            points = start + lu
+
+        if shared:
+            matrices = block.take(chain[lu], axis=0)
+            lu_phases = _per_point(phases, chain[lu])
+        else:
+            matrices, lu_phases = block, phases
+        matrices[:, diagonal, diagonal] = on_diagonal[lu]
+        rhs = np.broadcast_to(-(v_dr * lu_phases)[..., None], (len(matrices), n, 1))
         singular = None
         try:
             x = np.linalg.solve(matrices, rhs)
@@ -216,51 +327,29 @@ def _solve_chains(
                 except np.linalg.LinAlgError:
                     singular = i
                     break
-
-        # Normwise backward error; a zero scale means b = 0 and x = 0, so the
-        # defect itself is the residual.  An inf norm bounds nothing: it fails.
         defect = np.abs(matrices @ x - rhs).max(axis=(1, 2))
-        # ||M||_inf = max_j (sum_k |C_jk| + |M_jj|), O(N) per point.
-        norm = (sums + np.abs(on_diagonal)).max(axis=1)
-        norm_ax = norm * np.abs(x).max(axis=(1, 2))
-        scale = norm_ax + np.abs(rhs).max(axis=(1, 2))
-        residual[stack] = np.divide(defect, scale, out=defect, where=scale > 0.0)
-        a[stack] = x[..., 0]
-        forward = stack_phases.conj() * a[stack]
-        backward = stack_phases * a[stack]
-        # cumsum's last column, not np.sum: the same additions, so the same bits.
-        t[stack] = 1.0 - 1j * np.cumsum(v_dr * forward, axis=1)[:, -1]
-        tt[stack] = -1j * np.cumsum(v_ur * forward, axis=1)[:, -1]
-        r[stack] = -1j * np.cumsum((v_dl * backward)[:, ::-1], axis=1)[:, -1]
-        rt[stack] = -1j * np.cumsum((v_ul * backward)[:, ::-1], axis=1)[:, -1]
-        ports = port_intensities(t[stack], r[stack], tt[stack], rt[stack])
-        power[:, stack] = list(ports.values())
-        # The one acceptance check.  Flux balance: loss >= -tol (which also
-        # fails a NaN or -inf loss), and loss is the power the emitters
-        # radiate, to within a finite bound.
-        loss = power[-1, stack]
-        weight = np.abs(a[stack]) ** 2
-        bound = FLUX_IDENTITY_LIMIT * (1.0 + weight @ total)
-        identity = (np.abs(loss - weight @ gamma) <= bound) & np.isfinite(bound)
-        balanced = (loss >= -FLUX_TOLERANCE) & identity
-        accepted = (residual[stack] <= RESIDUAL_LIMIT) & np.isfinite(norm)
+        accepted, balanced = record(
+            points, x[..., 0], defect, norm[lu], np.abs(rhs).max(axis=(1, 2)), lu_phases
+        )
+        # The one acceptance check: the LU's verdict stands.
         failed = np.flatnonzero(~(accepted & balanced))
         if failed.size:
             i = failed[0]
-            delta = float(flat[start + i])
+            k = np.arange(len(on_diagonal))[lu][i]  # its place in the stack
+            delta, loss = float(flat[start + k]), power[-1, start + k]
             if i == singular:
                 raise SolverError("singular transport system", delta, np.inf)
             if not np.isfinite(x[i]).all():
                 raise SolverError("non-finite solution of the transport system", delta)
-            if not np.isfinite(norm[i]):
+            if not np.isfinite(norm[k]):
                 raise SolverError("transport system beyond the float range", delta)
             if not accepted[i]:
                 raise SolverError(
                     "near-singular transport system", delta, np.linalg.cond(matrices[i])
                 )
-            if not np.isfinite(loss[i]):  # as soon as one intensity is
+            if not np.isfinite(loss):  # as soon as one intensity is
                 raise SolverError("non-finite solution of the transport system", delta)
-            raise SolverError(f"flux balance violated (loss {loss[i]:.3g})", delta)
+            raise SolverError(f"flux balance violated (loss {loss:.3g})", delta)
 
     intensities = dict(zip(INTENSITY_KEYS, power))
     return TransportSolution(flat, a, t, r, tt, rt, intensities, residual)

@@ -17,6 +17,7 @@ from .scattering import (
     STACK_ELEMENTS,
     TransportSolution,
     _solve_chains,
+    _solve_grid,
     solve_spectrum_point_batch,
 )
 
@@ -91,8 +92,9 @@ def scan(
     config: SystemConfig, ddi: DdiMatrix, grid: Sequence[float] | np.ndarray
 ) -> TransportSolution:
     """Batch-solve a monotone detuning grid into the solver's
-    TransportSolution; the first grid point that fails raises its SolverError."""
-    return solve_spectrum_point_batch(config, ddi, _checked_grid(grid))
+    TransportSolution, from the chain's modes at carrier phases (see
+    ``scattering``); the first grid point that fails raises its SolverError."""
+    return _solve_grid(config, ddi, _checked_grid(grid), modal=True)
 
 
 def _plateau_maxima(deltas: np.ndarray, values: np.ndarray) -> list[int]:
@@ -268,7 +270,7 @@ def sweep_separation(
     for k in range(0, l_points, per_call):
         call = slice(k, k + per_call)
         couplings = np.array(first_rows[call])[:, offset]
-        result = _solve_chains(config, grid, np.array(steps[call]), couplings)
+        result = _solve_chains(config, grid, np.array(steps[call]), couplings, modal=True)
         routed[call] = result.intensities["Tt"].reshape(-1, grid.size)
         transmitted[call] = result.intensities["T"].reshape(-1, grid.size)
     return SeparationSweep(

@@ -9,20 +9,41 @@ from photon_router import (
     SolverError,
     SystemConfig,
     ddi_matrix,
+    scan,
     solve_spectrum_point_batch,
     solve_transport,
     validate,
 )
 
-from photon_router.scattering import FLUX_IDENTITY_LIMIT, FLUX_TOLERANCE, STACK_ELEMENTS
+from photon_router.scattering import (
+    FLUX_IDENTITY_LIMIT,
+    FLUX_TOLERANCE,
+    INTENSITY_KEYS,
+    RESIDUAL_LIMIT,
+    STACK_ELEMENTS,
+)
 
 from closed_forms import single_chiral, single_symmetric, two_chiral
-from conftest import COUPLING, EMISSION, chiral_config, random_chains, symmetric_config
+from conftest import (
+    COUPLING,
+    EMISSION,
+    chiral_config,
+    random_chains,
+    replace,
+    symmetric_config,
+)
 from dense_oracle import assemble_system, collective_modes, segment_amplitudes, solve_dense
 
 #: Segment of each output port: after the last emitter or before the first.
 PORTS = {"t": -1, "r": 0, "tt": -1, "rt": 0}
 AMPLITUDES = tuple(PORTS)
+EPS = np.finfo(float).eps
+
+#: Grid solvers: the LU batch, and the scan, which solves carrier-phase
+#: grids from the chain's modes and re-solves by LU.
+SOLVERS = pytest.mark.parametrize(
+    "solve", [solve_spectrum_point_batch, scan], ids=["lu", "scan"]
+)
 
 
 def no_ddi(n: int) -> DdiMatrix:
@@ -390,7 +411,8 @@ def test_lossless_chains_never_trip_the_flux_check(n, rates, spacing, phases, of
             assert not str(err).startswith("flux balance"), str(err)
 
 
-def test_singular_point_fails_alone_in_its_stack():
+@SOLVERS
+def test_singular_point_fails_alone_in_its_stack(solve):
     # The second emitter is decoupled from everything, so delta = 0 is an
     # exact pole of its row; every other point must still solve.
     config = chiral_config(
@@ -402,11 +424,11 @@ def test_singular_point_fails_alone_in_its_stack():
     )
     deltas = np.linspace(-2.0, 2.0, 5)
     with pytest.raises(SolverError, match=r"^singular transport system") as err:
-        solve_spectrum_point_batch(config, no_ddi(2), deltas)
+        solve(config, no_ddi(2), deltas)
     assert err.value.delta == 0.0
     assert err.value.condition == np.inf
     regular = np.delete(deltas, 2)
-    out = solve_spectrum_point_batch(config, no_ddi(2), regular)
+    out = solve(config, no_ddi(2), regular)
     fields = segments(config, out)
     for i, delta in enumerate(regular):
         ref = solve_dense(config, no_ddi(2), delta)
@@ -418,14 +440,15 @@ def test_singular_point_fails_alone_in_its_stack():
     "deltas, pole", [([-1.0, 0.5, 1.0], -1.0), ([1.0, 0.5, -1.0], 1.0)],
     ids=["ascending", "descending"],
 )
-def test_first_failure_in_input_order_is_raised(deltas, pole):
+@SOLVERS
+def test_first_failure_in_input_order_is_raised(solve, deltas, pole):
     # Lossless and decoupled from the guides, the pair's coupling J makes
     # -delta + J exactly singular at both delta = -1 and delta = +1.
     config = validate(SystemConfig(n_emitters=2, ddi_mode="manual", ddi_strength=1.0))
     ddi = ddi_matrix(config)
     assert ddi.values[0, 1] == 1.0
     with pytest.raises(SolverError, match="^singular transport system") as err:
-        solve_spectrum_point_batch(config, ddi, deltas)
+        solve(config, ddi, deltas)
     assert err.value.delta == pole
     assert err.value.condition == np.inf
 
@@ -542,6 +565,91 @@ def test_batched_solver_matches_dense_oracle(chain, deltas):
         ref = solve_dense(config, ddi, delta)
         for key in AMPLITUDES:
             assert np.max(np.abs(fields[key][i] - ref[key])) < 1e-10
+
+
+def at_carrier_phases(chain):
+    config, ddi = chain
+    return replace(config, delta_dependent_phases=False), ddi
+
+
+#: Strictly ascending detuning grids, as ``scan`` takes them.
+scan_grids = st.lists(
+    st.floats(min_value=-60.0, max_value=60.0), min_size=1, max_size=6, unique=True
+).map(sorted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain=random_chains(), deltas=scan_grids)
+def test_modal_scan_matches_the_lu_and_the_dense_oracle(chain, deltas):
+    # At carrier phases a scan solves A = V (w / (lambda - delta)) from the
+    # chain's modes; the LU batch and the 5N system are independent of them.
+    config, ddi = at_carrier_phases(chain)
+    modal = scan(config, ddi, deltas)
+    lu = solve_spectrum_point_batch(config, ddi, deltas)
+    assert (modal.residual <= RESIDUAL_LIMIT).all()
+    fields = segments(config, modal)
+    for key in ("a", *AMPLITUDES):
+        assert np.max(np.abs(getattr(modal, key) - getattr(lu, key))) < 1e-10
+    for i, delta in enumerate(deltas):
+        ref = solve_dense(config, ddi, delta)
+        assert np.max(np.abs(modal.a[i] - ref["a"])) < 1e-10
+        for key in AMPLITUDES:
+            assert np.max(np.abs(fields[key][i] - ref[key])) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain=random_chains(), deltas=scan_grids)
+def test_modal_residual_is_the_dense_normwise_backward_error(chain, deltas):
+    # The scan's residual, taken as |M0 A - delta A - b|, is the backward
+    # error of its amplitudes in the explicitly formed M(delta), the system
+    # the LU batch factorises, up to rounding.
+    config, ddi = at_carrier_phases(chain)
+    batch = scan(config, ddi, deltas)
+    recorder = RecordingSolve()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "solve", recorder)
+        solve_spectrum_point_batch(config, ddi, deltas)
+    ((matrices, rhs, _),) = recorder.systems
+    x = batch.a[..., None]
+    defect = np.abs(matrices @ x - rhs).max(axis=(1, 2))
+    norm = np.abs(matrices).sum(axis=2).max(axis=1)
+    scale = norm * np.abs(x).max(axis=(1, 2)) + np.abs(rhs).max(axis=(1, 2))
+    dense = np.divide(defect, scale, out=defect.copy(), where=scale > 0.0)
+    np.testing.assert_allclose(batch.residual, dense, rtol=0.0, atol=4 * EPS)
+
+
+def test_reference_grid_is_solved_from_one_decomposition():
+    # The 30-emitter reference chain: one solve, w = V^-1 b; no point of the
+    # 2001-point grid needs the LU, and all agree with it.
+    config = chiral_config(30)
+    ddi = ddi_matrix(config)
+    grid = np.linspace(-300.0, 300.0, 2001)
+    recorder = RecordingSolve()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "solve", recorder)
+        modal = scan(config, ddi, grid)
+    ((vectors, _, _),) = recorder.systems
+    assert vectors.shape == (1, 30, 30)
+    lu = solve_spectrum_point_batch(config, ddi, grid)
+    for key in INTENSITY_KEYS:
+        assert np.max(np.abs(modal.intensities[key] - lu.intensities[key])) < 1e-12
+
+
+@pytest.mark.parametrize("gamma", [EMISSION, 0.0], ids=["lossy", "lossless"])
+@pytest.mark.parametrize("n", [2, 5, 30])
+def test_defective_chain_is_solved_by_the_lu_alone(n, gamma):
+    # Identical chiral emitters without DDI: M0 is one Jordan block, whose
+    # eigenvectors are parallel.  V^-1 b is singular or huge, every modal
+    # point fails the check, and the LU solves each as the batch does.
+    config = chiral_config(n, gamma=gamma, ddi_mode="off")
+    ddi = ddi_matrix(config)
+    deltas = np.linspace(-60.0, 60.0, 121)
+    modal = scan(config, ddi, deltas)
+    lu = solve_spectrum_point_batch(config, ddi, deltas)
+    for key in ("a", *AMPLITUDES, "residual"):
+        assert np.array_equal(getattr(modal, key), getattr(lu, key))
+    for key in INTENSITY_KEYS:
+        assert np.array_equal(modal.intensities[key], lu.intensities[key])
 
 
 def test_delta_dependent_phase_is_a_tiny_correction():

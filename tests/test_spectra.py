@@ -425,15 +425,23 @@ class TestScaleEmitters:
         assert report.window == (-20.0, 20.0, 201)
 
     @pytest.mark.parametrize(
-        "grid", [np.linspace(-20.0, 20.0, 41), np.linspace(5.0, 50.0, 10)],
+        "grid, on_grid",
+        [(np.linspace(-20.0, 20.0, 41), False), (np.linspace(5.0, 50.0, 10), True)],
         ids=["refined", "grid-edge"],
     )
-    def test_record_is_read_from_the_winning_solve(self, grid):
-        # The figures at delta_star come from the refinement probe (or the
-        # scan sample) that won, bit-equal to a fresh solve there.
+    def test_record_is_read_from_the_winning_solve(self, grid, on_grid):
+        # The figures at delta_star come from the refinement probe that won,
+        # bit-equal to a fresh solve there, or from the scan sample, bit-equal
+        # to a one-point scan (which solves from the chain's modes) there.
         config = chiral_config(3)
+        ddi = ddi_matrix(config)
         (record,) = scale_emitters(config, [3], grid).records
-        at_peak = solve_transport(config, ddi_matrix(config), record.delta_star).intensities
+        assert (record.delta_star in grid) == on_grid
+        if on_grid:
+            at_peak = scan(config, ddi, [record.delta_star]).intensities
+            at_peak = {key: float(value[0]) for key, value in at_peak.items()}
+        else:
+            at_peak = solve_transport(config, ddi, record.delta_star).intensities
         assert record.tt_max == at_peak["Tt"]
         assert record.t_bar_min == at_peak["T"]
         assert record.loss_at_peak == at_peak["loss"]
