@@ -23,24 +23,26 @@ so a chiral chain (v_dl = v_ul = 0) has exactly zero backflow.  Only the
 output ports are returned: t_N, tt_N, r_1 and rt_1.
 
 M splits into its diagonal and the coupling block C (the off-diagonal
-waveguide couplings with their phases, plus J; C_jj = 0).  At carrier
-phases C does not depend on delta, so C and its absolute row sums are built
-once per call (once per chain, for ``_solve_chains``); with delta-dependent
-phases they are built once per stack, from that stack's phases.  Points are
-solved as stacks of at most ``STACK_ELEMENTS`` complex matrix elements,
-which bounds the memory of one stacked solve, into one ``TransportSolution``
-of arrays over the points.  Each point's backward error takes
-||M||_inf = max_j (sum_k |C_jk| + |M_jj|), O(N) per point.  One check per
-stack accepts each point, solved and flux-balanced, or raises the
-SolverError of the first that fails, in input order.
+waveguide couplings with their phases, plus J; C_jj = 0).  What does not
+depend on delta is built once per chain, as a ``_Chains`` kept for every
+solve of it (a scan, each peak-refinement probe): the rates and, at carrier
+phases, C and its absolute row sums; with delta-dependent phases C is built
+once per stack, from that stack's phases.  Stacks bound their memory: at
+most ``STACK_ELEMENTS`` elements of the LU's (P, N, N) matrices, or a
+quarter as many per array of the modal solver's (P, N) ones, about ten of
+which it holds at once.  Each point's backward error takes ||M||_inf =
+max_j (sum_k |C_jk| + |M_jj|), O(N) per point.  One check per stack accepts
+each point, solved and flux-balanced, or raises the SolverError of the
+first that fails, in input order.
 
 Two solvers fill the stacks.  The LU copies C into each point's matrix,
 writes its diagonal and factorises it: O(N^3) per point.  The modal solver
 uses M(delta) = M0 - delta I at carrier phases, M0 = C - diag(i Gamma/2):
 one eigendecomposition M0 = V Lambda V^-1 per chain (the chain's collective
-modes) and w = V^-1 b, then A = V (w / (lambda - delta)) per point, O(N^2),
-with the backward error taken from |M0 A - delta A - b|.  ``scan`` and
-``sweep_separation`` use the modes at carrier phases; the LU re-solves
+modes), made by its first modal solve and kept, and w = V^-1 b, then
+A = V (w / (lambda - delta)) per point, O(N^2), with the backward error
+taken from |M0 A - delta A - b|.  ``scan`` and ``sweep_separation`` use the
+modes at carrier phases; the LU re-solves
 
 - every point of a chain whose decomposition or V^-1 b raises LinAlgError
   or is not finite (identical emitters without DDI form one Jordan block);
@@ -49,15 +51,17 @@ with the backward error taken from |M0 A - delta A - b|.  ``scan`` and
 - every point whose modal result the check rejects,
 
 and the LU's verdict stands.  Delta-dependent phases, where M is no shift
-of one matrix, and ``solve_spectrum_point_batch`` with its views
-(``solve_transport``, the peak-refinement probes) use the LU alone: at
-N = 30 one decomposition costs about as much as an LU of a few dozen
-points, more than a refinement step solves.
+of one matrix, ``solve_spectrum_point_batch``, ``solve_transport`` and the
+peak-refinement probes use the LU alone.  Probes solved from the scan's
+kept modes differ from the LU in the last bits, which flips golden-section
+comparisons and moves refined maxima: the N = 1..30 scaling benchmark's
+seed-0 gate then failed (deviation 6.654e-09, bound 1e-10).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -149,20 +153,70 @@ def solve_spectrum_point_batch(
     norm beyond the float range, backward error above ``RESIDUAL_LIMIT``,
     non-finite intensities, flux balance (see ``SolverError``).
     """
-    return _solve_grid(config, ddi, deltas, modal=False)
+    return _solve_grid(config, _chain(config, ddi), deltas, modal=False)
+
+
+class _Chains:
+    """The delta-independent parts of C chains that share a config's N and
+    rates, each with its own couplings J (C, N, N) and step phases ``steps``,
+    as a separation sweep's spacings do: built once, solved by
+    ``_solve_chains`` over any number of detuning lists.  At carrier phases,
+    where ``steps`` is (C,), it also holds each chain's phases, C and row
+    sums, and its ``modes`` once a modal solve asks for them."""
+
+    @np.errstate(over="ignore", invalid="ignore")  # out-of-range values fail their point
+    def __init__(self, config: SystemConfig, couplings: np.ndarray, steps: np.ndarray):
+        self.n, self.couplings = config.n_emitters, couplings
+        self.carrier = not config.delta_dependent_phases
+        gamma = config.rate_profile("gamma")
+        if config.regularize:
+            gamma = gamma + POLE_REGULARIZATION
+        rates = np.array([config.rate_profile(name) for name in _CHANNELS])
+        self.v_dr, self.v_dl, self.v_ur, self.v_ul = v_dr, v_dl, v_ur, v_ul = np.sqrt(rates)
+        self.rightward = np.tril(np.outer(v_dr, v_dr) + np.outer(v_ur, v_ur), -1)
+        self.leftward = np.triu(np.outer(v_dl, v_dl) + np.outer(v_ul, v_ul), 1)
+        self.gamma, self.total = gamma, gamma + rates.sum(axis=0)
+        self.width = 0.5j * self.total
+        if self.carrier:
+            self.phases, self.block, self.row_sums = self.coupling(steps, couplings)
+
+    def coupling(self, steps: np.ndarray, exchange: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Phases e^{i phi_j} (K, N) for step phases (K,), the coupling block
+        C (K, N, N) with exchange J, and C's absolute row sums (K, N)."""
+        phases = np.exp(1j * np.outer(steps, np.arange(self.n)))
+        # In place: two (K, N, N) allocations per call, not seven.
+        block = phases[:, :, None] * phases.conj()[:, None, :]
+        leftward = block.conj()
+        block *= self.rightward
+        leftward *= self.leftward
+        block += leftward
+        block *= -1j
+        block += exchange
+        return phases, block, np.abs(block).sum(axis=2)  # C_jj = 0: the off-diagonal sums
+
+    @cached_property
+    def modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each chain's lambda, V, w = V^-1 b (see ``_modes``) and M0, kept."""
+        m0 = self.block.copy()
+        m0[:, np.arange(self.n), np.arange(self.n)] = -self.width
+        return (*_modes(m0, -(self.v_dr * self.phases)), m0)
+
+
+def _chain(config: SystemConfig, ddi: DdiMatrix) -> _Chains:
+    """A spectrum's one chain, for all of its solves."""
+    if ddi.n != config.n_emitters:
+        raise ValueError(f"coupling matrix is {ddi.n}x{ddi.n} for {config.n_emitters} emitters")
+    return _Chains(config, ddi.values[None], np.array([config.theta]))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # out-of-range values fail their point
 def _solve_grid(
-    config: SystemConfig, ddi: DdiMatrix, deltas: Sequence[float] | np.ndarray, modal: bool
+    config: SystemConfig, chains: _Chains, deltas: Sequence[float] | np.ndarray, modal: bool
 ) -> TransportSolution:
-    """One chain over a 1-D list of detunings (see ``_solve_chains``)."""
-    n = config.n_emitters
-    if ddi.n != n:
-        raise ValueError(f"coupling matrix is {ddi.n}x{ddi.n} for {n} emitters")
+    """``_chain(config, ddi)`` over a 1-D list of detunings (see ``_solve_chains``)."""
     deltas = np.asarray(deltas, dtype=float)
     steps = np.asarray(config.step_phase(deltas))[None]
-    return _solve_chains(config, deltas, steps, ddi.values[None], modal)
+    return _solve_chains(chains, deltas, steps, modal)
 
 
 def _per_point(values: np.ndarray, chain: np.ndarray) -> np.ndarray:
@@ -191,46 +245,23 @@ def _modes(m0: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def _solve_chains(
-    config: SystemConfig,
-    deltas: np.ndarray,
-    steps: np.ndarray,
-    couplings: np.ndarray,
-    modal: bool,
+    chains: _Chains, deltas: np.ndarray, steps: np.ndarray, modal: bool
 ) -> TransportSolution:
-    """The solver core: C chains that share the config's N, rates and
-    detuning list (P,) but each have their own step phase and coupling
-    matrix, as the spacings of a separation sweep do.
+    """The solver core: every chain of ``chains`` over one detuning list (P,).
 
-    ``steps`` is (C,) at carrier phases or (C, P) with delta-dependent
-    phases; ``couplings`` is (C, N, N).  Points run chain-major, point
-    c * P + p being chain c at ``deltas[p]``; failures are raised as in
+    ``steps`` is (C,) at carrier phases, where ``chains`` holds each chain's
+    C, or (C, P) with delta-dependent phases.  Points run chain-major,
+    point c * P + p being chain c at ``deltas[p]``, and fail as in
     ``solve_spectrum_point_batch``, over that order.  ``modal`` solves
-    carrier-phase points from each chain's modes first (see the module
-    docstring).  Callers hold ``np.errstate(over="ignore",
-    invalid="ignore")``, as out-of-range values fail their point.
+    carrier-phase points from the chains' modes first.  Callers hold
+    ``np.errstate(over="ignore", invalid="ignore")``: such values fail their point.
     """
-    n = config.n_emitters
-    flat = np.tile(deltas, len(couplings))
-    chains = np.arange(len(couplings)).repeat(deltas.size)
-
-    # Detuning-independent parts: the channel couplings v = sqrt(rate), their
-    # products below and above the diagonal, and the total rates Gamma_j.
-    gamma = config.rate_profile("gamma")
-    if config.regularize:
-        gamma = gamma + POLE_REGULARIZATION
-    rates = np.array([config.rate_profile(name) for name in _CHANNELS])
-    v_dr, v_dl, v_ur, v_ul = np.sqrt(rates)
-    rightward = np.tril(np.outer(v_dr, v_dr) + np.outer(v_ur, v_ur), -1)
-    leftward = np.triu(np.outer(v_dl, v_dl) + np.outer(v_ul, v_ul), 1)
-    total = gamma + rates.sum(axis=0)
-    width = 0.5j * total
+    n, v_dr, v_dl, v_ur, v_ul = chains.n, chains.v_dr, chains.v_dl, chains.v_ur, chains.v_ul
+    flat = np.tile(deltas, len(chains.couplings))
+    chain_of = np.arange(len(chains.couplings)).repeat(deltas.size)
     diagonal = np.arange(n)
-
-    # Carrier phases build one C per chain (with the first stack), which each
-    # stack takes per point; delta-dependent phases build one per stack.
-    shared = steps.ndim == 1
-    modal = modal and shared
-    steps = steps.ravel()
+    if modal := modal and chains.carrier:
+        lam, vecs, w, m0 = chains.modes
 
     a = np.empty((flat.size, n), dtype=complex)
     t, r, tt, rt = np.empty((4, flat.size), dtype=complex)
@@ -259,34 +290,26 @@ def _solve_chains(
         # and loss is the power the emitters radiate, to within a finite bound.
         loss = power[-1, points]
         weight = np.abs(x) ** 2
-        bound = FLUX_IDENTITY_LIMIT * (1.0 + weight @ total)
-        identity = (np.abs(loss - weight @ gamma) <= bound) & np.isfinite(bound)
+        bound = FLUX_IDENTITY_LIMIT * (1.0 + weight @ chains.total)
+        identity = (np.abs(loss - weight @ chains.gamma) <= bound) & np.isfinite(bound)
         balanced = (loss >= -FLUX_TOLERANCE) & identity
         return (residual[points] <= RESIDUAL_LIMIT) & np.isfinite(norm), balanced
 
-    size = max(1, STACK_ELEMENTS // n**2)
+    lu_size = max(1, STACK_ELEMENTS // n**2)
+    size = max(1, STACK_ELEMENTS // (4 * n)) if modal else lu_size
     for start in range(0, flat.size, size):
         stack = slice(start, start + size)
-        chain = chains[stack]
-        if start == 0 or not shared:
-            exchange = couplings if shared else _per_point(couplings, chain)
-            phases = np.exp(1j * np.outer(steps if shared else steps[stack], diagonal))
-            relative = phases[:, :, None] * phases.conj()[:, None, :]
-            block = -1j * (rightward * relative + leftward * relative.conj()) + exchange
-            row_sums = np.abs(block).sum(axis=2)  # C_jj = 0: the off-diagonal sums
-            if modal:
-                m0 = block.copy()
-                m0[:, diagonal, diagonal] = -width
-                lam, vecs, w = _modes(m0, -(v_dr * phases))
-        on_diagonal = -flat[stack, None] - width
-        if shared:
-            stack_phases, sums = _per_point(phases, chain), _per_point(row_sums, chain)
+        chain = chain_of[stack]
+        if chains.carrier:
+            phases, sums = _per_point(chains.phases, chain), _per_point(chains.row_sums, chain)
         else:
-            stack_phases, sums = phases, row_sums
+            exchange = _per_point(chains.couplings, chain)
+            phases, block, sums = chains.coupling(steps.ravel()[stack], exchange)
+        on_diagonal = -flat[stack, None] - chains.width
         # ||M||_inf = max_j (sum_k |C_jk| + |M_jj|), O(N) per point.
         norm = (sums + np.abs(on_diagonal)).max(axis=1)
 
-        lu, points = slice(None), stack  # the points the LU solves
+        lu = np.arange(len(on_diagonal))  # by place in the stack, the points the LU solves
         if modal:
             # A = V (w / (lambda - delta)), one (N, N) @ (N, 1) product per
             # point, so a point's bits depend on its detuning and chain only.
@@ -295,61 +318,55 @@ def _solve_chains(
             with np.errstate(divide="ignore"):  # at a mode: inf, which fails the point
                 y = _per_point(w, chain) / gap
             x = (_per_point(vecs, chain) @ y[..., None])[..., 0]
-            rhs = -(v_dr * stack_phases)
+            rhs = -(v_dr * phases)
             mx = (_per_point(m0, chain) @ x[..., None])[..., 0]
             defect = np.abs(mx - detuning * x - rhs).max(axis=1)
-            solved, balanced = record(
-                stack, x, defect, norm, np.abs(rhs).max(axis=-1), stack_phases
-            )
+            solved, balanced = record(stack, x, defect, norm, np.abs(rhs).max(axis=-1), phases)
             near = (np.abs(gap) <= RESIDUAL_LIMIT * norm[:, None]).any(axis=1)
             lu = np.flatnonzero(near | ~(solved & balanced))
-            if not lu.size:
-                continue
-            points = start + lu
 
-        if shared:
-            matrices = block.take(chain[lu], axis=0)
-            lu_phases = _per_point(phases, chain[lu])
-        else:
-            matrices, lu_phases = block, phases
-        matrices[:, diagonal, diagonal] = on_diagonal[lu]
-        rhs = np.broadcast_to(-(v_dr * lu_phases)[..., None], (len(matrices), n, 1))
-        singular = None
-        try:
-            x = np.linalg.solve(matrices, rhs)
-        except np.linalg.LinAlgError:
-            # Re-solve point by point up to the first singular system; the
-            # points after it stay NaN and so fail after it.
-            x = np.full_like(rhs, np.nan)
-            for i in range(len(x)):
-                try:
-                    x[i] = np.linalg.solve(matrices[i], rhs[i])
-                except np.linalg.LinAlgError:
-                    singular = i
-                    break
-        defect = np.abs(matrices @ x - rhs).max(axis=(1, 2))
-        accepted, balanced = record(
-            points, x[..., 0], defect, norm[lu], np.abs(rhs).max(axis=(1, 2)), lu_phases
-        )
-        # The one acceptance check: the LU's verdict stands.
-        failed = np.flatnonzero(~(accepted & balanced))
-        if failed.size:
-            i = failed[0]
-            k = np.arange(len(on_diagonal))[lu][i]  # its place in the stack
-            delta, loss = float(flat[start + k]), power[-1, start + k]
-            if i == singular:
-                raise SolverError("singular transport system", delta, np.inf)
-            if not np.isfinite(x[i]).all():
-                raise SolverError("non-finite solution of the transport system", delta)
-            if not np.isfinite(norm[k]):
-                raise SolverError("transport system beyond the float range", delta)
-            if not accepted[i]:
-                raise SolverError(
-                    "near-singular transport system", delta, np.linalg.cond(matrices[i])
-                )
-            if not np.isfinite(loss):  # as soon as one intensity is
-                raise SolverError("non-finite solution of the transport system", delta)
-            raise SolverError(f"flux balance violated (loss {loss:.3g})", delta)
+        for part in range(0, lu.size, lu_size):  # LU stacks of at most lu_size points
+            k = lu[part : part + lu_size]
+            # Without carrier phases k is the whole stack, and C is its own.
+            matrices = chains.block.take(chain[k], axis=0) if chains.carrier else block
+            lu_phases = phases if phases.ndim == 1 else phases[k]
+            matrices[:, diagonal, diagonal] = on_diagonal[k]
+            rhs = np.broadcast_to(-(v_dr * lu_phases)[..., None], (len(matrices), n, 1))
+            singular = None
+            try:
+                x = np.linalg.solve(matrices, rhs)
+            except np.linalg.LinAlgError:
+                # Re-solve point by point up to the first singular system; the
+                # points after it stay NaN and so fail after it.
+                x = np.full_like(rhs, np.nan)
+                for i in range(len(x)):
+                    try:
+                        x[i] = np.linalg.solve(matrices[i], rhs[i])
+                    except np.linalg.LinAlgError:
+                        singular = i
+                        break
+            defect = np.abs(matrices @ x - rhs).max(axis=(1, 2))
+            accepted, balanced = record(
+                start + k, x[..., 0], defect, norm[k], np.abs(rhs).max(axis=(1, 2)), lu_phases
+            )
+            # The one acceptance check: the LU's verdict stands.
+            failed = np.flatnonzero(~(accepted & balanced))
+            if failed.size:
+                i = failed[0]
+                delta, loss = float(flat[start + k[i]]), power[-1, start + k[i]]
+                if i == singular:
+                    raise SolverError("singular transport system", delta, np.inf)
+                if not np.isfinite(x[i]).all():
+                    raise SolverError("non-finite solution of the transport system", delta)
+                if not np.isfinite(norm[k[i]]):
+                    raise SolverError("transport system beyond the float range", delta)
+                if not accepted[i]:
+                    raise SolverError(
+                        "near-singular transport system", delta, np.linalg.cond(matrices[i])
+                    )
+                if not np.isfinite(loss):  # as soon as one intensity is
+                    raise SolverError("non-finite solution of the transport system", delta)
+                raise SolverError(f"flux balance violated (loss {loss:.3g})", delta)
 
     intensities = dict(zip(INTENSITY_KEYS, power))
     return TransportSolution(flat, a, t, r, tt, rt, intensities, residual)

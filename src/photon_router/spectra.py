@@ -16,9 +16,10 @@ from .scattering import (
     INTENSITY_KEYS,
     STACK_ELEMENTS,
     TransportSolution,
+    _chain,
+    _Chains,
     _solve_chains,
     _solve_grid,
-    solve_spectrum_point_batch,
 )
 
 #: Peak locations are refined until stable to this width, Gamma0 units.
@@ -94,7 +95,7 @@ def scan(
     """Batch-solve a monotone detuning grid into the solver's
     TransportSolution, from the chain's modes at carrier phases (see
     ``scattering``); the first grid point that fails raises its SolverError."""
-    return _solve_grid(config, ddi, _checked_grid(grid), modal=True)
+    return _solve_grid(config, _chain(config, ddi), _checked_grid(grid), modal=True)
 
 
 def _plateau_maxima(deltas: np.ndarray, values: np.ndarray) -> list[int]:
@@ -108,16 +109,16 @@ def _plateau_maxima(deltas: np.ndarray, values: np.ndarray) -> list[int]:
     return np.where(deltas[first] < deltas[last], first, last)[1:-1][higher].tolist()
 
 
-def _probe(config: SystemConfig, ddi: DdiMatrix, deltas: np.ndarray) -> np.ndarray:
+def _probe(config: SystemConfig, chains: _Chains, deltas: np.ndarray) -> np.ndarray:
     """One row of intensities (columns in ``INTENSITY_KEYS`` order) per
-    detuning, from one batched solve."""
-    solution = solve_spectrum_point_batch(config, ddi, deltas)
+    detuning, from one batched LU solve of ``chains``, the chain of ``config``."""
+    solution = _solve_grid(config, chains, deltas, modal=False)
     return np.column_stack([solution.intensities[key] for key in INTENSITY_KEYS])
 
 
 def _refine_maxima(
     config: SystemConfig,
-    ddi: DdiMatrix,
+    chains: _Chains,
     result: TransportSolution,
     seeds: list[tuple[str, int]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -152,7 +153,7 @@ def _refine_maxima(
     # Rows 0/1: bracket ends a/b, inner points c/d and the intensities there.
     ends = np.array([lo, hi])
     inner = np.array([hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)])
-    first = _probe(config, ddi, np.concatenate([vertex[bowed], *inner]))
+    first = _probe(config, chains, np.concatenate([vertex[bowed], *inner]))
     at_vertex = np.full_like(rows[i], -np.inf)
     at_vertex[bowed] = first[: bowed.sum()]
     at_inner = first[bowed.sum() :].reshape(2, k.size, len(INTENSITY_KEYS))
@@ -166,7 +167,7 @@ def _refine_maxima(
         inner[far, j] = inner[near, j]
         at_inner[far, j] = at_inner[near, j]
         inner[near, j] = ends[far, j] - _INVPHI * (ends[far, j] - ends[near, j])
-        at_inner[near, j] = _probe(config, ddi, inner[near, j])
+        at_inner[near, j] = _probe(config, chains, inner[near, j])
 
     location, best = x[i], rows[i]
     for at, row in ((vertex, at_vertex), (inner[0], at_inner[0]), (inner[1], at_inner[1])):
@@ -207,7 +208,7 @@ def find_peaks(
         for i in _plateau_maxima(result.delta, result.intensities[channel])
     ]
     if refine:
-        locations, heights, _ = _refine_maxima(config, ddi, result, seeds)
+        locations, heights, _ = _refine_maxima(config, _chain(config, ddi), result, seeds)
     else:
         locations = [result.delta[i] for _, i in seeds]
         heights = [result.intensities[channel][i] for channel, i in seeds]
@@ -231,10 +232,11 @@ def sweep_separation(
     Every spacing is validated, and its coupling matrix built, before any
     solve, so a ConfigError at any spacing comes before a SolverError at an
     earlier one.  Whole spacings then share solver calls of at most
-    max(P, ``STACK_ELEMENTS`` // N^2) points (P detunings), in spacing-major
-    order, each point with its spacing's phases and couplings; a one-point
-    sweep is bit-identical to a plain scan.  The first failing point in
-    that order raises its SolverError.
+    max(P, ``STACK_ELEMENTS`` // N^2) points (P detunings), which bounds the
+    C and modes a call's chains hold, in spacing-major order, each point
+    with its spacing's phases and couplings; the modal stacks inside a call
+    are sized as a scan's (see ``scattering``), and the bits of each spacing
+    equal a plain scan's.  The first failing point in that order raises.
     """
     l_min, l_max = l_range
     if l_min <= 0.0 or l_max <= 0.0:
@@ -269,8 +271,9 @@ def sweep_separation(
     transmitted = np.empty((l_points, grid.size))
     for k in range(0, l_points, per_call):
         call = slice(k, k + per_call)
-        couplings = np.array(first_rows[call])[:, offset]
-        result = _solve_chains(config, grid, np.array(steps[call]), couplings, modal=True)
+        couplings, call_steps = np.array(first_rows[call])[:, offset], np.array(steps[call])
+        chains = _Chains(config, couplings, call_steps)
+        result = _solve_chains(chains, grid, call_steps, modal=True)
         routed[call] = result.intensities["Tt"].reshape(-1, grid.size)
         transmitted[call] = result.intensities["T"].reshape(-1, grid.size)
     return SeparationSweep(
@@ -297,15 +300,15 @@ def scale_emitters(
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError(f"n_list must be strictly ascending, got {n_list}")
 
-    grid = np.asarray(grid, dtype=float)
+    grid = _checked_grid(grid)
     records = []
     for n in n_list:
         cfg = validate(dataclasses.replace(config, n_emitters=int(n)))
-        ddi = ddi_matrix(cfg)
-        result = scan(cfg, ddi, grid)
+        chains = _chain(cfg, ddi_matrix(cfg))  # shared by the scan and the refinement
+        result = _solve_grid(cfg, chains, grid, modal=True)
         i = int(np.argmax(result.intensities["Tt"]))
         if 0 < i < grid.size - 1:
-            location, _, rows = _refine_maxima(cfg, ddi, result, [("Tt", i)])
+            location, _, rows = _refine_maxima(cfg, chains, result, [("Tt", i)])
             delta_star, row = float(location[0]), rows[0]
         else:
             delta_star = float(grid[i])

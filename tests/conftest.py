@@ -64,6 +64,19 @@ def two_emitter_lossless():
     return chiral_config(2, gamma=0.0)
 
 
+class RecordingSolve:
+    """Stands in for ``np.linalg.solve`` and keeps every stacked system it
+    was given, with its solution."""
+
+    def __init__(self):
+        self.solve, self.systems = np.linalg.solve, []
+
+    def __call__(self, matrices, rhs):
+        x = self.solve(matrices, rhs)
+        self.systems.append((matrices.copy(), np.array(rhs), x))
+        return x
+
+
 def replace(config: SystemConfig, **changes) -> SystemConfig:
     return validate(dataclasses.replace(config, **changes))
 

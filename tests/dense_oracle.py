@@ -131,13 +131,41 @@ def segment_amplitudes(
     }
 
 
+def _eliminated(config: SystemConfig, ddi: DdiMatrix):
+    """The 5N system at carrier phases with its fields f eliminated:
+    M0, b with M(delta) = M0 - delta I and M(delta) A = b, and f = f0 - G A."""
+    n = config.n_emitters
+    carrier = dataclasses.replace(config, delta_dependent_phases=False)
+    matrix, rhs = assemble_system(carrier, ddi, 0.0)
+    fields, emitters = matrix[: 4 * n], matrix[4 * n :]
+    f0 = np.linalg.solve(fields[:, n:], rhs[: 4 * n])
+    g = np.linalg.solve(fields[:, n:], fields[:, :n])
+    return emitters[:, :n] - emitters[:, n:] @ g, rhs[4 * n :] - emitters[:, n:] @ f0, f0, g
+
+
 def collective_modes(config: SystemConfig, ddi: DdiMatrix) -> np.ndarray:
     """Eigenvalues lambda_m of the chain's collective modes at carrier phases:
     the 5N system with its fields eliminated is M(delta) = M0 - delta I, and
     these are the eigenvalues of M0 (every amplitude has a pole at lambda_m)."""
+    return np.linalg.eigvals(_eliminated(config, ddi)[0])
+
+
+def pole_residues(config: SystemConfig, ddi: DdiMatrix, max_condition: float = 1e4):
+    """The output ports as sums over the collective modes, at carrier phases.
+
+    With M0 = V Lambda V^-1 (see ``collective_modes``), A = V (w / (lambda - delta)),
+    w = V^-1 b, and each port is p(delta) = p0 + sum_m rho_m / (lambda_m - delta),
+    rho_m = (c V)_m w_m, with c the port's row of -G.  For t that is
+    t = 1 + i sum_m (v_dr e^{-i phi} V)_m (V^-1 v_dr e^{+i phi})_m / (lambda_m - delta).
+    Returns lambda (N,), and p0 (4,) and rho (4, N) for the ports t, r, tt,
+    rt in that order; None where cond(V) exceeds ``max_condition``, as the
+    sum loses accuracy with it and a defective M0 (identical chiral emitters
+    without DDI: one Jordan block) has no basis of modes at all.
+    """
     n = config.n_emitters
-    carrier = dataclasses.replace(config, delta_dependent_phases=False)
-    matrix, _ = assemble_system(carrier, ddi, 0.0)
-    fields, emitters = matrix[: 4 * n], matrix[4 * n :]
-    reduced = emitters[:, :n] - emitters[:, n:] @ np.linalg.solve(fields[:, n:], fields[:, :n])
-    return np.linalg.eigvals(reduced)
+    m0, b, f0, g = _eliminated(config, ddi)
+    lam, vecs = np.linalg.eig(m0)
+    if not (np.isfinite(vecs).all() and np.linalg.cond(vecs) <= max_condition):
+        return None
+    ports = [n - 1, n, 3 * n - 1, 3 * n]  # t_N, r_1, tt_N, rt_1 among [t, r, tt, rt]
+    return lam, f0[ports], -(g[ports] @ vecs) * np.linalg.solve(vecs, b)

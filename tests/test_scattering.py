@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from photon_router import (
     DdiMatrix,
@@ -27,12 +27,19 @@ from closed_forms import single_chiral, single_symmetric, two_chiral
 from conftest import (
     COUPLING,
     EMISSION,
+    RecordingSolve,
     chiral_config,
     random_chains,
     replace,
     symmetric_config,
 )
-from dense_oracle import assemble_system, collective_modes, segment_amplitudes, solve_dense
+from dense_oracle import (
+    assemble_system,
+    collective_modes,
+    pole_residues,
+    segment_amplitudes,
+    solve_dense,
+)
 
 #: Segment of each output port: after the last emitter or before the first.
 PORTS = {"t": -1, "r": 0, "tt": -1, "rt": 0}
@@ -487,19 +494,6 @@ def test_grid_longer_than_one_stack_matches_pointwise():
             assert np.max(np.abs(fields[key][i] - ref[key])) < 1e-10
 
 
-class RecordingSolve:
-    """Stands in for ``np.linalg.solve`` and keeps every stacked system it
-    was given, with its solution."""
-
-    def __init__(self):
-        self.solve, self.systems = np.linalg.solve, []
-
-    def __call__(self, matrices, rhs):
-        x = self.solve(matrices, rhs)
-        self.systems.append((matrices.copy(), np.array(rhs), x))
-        return x
-
-
 def test_carrier_phase_grid_shares_one_coupling_block():
     config = symmetric_config(8, gamma=EMISSION)
     ddi = ddi_matrix(config)
@@ -635,16 +629,117 @@ def test_reference_grid_is_solved_from_one_decomposition():
         assert np.max(np.abs(modal.intensities[key] - lu.intensities[key])) < 1e-12
 
 
+#: Points of one modal stack at N = 30: its (P, N) arrays hold at most a
+#: quarter of ``STACK_ELEMENTS`` elements each.
+MODAL_STACK_30 = STACK_ELEMENTS // (4 * 30)
+
+
+@pytest.mark.parametrize("piece", [MODAL_STACK_30, STACK_ELEMENTS // 30**2, 250])
+def test_modal_stacks_are_solved_independently(piece):
+    # A grid of several modal stacks has the bits of scanning each piece of
+    # it alone, whatever the piece size: what makes the stack size free.
+    config = chiral_config(30)
+    ddi = ddi_matrix(config)
+    grid = np.linspace(-300.0, 300.0, 5 * MODAL_STACK_30 + 17)
+    whole = scan(config, ddi, grid)
+    parts = [scan(config, ddi, grid[k : k + piece]) for k in range(0, grid.size, piece)]
+    for key in ("a", *AMPLITUDES, "residual"):
+        assert np.array_equal(getattr(whole, key), np.concatenate([getattr(p, key) for p in parts]))
+    for key in INTENSITY_KEYS:
+        joined = np.concatenate([p.intensities[key] for p in parts])
+        assert np.array_equal(whole.intensities[key], joined)
+
+
+def isolated_pair_chain():
+    """The reference N = 30 chain whose last two emitters are lossless and
+    decoupled from the guides and the other emitters, with J = 1 between
+    them: M(delta) is exactly singular at delta = -1 and +1."""
+    def rates(value):
+        return (value,) * 28 + (0.0, 0.0)
+
+    config = chiral_config(
+        30, gamma=rates(EMISSION), gamma_dr=rates(COUPLING), gamma_ur=rates(COUPLING)
+    )
+    exchange = ddi_matrix(config).values.copy()
+    exchange[28:], exchange[:, 28:] = 0.0, 0.0
+    exchange[28, 29] = exchange[29, 28] = 1.0
+    return config, DdiMatrix(exchange)
+
+
+@pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
+@SOLVERS
+def test_failure_past_the_first_modal_stack_names_its_detuning(solve, descending):
+    config, ddi = isolated_pair_chain()
+    grid = np.arange(-400.0, 401.0)
+    poles = np.flatnonzero(abs(grid) == 1.0)
+    assert poles.min() >= MODAL_STACK_30  # both past the first modal stack
+    # Off the poles, the scan is solved from the modes alone: one V^-1 b.
+    recorder = RecordingSolve()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "solve", recorder)
+        scan(config, ddi, grid + 0.5)
+    assert [m.shape for m, _, _ in recorder.systems] == [(1, 30, 30)]
+    with pytest.raises(SolverError, match="^singular transport system") as err:
+        solve(config, ddi, grid[::-1] if descending else grid)
+    assert err.value.delta == (1.0 if descending else -1.0)
+    assert err.value.condition == np.inf
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain=random_chains(), without_ddi=st.booleans(), deltas=scan_grids)
+def test_scan_matches_the_pole_residue_form(chain, without_ddi, deltas):
+    # A third oracle: every port as a sum over the chain's collective modes,
+    # from the 5N system's own M0 and b (see ``pole_residues``).  Without
+    # DDI, chiral emitters that share a total rate are one Jordan block: no
+    # basis of modes, so the chain is skipped, as are its near neighbours.
+    config, ddi = at_carrier_phases(chain)
+    if without_ddi:
+        ddi = no_ddi(config.n_emitters)
+    modes = pole_residues(config, ddi)
+    assume(modes is not None)
+    lam, p0, rho = modes
+    deltas = np.asarray(deltas)
+    ports = p0[:, None] + (rho[:, None, :] / (lam - deltas[:, None])).sum(axis=2)
+    result = scan(config, ddi, deltas)
+    for key, port in zip(("t", "r", "tt", "rt"), ports):
+        assert np.max(np.abs(getattr(result, key) - port)) < 1e-10
+
+
+@pytest.mark.parametrize("make", [chiral_config, symmetric_config], ids=["chiral", "symmetric"])
+@pytest.mark.parametrize("n", [2, 10, 30])
+def test_reference_grids_match_the_pole_residue_form(make, n):
+    config = make(n, gamma=EMISSION)
+    ddi = ddi_matrix(config)
+    lam, p0, rho = pole_residues(config, ddi)
+    grid = np.linspace(-300.0, 300.0, 601)
+    ports = p0[:, None] + (rho[:, None, :] / (lam - grid[:, None])).sum(axis=2)
+    result = scan(config, ddi, grid)
+    for key, port in zip(("t", "r", "tt", "rt"), ports):
+        assert np.max(np.abs(getattr(result, key) - port)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 5, 30])
+def test_pole_residue_form_skips_defective_chains(n):
+    config = chiral_config(n, ddi_mode="off")
+    assert pole_residues(config, ddi_matrix(config)) is None
+
+
 @pytest.mark.parametrize("gamma", [EMISSION, 0.0], ids=["lossy", "lossless"])
 @pytest.mark.parametrize("n", [2, 5, 30])
 def test_defective_chain_is_solved_by_the_lu_alone(n, gamma):
     # Identical chiral emitters without DDI: M0 is one Jordan block, whose
     # eigenvectors are parallel.  V^-1 b is singular or huge, every modal
-    # point fails the check, and the LU solves each as the batch does.
+    # point fails the check, and the LU solves each as the batch does, in
+    # stacks no larger than the batch's inside the larger modal stacks.
     config = chiral_config(n, gamma=gamma, ddi_mode="off")
     ddi = ddi_matrix(config)
     deltas = np.linspace(-60.0, 60.0, 121)
-    modal = scan(config, ddi, deltas)
+    recorder = RecordingSolve()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "solve", recorder)
+        modal = scan(config, ddi, deltas)
+    stacks = [len(m) for m, _, _ in recorder.systems if m.shape[-1] == n]
+    assert sum(stacks) >= deltas.size and max(stacks) <= STACK_ELEMENTS // n**2
     lu = solve_spectrum_point_batch(config, ddi, deltas)
     for key in ("a", *AMPLITUDES, "residual"):
         assert np.array_equal(getattr(modal, key), getattr(lu, key))

@@ -19,10 +19,12 @@ from photon_router import (
     solve_transport,
     sweep_separation,
 )
+from photon_router.scattering import INTENSITY_KEYS
 
 from conftest import (
     COUPLING,
     EMISSION,
+    RecordingSolve,
     chiral_config,
     random_chains,
     replace,
@@ -252,13 +254,15 @@ class TestFindPeaks:
         config = symmetric_config(2, gamma=EMISSION)
         ddi = ddi_matrix(config)
         result = scan(config, ddi, np.linspace(-60.0, 60.0, 121))
-        batch, calls = spectra.solve_spectrum_point_batch, []
+        # Every probe is one LU solve of the refinement's chain: count them
+        # at the solver entry, with the number of detunings each solves.
+        solve, calls = spectra._solve_grid, []
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(len(args[2]))
-            return batch(*args)
+            return solve(*args, **kwargs)
 
-        monkeypatch.setattr(spectra, "solve_spectrum_point_batch", counting)
+        monkeypatch.setattr(spectra, "_solve_grid", counting)
         peaks = find_peaks(result, *CHANNELS, refine=True, config=config, ddi=ddi)
         assert len(peaks) == 7 and {p.channel for p in peaks} == set(CHANNELS)
         together = list(calls)
@@ -274,6 +278,46 @@ class TestFindPeaks:
         assert alone in peaks
         assert len(calls) == len(together)
         assert sum(together) > 6 * sum(calls)
+
+    def test_refinement_builds_its_chain_once_and_probes_by_the_lu(self, monkeypatch):
+        # Every probe solves the one chain built for the refinement, and its
+        # LU systems (the same C, the same diagonal writes), solutions and
+        # intensities are those of the LU batch at its detunings, bit for bit.
+        config = chiral_config(30)
+        ddi = ddi_matrix(config)
+        result = scan(config, ddi, np.linspace(-300.0, 300.0, 201))
+        recorder, built, probes = RecordingSolve(), [], []
+        chain, probe = spectra._chain, spectra._probe
+
+        def building(*args):
+            built.append(chain(*args))
+            return built[-1]
+
+        def probing(config, chains, deltas):
+            first = len(recorder.systems)
+            rows = probe(config, chains, deltas)  # the refinement writes into the first
+            probes.append((np.array(deltas), chains, rows.copy(), recorder.systems[first:]))
+            return rows
+
+        monkeypatch.setattr(spectra, "_chain", building)
+        monkeypatch.setattr(spectra, "_probe", probing)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "solve", recorder)
+            peaks = find_peaks(result, *CHANNELS, refine=True, config=config, ddi=ddi)
+        assert len(peaks) > 1 and len(built) == 1
+        assert sum(len(systems) for *_, systems in probes) == len(recorder.systems)
+        for deltas, chains, rows, systems in probes:
+            assert chains is built[0]
+            batch_recorder = RecordingSolve()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(np.linalg, "solve", batch_recorder)
+                batch = solve_spectrum_point_batch(config, ddi, deltas)
+            assert len(systems) == len(batch_recorder.systems)
+            for system, expected in zip(systems, batch_recorder.systems):
+                for got, want in zip(system, expected):
+                    assert np.array_equal(got, want)
+            for column, key in zip(rows.T, INTENSITY_KEYS):
+                assert np.array_equal(column, batch.intensities[key])
 
 
 @settings(max_examples=30, deadline=None)
@@ -445,6 +489,29 @@ class TestScaleEmitters:
         assert record.tt_max == at_peak["Tt"]
         assert record.t_bar_min == at_peak["T"]
         assert record.loss_at_peak == at_peak["loss"]
+
+    def test_each_chain_length_builds_its_chain_once(self, monkeypatch):
+        # The scan of each N and all of its refinement probes solve one chain.
+        config = chiral_config(2)
+        built, solves = [], []
+        chain, solve = spectra._chain, spectra._solve_grid
+
+        def building(*args):
+            built.append(chain(*args))
+            return built[-1]
+
+        def solving(config, chains, deltas, modal):
+            solves.append((chains, modal))
+            return solve(config, chains, deltas, modal)
+
+        monkeypatch.setattr(spectra, "_chain", building)
+        monkeypatch.setattr(spectra, "_solve_grid", solving)
+        scale_emitters(config, [1, 2, 5], np.linspace(-60.0, 60.0, 121))
+        assert [chains.n for chains in built] == [1, 2, 5]
+        assert all(chains in built for chains, _ in solves)
+        for chains in built:
+            modal = [m for c, m in solves if c is chains]
+            assert modal[0] and len(modal) > 1 and not any(modal[1:])  # a scan, then probes
 
     def test_failed_scan_point_raises(self):
         # The second emitter is decoupled, so delta = 0 is a pole of the scan.
