@@ -24,16 +24,17 @@ output ports are returned: t_N, tt_N, r_1 and rt_1.
 
 M splits into its diagonal and the coupling block C (the off-diagonal
 waveguide couplings with their phases, plus J; C_jj = 0).  What does not
-depend on delta is built once per chain, as a ``_Chains`` kept for every
-solve of it (a scan, each peak-refinement probe): the rates and, at carrier
-phases, C and its absolute row sums; with delta-dependent phases C is built
-once per stack, from that stack's phases.  Stacks bound their memory: at
-most ``STACK_ELEMENTS`` elements of the LU's (P, N, N) matrices, or a
-quarter as many per array of the modal solver's (P, N) ones, about ten of
-which it holds at once.  Each point's backward error takes ||M||_inf =
-max_j (sum_k |C_jk| + |M_jj|), O(N) per point.  One check per stack accepts
-each point, solved and flux-balanced, or raises the SolverError of the
-first that fails, in input order.
+depend on delta is built once per chain, from its validated config and
+couplings, as a ``_Chains`` kept for every solve of it (a scan, each
+peak-refinement probe): the rates and, at carrier phases, C and its
+absolute row sums; with delta-dependent phases C is built once per stack,
+from the step phases each chain's config gives that stack's detunings.
+Stacks bound their memory: at most ``STACK_ELEMENTS`` elements of the LU's
+(P, N, N) matrices, or a quarter as many per array of the modal solver's
+(P, N) ones, about ten of which it holds at once.  Each point's backward
+error takes ||M||_inf = max_j (sum_k |C_jk| + |M_jj|), O(N) per point.
+One check per stack accepts each point, solved and flux-balanced, or
+raises the SolverError of the first that fails, in input order.
 
 Two solvers fill the stacks.  The LU copies C into each point's matrix,
 writes its diagonal and factorises it: O(N^3) per point.  The modal solver
@@ -153,20 +154,22 @@ def solve_spectrum_point_batch(
     norm beyond the float range, backward error above ``RESIDUAL_LIMIT``,
     non-finite intensities, flux balance (see ``SolverError``).
     """
-    return _solve_grid(config, _chain(config, ddi), deltas, modal=False)
+    return _solve_chains(_chain(config, ddi), deltas, modal=False)
 
 
 class _Chains:
-    """The delta-independent parts of C chains that share a config's N and
-    rates, each with its own couplings J (C, N, N) and step phases ``steps``,
-    as a separation sweep's spacings do: built once, solved by
-    ``_solve_chains`` over any number of detuning lists.  At carrier phases,
-    where ``steps`` is (C,), it also holds each chain's phases, C and row
-    sums, and its ``modes`` once a modal solve asks for them."""
+    """The delta-independent parts of C chains, given by their validated
+    ``configs``, which share N and rates, and their couplings J (C, N, N):
+    a separation sweep's spacings, or one spectrum's chain.  Built once,
+    solved by ``_solve_chains`` over any number of detuning lists.  At
+    carrier phases it also holds each chain's phases (from its config's
+    theta), C and row sums, and its ``modes`` once a modal solve asks for
+    them."""
 
     @np.errstate(over="ignore", invalid="ignore")  # out-of-range values fail their point
-    def __init__(self, config: SystemConfig, couplings: np.ndarray, steps: np.ndarray):
-        self.n, self.couplings = config.n_emitters, couplings
+    def __init__(self, configs: Sequence[SystemConfig], couplings: np.ndarray):
+        config = configs[0]
+        self.configs, self.n, self.couplings = configs, config.n_emitters, couplings
         self.carrier = not config.delta_dependent_phases
         gamma = config.rate_profile("gamma")
         if config.regularize:
@@ -178,6 +181,7 @@ class _Chains:
         self.gamma, self.total = gamma, gamma + rates.sum(axis=0)
         self.width = 0.5j * self.total
         if self.carrier:
+            steps = np.array([chain.theta for chain in configs])
             self.phases, self.block, self.row_sums = self.coupling(steps, couplings)
 
     def coupling(self, steps: np.ndarray, exchange: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -206,17 +210,7 @@ def _chain(config: SystemConfig, ddi: DdiMatrix) -> _Chains:
     """A spectrum's one chain, for all of its solves."""
     if ddi.n != config.n_emitters:
         raise ValueError(f"coupling matrix is {ddi.n}x{ddi.n} for {config.n_emitters} emitters")
-    return _Chains(config, ddi.values[None], np.array([config.theta]))
-
-
-@np.errstate(over="ignore", invalid="ignore")  # out-of-range values fail their point
-def _solve_grid(
-    config: SystemConfig, chains: _Chains, deltas: Sequence[float] | np.ndarray, modal: bool
-) -> TransportSolution:
-    """``_chain(config, ddi)`` over a 1-D list of detunings (see ``_solve_chains``)."""
-    deltas = np.asarray(deltas, dtype=float)
-    steps = np.asarray(config.step_phase(deltas))[None]
-    return _solve_chains(chains, deltas, steps, modal)
+    return _Chains([config], ddi.values[None])
 
 
 def _per_point(values: np.ndarray, chain: np.ndarray) -> np.ndarray:
@@ -244,22 +238,25 @@ def _modes(m0: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return lam, vecs, w
 
 
+@np.errstate(over="ignore", invalid="ignore")  # out-of-range values fail their point
 def _solve_chains(
-    chains: _Chains, deltas: np.ndarray, steps: np.ndarray, modal: bool
+    chains: _Chains, deltas: Sequence[float] | np.ndarray, modal: bool
 ) -> TransportSolution:
     """The solver core: every chain of ``chains`` over one detuning list (P,).
 
-    ``steps`` is (C,) at carrier phases, where ``chains`` holds each chain's
-    C, or (C, P) with delta-dependent phases.  Points run chain-major,
-    point c * P + p being chain c at ``deltas[p]``, and fail as in
-    ``solve_spectrum_point_batch``, over that order.  ``modal`` solves
-    carrier-phase points from the chains' modes first.  Callers hold
-    ``np.errstate(over="ignore", invalid="ignore")``: such values fail their point.
+    Points run chain-major, point c * P + p being chain c at ``deltas[p]``,
+    and fail as in ``solve_spectrum_point_batch``, over that order; with
+    delta-dependent phases each point takes its chain config's step phase
+    at its detuning.  ``modal`` solves carrier-phase points from the chains'
+    modes first.
     """
     n, v_dr, v_dl, v_ur, v_ul = chains.n, chains.v_dr, chains.v_dl, chains.v_ur, chains.v_ul
+    deltas = np.asarray(deltas, dtype=float)
     flat = np.tile(deltas, len(chains.couplings))
     chain_of = np.arange(len(chains.couplings)).repeat(deltas.size)
     diagonal = np.arange(n)
+    if not chains.carrier:  # chain-major, as the points run
+        steps = np.concatenate([config.step_phase(deltas) for config in chains.configs])
     if modal := modal and chains.carrier:
         lam, vecs, w, m0 = chains.modes
 
@@ -304,7 +301,7 @@ def _solve_chains(
             phases, sums = _per_point(chains.phases, chain), _per_point(chains.row_sums, chain)
         else:
             exchange = _per_point(chains.couplings, chain)
-            phases, block, sums = chains.coupling(steps.ravel()[stack], exchange)
+            phases, block, sums = chains.coupling(steps[stack], exchange)
         on_diagonal = -flat[stack, None] - chains.width
         # ||M||_inf = max_j (sum_k |C_jk| + |M_jj|), O(N) per point.
         norm = (sums + np.abs(on_diagonal)).max(axis=1)

@@ -19,7 +19,6 @@ from .scattering import (
     _chain,
     _Chains,
     _solve_chains,
-    _solve_grid,
 )
 
 #: Peak locations are refined until stable to this width, Gamma0 units.
@@ -72,20 +71,16 @@ class SeparationSweep:
     transmitted: np.ndarray
 
 
-def _check_monotone(grid: np.ndarray) -> None:
-    """Raise unless the detuning grid is strictly monotone, in either direction."""
+def _checked_grid(grid: Sequence[float] | np.ndarray) -> np.ndarray:
+    """The detuning grid as a float array, which must be 1-D, non-empty and
+    strictly monotone, in either direction."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        shape = "empty" if grid.size == 0 else f"{grid.ndim}-D"
+        raise ValueError(f"{shape} grid: a grid must be a non-empty 1-D array")
     steps = np.diff(grid)
     if not (np.all(steps > 0) or np.all(steps < 0)):
         raise ValueError("grid must be strictly monotone")
-
-
-def _checked_grid(grid: Sequence[float] | np.ndarray) -> np.ndarray:
-    """The detuning grid as a float array, which must be 1-D, non-empty and
-    strictly monotone."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("grid must be a non-empty 1-D array")
-    _check_monotone(grid)
     return grid
 
 
@@ -95,7 +90,7 @@ def scan(
     """Batch-solve a monotone detuning grid into the solver's
     TransportSolution, from the chain's modes at carrier phases (see
     ``scattering``); the first grid point that fails raises its SolverError."""
-    return _solve_grid(config, _chain(config, ddi), _checked_grid(grid), modal=True)
+    return _solve_chains(_chain(config, ddi), _checked_grid(grid), modal=True)
 
 
 def _plateau_maxima(deltas: np.ndarray, values: np.ndarray) -> list[int]:
@@ -109,18 +104,15 @@ def _plateau_maxima(deltas: np.ndarray, values: np.ndarray) -> list[int]:
     return np.where(deltas[first] < deltas[last], first, last)[1:-1][higher].tolist()
 
 
-def _probe(config: SystemConfig, chains: _Chains, deltas: np.ndarray) -> np.ndarray:
+def _probe(chains: _Chains, deltas: np.ndarray) -> np.ndarray:
     """One row of intensities (columns in ``INTENSITY_KEYS`` order) per
-    detuning, from one batched LU solve of ``chains``, the chain of ``config``."""
-    solution = _solve_grid(config, chains, deltas, modal=False)
+    detuning, from one batched LU solve of ``chains``."""
+    solution = _solve_chains(chains, deltas, modal=False)
     return np.column_stack([solution.intensities[key] for key in INTENSITY_KEYS])
 
 
 def _refine_maxima(
-    config: SystemConfig,
-    chains: _Chains,
-    result: TransportSolution,
-    seeds: list[tuple[str, int]],
+    chains: _Chains, result: TransportSolution, seeds: list[tuple[str, int]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Polish interior grid maxima, given as (channel, index), off-grid.
 
@@ -153,7 +145,7 @@ def _refine_maxima(
     # Rows 0/1: bracket ends a/b, inner points c/d and the intensities there.
     ends = np.array([lo, hi])
     inner = np.array([hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)])
-    first = _probe(config, chains, np.concatenate([vertex[bowed], *inner]))
+    first = _probe(chains, np.concatenate([vertex[bowed], *inner]))
     at_vertex = np.full_like(rows[i], -np.inf)
     at_vertex[bowed] = first[: bowed.sum()]
     at_inner = first[bowed.sum() :].reshape(2, k.size, len(INTENSITY_KEYS))
@@ -167,7 +159,7 @@ def _refine_maxima(
         inner[far, j] = inner[near, j]
         at_inner[far, j] = at_inner[near, j]
         inner[near, j] = ends[far, j] - _INVPHI * (ends[far, j] - ends[near, j])
-        at_inner[near, j] = _probe(config, chains, inner[near, j])
+        at_inner[near, j] = _probe(chains, inner[near, j])
 
     location, best = x[i], rows[i]
     for at, row in ((vertex, at_vertex), (inner[0], at_inner[0]), (inner[1], at_inner[1])):
@@ -191,9 +183,7 @@ def find_peaks(
     channels' peaks in lockstep; it re-solves the transport problem, so it
     needs the config and coupling matrix that produced the scan.
     """
-    if result.delta.size == 0:
-        raise ValueError("empty grid")
-    _check_monotone(result.delta)
+    _checked_grid(result.delta)
     if not channels:
         raise ValueError("find_peaks needs at least one channel")
     for channel in channels:
@@ -208,7 +198,7 @@ def find_peaks(
         for i in _plateau_maxima(result.delta, result.intensities[channel])
     ]
     if refine:
-        locations, heights, _ = _refine_maxima(config, _chain(config, ddi), result, seeds)
+        locations, heights, _ = _refine_maxima(_chain(config, ddi), result, seeds)
     else:
         locations = [result.delta[i] for _, i in seeds]
         heights = [result.intensities[channel][i] for channel, i in seeds]
@@ -220,7 +210,6 @@ def find_peaks(
     return peaks
 
 
-@np.errstate(over="ignore", invalid="ignore")  # out-of-range values fail their point
 def sweep_separation(
     config: SystemConfig,
     l_range: tuple[float, float],
@@ -257,12 +246,11 @@ def sweep_separation(
         )
 
     spacings = np.linspace(l_min, l_max, l_points)
-    steps, first_rows = [], []
+    configs, first_rows = [], []
     for spacing in spacings:
-        cfg = validate(dataclasses.replace(config, spacing=float(spacing)))
-        steps.append(cfg.step_phase(grid))
+        configs.append(validate(dataclasses.replace(config, spacing=float(spacing))))
         # J_jk depends on |j - k| only, so row 0 holds J in O(N) memory.
-        first_rows.append(ddi_matrix(cfg).values[0])
+        first_rows.append(ddi_matrix(configs[-1]).values[0])
     n = config.n_emitters
     offset = abs(np.subtract.outer(np.arange(n), np.arange(n)))
     per_call = max(grid.size, STACK_ELEMENTS // n**2) // grid.size
@@ -271,9 +259,8 @@ def sweep_separation(
     transmitted = np.empty((l_points, grid.size))
     for k in range(0, l_points, per_call):
         call = slice(k, k + per_call)
-        couplings, call_steps = np.array(first_rows[call])[:, offset], np.array(steps[call])
-        chains = _Chains(config, couplings, call_steps)
-        result = _solve_chains(chains, grid, call_steps, modal=True)
+        chains = _Chains(configs[call], np.array(first_rows[call])[:, offset])
+        result = _solve_chains(chains, grid, modal=True)
         routed[call] = result.intensities["Tt"].reshape(-1, grid.size)
         transmitted[call] = result.intensities["T"].reshape(-1, grid.size)
     return SeparationSweep(
@@ -305,10 +292,10 @@ def scale_emitters(
     for n in n_list:
         cfg = validate(dataclasses.replace(config, n_emitters=int(n)))
         chains = _chain(cfg, ddi_matrix(cfg))  # shared by the scan and the refinement
-        result = _solve_grid(cfg, chains, grid, modal=True)
+        result = _solve_chains(chains, grid, modal=True)
         i = int(np.argmax(result.intensities["Tt"]))
         if 0 < i < grid.size - 1:
-            location, _, rows = _refine_maxima(cfg, chains, result, [("Tt", i)])
+            location, _, rows = _refine_maxima(chains, result, [("Tt", i)])
             delta_star, row = float(location[0]), rows[0]
         else:
             delta_star = float(grid[i])

@@ -388,13 +388,17 @@ def test_missing_config_exits_3(tmp_path, capsys):
 def test_unwritable_out_exits_3(two_emitter_config, tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
-    out = blocker / "sub.csv"  # parent is a file
-    code = main([
-        "spectrum", "--config", str(two_emitter_config), "--out", str(out),
-        "--delta-points", "3",
-    ])
-    assert code == 3
-    assert "i/o error" in capsys.readouterr().err
+    # b.csv's peak report cannot be written, as its path is a directory: the
+    # CSV, written before it, stays behind, but no manifest marks the run complete.
+    (tmp_path / "b.peaks.json").mkdir()
+    for out in (blocker / "sub.csv", tmp_path / "b.csv"):  # the first's parent is a file
+        code = main([
+            "spectrum", "--config", str(two_emitter_config), "--out", str(out),
+            "--delta-points", "3",
+        ])
+        assert code == 3
+        assert "i/o error" in capsys.readouterr().err
+        assert not out.with_suffix(".csv.manifest.json").exists()
 
 
 def test_scale_n_single_record(two_emitter_config, tmp_path):

@@ -256,13 +256,13 @@ class TestFindPeaks:
         result = scan(config, ddi, np.linspace(-60.0, 60.0, 121))
         # Every probe is one LU solve of the refinement's chain: count them
         # at the solver entry, with the number of detunings each solves.
-        solve, calls = spectra._solve_grid, []
+        solve, calls = spectra._solve_chains, []
 
         def counting(*args, **kwargs):
-            calls.append(len(args[2]))
+            calls.append(len(args[1]))
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(spectra, "_solve_grid", counting)
+        monkeypatch.setattr(spectra, "_solve_chains", counting)
         peaks = find_peaks(result, *CHANNELS, refine=True, config=config, ddi=ddi)
         assert len(peaks) == 7 and {p.channel for p in peaks} == set(CHANNELS)
         together = list(calls)
@@ -293,9 +293,9 @@ class TestFindPeaks:
             built.append(chain(*args))
             return built[-1]
 
-        def probing(config, chains, deltas):
+        def probing(chains, deltas):
             first = len(recorder.systems)
-            rows = probe(config, chains, deltas)  # the refinement writes into the first
+            rows = probe(chains, deltas)  # the refinement writes into the first
             probes.append((np.array(deltas), chains, rows.copy(), recorder.systems[first:]))
             return rows
 
@@ -375,8 +375,13 @@ class TestSweepSeparation:
             (12, 21, 7, {}),                               # 5 spacings per call
             (12, 150, 3, {"delta_dependent_phases": True}),  # 2 stacks per spacing
             (3, 41, 4, {"gamma_dl": 2.0, "gamma_ul": 1.5}),  # symmetric: one call
+            # Symmetric with delta-dependent phases: one LU stack over all spacings.
+            (3, 41, 4, {"gamma_dl": 2.0, "gamma_ul": 1.5, "delta_dependent_phases": True}),
         ],
-        ids=["n2-carrier", "n2-delta-phases", "n12-carrier", "n12-delta-phases", "n3-symmetric"],
+        ids=[
+            "n2-carrier", "n2-delta-phases", "n12-carrier", "n12-delta-phases", "n3-symmetric",
+            "n3-symmetric-delta-phases",
+        ],
     )
     def test_bits_equal_one_scan_per_spacing(self, n, points, l_points, overrides):
         config = chiral_config(n, **overrides)
@@ -494,18 +499,18 @@ class TestScaleEmitters:
         # The scan of each N and all of its refinement probes solve one chain.
         config = chiral_config(2)
         built, solves = [], []
-        chain, solve = spectra._chain, spectra._solve_grid
+        chain, solve = spectra._chain, spectra._solve_chains
 
         def building(*args):
             built.append(chain(*args))
             return built[-1]
 
-        def solving(config, chains, deltas, modal):
+        def solving(chains, deltas, modal):
             solves.append((chains, modal))
-            return solve(config, chains, deltas, modal)
+            return solve(chains, deltas, modal)
 
         monkeypatch.setattr(spectra, "_chain", building)
-        monkeypatch.setattr(spectra, "_solve_grid", solving)
+        monkeypatch.setattr(spectra, "_solve_chains", solving)
         scale_emitters(config, [1, 2, 5], np.linspace(-60.0, 60.0, 121))
         assert [chains.n for chains in built] == [1, 2, 5]
         assert all(chains in built for chains, _ in solves)
