@@ -7,8 +7,11 @@ dipole-dipole interaction: one N x N system in the emitter amplitudes per
 detuning, stacked over a whole detuning grid, with the amplitudes at the
 four output ports recovered by cumulative sums.  It also provides spectrum
 scans, peak refinement, separation sweeps and chain-length scaling reports,
-all built on that one batched solve; peak refinement advances every peak of
-every channel in lockstep, one batched solve per golden-section step.
+all built on that one batched solve.  Peak refinement probes every open
+peak of every channel in each solver call, several golden-section steps
+ahead where one LU stack has room (depth = max(1, LU stack points // open
+peaks)), and keeps each peak's steps up to its first mispredicted one, so
+its results do not depend on the predictions, bit for bit.
 """
 
 __version__ = "0.1.0"

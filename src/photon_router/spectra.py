@@ -15,6 +15,7 @@ from .params import SystemConfig, validate
 from .scattering import (
     INTENSITY_KEYS,
     STACK_ELEMENTS,
+    SolverError,
     TransportSolution,
     _chain,
     _Chains,
@@ -111,6 +112,79 @@ def _probe(chains: _Chains, deltas: np.ndarray) -> np.ndarray:
     return np.column_stack([solution.intensities[key] for key in INTENSITY_KEYS])
 
 
+def _vertex(x0, x1, x2, y0, y1, y2) -> np.ndarray:
+    """Vertex of the parabola through three samples; not finite where they
+    lie on a line."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s1 = (y1 - y0) / (x1 - x0)
+        return 0.5 * (x0 + x1) - 0.5 * s1 * (x2 - x0) / ((y2 - y1) / (x2 - x1) - s1)
+
+
+def _predicted_sides(peak: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Whether each bracket keeps the side of its lower inner point (as a
+    golden-section step does where that point's value is no lower), predicted
+    from where its maximum is expected, ``peak``: the inner point nearer it."""
+    return abs(lower - peak) <= abs(upper - peak)
+
+
+def _golden_steps(
+    chains: _Chains, points: np.ndarray, at: np.ndarray, column: np.ndarray,
+    tol: np.ndarray, depth: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance every open bracket by up to ``depth`` golden-section steps,
+    from one batched solve of all of their probes.
+
+    ``points`` (4, K) holds each bracket's ends a, b and inner points c, d,
+    ``at`` (4, K, 5) the intensities there; a step keeps the side of the
+    inner point that is higher in the bracket's ``column``.  The first
+    step's side is read from ``at``; the later ones are predicted from the
+    vertex of the parabola through the kept end and both inner points
+    (``_predicted_sides``), then checked against the probed values: each
+    bracket takes its steps up to its first mispredicted side, exactly those
+    of a step-by-step search.  Returns ``points`` and ``at`` after them.
+    """
+    k = np.arange(points.shape[1])
+    start = a, b, c, d = points
+    level = at[:, k, column]
+    left = level[2] >= level[3]
+    # Rows of ``spots`` and ``rows`` below: 0-3 the points as given, 4 + s
+    # the probe of step s.
+    sa, sb, sc, sd = np.arange(4)[:, None].repeat(k.size, axis=1)
+    sources, sides, probes, alive = [(sa, sb, sc, sd)], [], [], []
+    for s in range(depth):
+        if s == 1:
+            peak = _vertex(
+                np.where(left, start[0], start[1]), start[2], start[3],
+                np.where(left, level[0], level[1]), level[2], level[3],
+            )
+        if s:
+            left = _predicted_sides(peak, c, d)
+        open_ = b - a > tol
+        if not open_.any():
+            break
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        w = _INVPHI * (b - a)
+        probe = np.where(left, b - w, a + w)
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        sa, sb = np.where(left, sa, sc), np.where(left, sd, sb)
+        sc, sd = np.where(left, 4 + s, sd), np.where(left, sc, 4 + s)
+        sources.append((sa, sb, sc, sd))
+        sides.append(left)
+        probes.append(probe)
+        alive.append(open_)
+
+    alive, probes = np.array(alive), np.array(probes)
+    solved = np.full((*alive.shape, len(INTENSITY_KEYS)), np.nan)
+    solved[alive] = _probe(chains, probes[alive])  # step-major
+    spots, rows = np.concatenate([points, probes]), np.concatenate([at, solved])
+    sources, sides = np.array(sources), np.array(sides)
+    # The real side of each later step, from the inner points the step before left.
+    inner = rows[sources[1:-1, 2:], k, column]
+    confirmed = np.concatenate([sides[:1], inner[:, 0] >= inner[:, 1]]) == sides
+    kept = sources[np.logical_and.accumulate(alive & confirmed).sum(axis=0), :, k].T
+    return spots[kept, k], rows[kept, k]
+
+
 def _refine_maxima(
     chains: _Chains, result: TransportSolution, seeds: list[tuple[str, int]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -119,12 +193,18 @@ def _refine_maxima(
     Each maximum is bracketed by its grid neighbours, tried at the vertex of
     the parabola through its three samples (if that bows down), and narrowed
     by golden-section search to ``PEAK_REFINE_TOL``, or to 64 ulps of the
-    bracket's detunings where those are coarser.  All brackets advance
-    in lockstep: each step solves the probes of every open bracket in one
-    batched call.  Returns locations, heights and the row of all
-    intensities there (``INTENSITY_KEYS`` order), from the winning probe or
-    the scan; a height is never below its grid sample, and ties in height
-    resolve toward smaller detuning.
+    bracket's detunings where those are coarser.  Every solver call probes
+    every open bracket, each up to depth = max(1, lu_size // open brackets)
+    steps ahead (``_golden_steps``), with lu_size = max(1, ``STACK_ELEMENTS``
+    // N^2) the points of one LU stack; many brackets take one step a call.
+    Each probe is its own LU solve, so the predictions set only the number
+    of calls: locations and heights are those of a step-by-step search, bit
+    for bit.  A call whose speculative probes raise a SolverError is taken
+    again one step deep, so only a probe that search makes can raise.
+    Returns locations, heights and the row of all intensities there
+    (``INTENSITY_KEYS`` order), from the winning probe or the scan; a height
+    is never below its grid sample, and ties in height resolve toward
+    smaller detuning.
     """
     x = result.delta
     up = 1 if x[-1] > x[0] else -1  # neighbours in ascending detuning
@@ -142,30 +222,32 @@ def _refine_maxima(
     vertex = x[i] + 0.5 * h * (y_lo - y_hi) / np.where(bowed, curvature, -1.0)
     vertex = np.minimum(np.maximum(vertex, lo), hi)
 
-    # Rows 0/1: bracket ends a/b, inner points c/d and the intensities there.
-    ends = np.array([lo, hi])
-    inner = np.array([hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)])
+    # Rows 0-3: bracket ends a/b, inner points c/d; ``at`` the intensities there.
+    inner = [hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)]
+    points = np.array([lo, hi, *inner])
     first = _probe(chains, np.concatenate([vertex[bowed], *inner]))
     at_vertex = np.full_like(rows[i], -np.inf)
     at_vertex[bowed] = first[: bowed.sum()]
     at_inner = first[bowed.sum() :].reshape(2, k.size, len(INTENSITY_KEYS))
+    at = np.concatenate([rows[[i - up, i + up]], at_inner])
     # Below 64 ulps rounding could stall the search: its points would coincide.
     tol = np.maximum(PEAK_REFINE_TOL, 64.0 * np.spacing(np.maximum(abs(lo), abs(hi))))
-    while (j := np.flatnonzero(ends[1] - ends[0] > tol)).size:
-        # Keep the side of the higher inner point; the far end moves in.
-        near = np.where(at_inner[0, j, column[j]] >= at_inner[1, j, column[j]], 0, 1)
-        far = 1 - near
-        ends[far, j] = inner[far, j]
-        inner[far, j] = inner[near, j]
-        at_inner[far, j] = at_inner[near, j]
-        inner[near, j] = ends[far, j] - _INVPHI * (ends[far, j] - ends[near, j])
-        at_inner[near, j] = _probe(chains, inner[near, j])
+    lu_size = max(1, STACK_ELEMENTS // chains.n**2)
+    while opened := np.count_nonzero(points[1] - points[0] > tol):
+        depth = max(1, lu_size // opened)
+        try:
+            points, at = _golden_steps(chains, points, at, column, tol, depth)
+        except SolverError:
+            if depth == 1:
+                raise
+            # Take the step alone: only a probe the plain search makes may raise.
+            points, at = _golden_steps(chains, points, at, column, tol, 1)
 
     location, best = x[i], rows[i]
-    for at, row in ((vertex, at_vertex), (inner[0], at_inner[0]), (inner[1], at_inner[1])):
+    for spot, row in ((vertex, at_vertex), (points[2], at[2]), (points[3], at[3])):
         value, height = row[k, column], best[k, column]
-        wins = (value > height) | ((value == height) & (at < location))
-        location, best = np.where(wins, at, location), np.where(wins[:, None], row, best)
+        wins = (value > height) | ((value == height) & (spot < location))
+        location, best = np.where(wins, spot, location), np.where(wins[:, None], row, best)
     return location, best[k, column], best
 
 
@@ -180,8 +262,9 @@ def find_peaks(
     sorted by location (stable, so equal locations keep channel order).
 
     ``refine`` polishes every maximum off-grid (see ``_refine_maxima``), all
-    channels' peaks in lockstep; it re-solves the transport problem, so it
-    needs the config and coupling matrix that produced the scan.
+    channels' peaks in the same solver calls; it re-solves the transport
+    problem, so it needs the config and coupling matrix that produced the
+    scan.
     """
     _checked_grid(result.delta)
     if not channels:

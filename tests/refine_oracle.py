@@ -1,8 +1,9 @@
 """Scalar reference for peak refinement: one grid maximum at a time, one
 single-detuning solve per probe, through a callable.
 
-``spectra._refine_maxima`` advances every bracket in lockstep; it must
-reproduce this reference bit for bit, probe points and tie rules included.
+``spectra._refine_maxima`` probes every bracket in each solver call, some
+steps ahead; it must reproduce this reference bit for bit, probe points and
+tie rules included.
 """
 
 from __future__ import annotations
@@ -41,7 +42,9 @@ def golden_maximize(
 def refine_maximum(
     x: np.ndarray, y: np.ndarray, i: int, evaluate: Callable[[float], float]
 ) -> tuple[float, float]:
-    """Polish grid maximum i: parabolic vertex, then golden-section solves.
+    """Polish grid maximum i: parabolic vertex, then golden-section solves
+    to ``PEAK_REFINE_TOL``, or to 64 ulps of the bracket's detunings where
+    those are coarser.
 
     The bracket is the two grid neighbours in ascending detuning, whichever
     way the grid runs.  Never returns a height below the grid sample; ties
@@ -55,7 +58,8 @@ def refine_maximum(
         vertex = x[i] + 0.5 * h * (y_lo - y_hi) / curvature
         vertex = min(max(vertex, lo), hi)
         candidates.append((evaluate(vertex), -vertex))
-    location, height = golden_maximize(evaluate, lo, hi, PEAK_REFINE_TOL)
+    tol = max(PEAK_REFINE_TOL, 64.0 * np.spacing(max(abs(lo), abs(hi))))
+    location, height = golden_maximize(evaluate, lo, hi, tol)
     candidates.append((height, -location))
     best = max(candidates)
     return -best[1], best[0]

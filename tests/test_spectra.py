@@ -50,11 +50,14 @@ def synthetic(values, channel="T"):
     return spectrum(deltas, {channel: np.asarray(values, float)})
 
 
-def reference_peaks(config, ddi, result, channels):
-    """Refined peaks from the scalar reference, in find_peaks order."""
+def reference_peaks(config, ddi, result, channels, probes=None):
+    """Refined peaks from the scalar reference, in find_peaks order; the
+    detunings it solves are appended to ``probes`` if given."""
     peaks = []
     for channel in channels:
         def evaluate(delta, channel=channel):
+            if probes is not None:
+                probes.append(delta)
             return solve_transport(config, ddi, delta).intensities[channel]
 
         y = result.intensities[channel]
@@ -62,6 +65,36 @@ def reference_peaks(config, ddi, result, channels):
             location, height = refine_maximum(result.delta, y, i, evaluate)
             peaks.append(Peak(channel, float(location), float(height), True))
     return sorted(peaks, key=lambda p: p.location)
+
+
+def counted_solves(monkeypatch):
+    """Record the detunings of every solver call of the spectra module."""
+    solve, calls = spectra._solve_chains, []
+
+    def counting(chains, deltas, modal):
+        calls.append(np.array(deltas))
+        return solve(chains, deltas, modal)
+
+    monkeypatch.setattr(spectra, "_solve_chains", counting)
+    return calls
+
+
+def advancing_steps(monkeypatch, limit=100):
+    """Check that every speculative refinement call narrows every open
+    bracket and leaves the closed ones alone, for at most ``limit`` calls."""
+    steps, calls = spectra._golden_steps, []
+
+    def checked(chains, points, at, column, tol, depth):
+        calls.append(depth)
+        assert len(calls) <= limit, "refinement does not converge"
+        width, opened = points[1] - points[0], points[1] - points[0] > tol
+        after = steps(chains, points, at, column, tol, depth)
+        assert np.all((after[0][1] - after[0][0] < width)[opened])
+        assert np.array_equal(after[0][:, ~opened], points[:, ~opened])
+        return after
+
+    monkeypatch.setattr(spectra, "_golden_steps", checked)
+    return calls
 
 
 class TestScan:
@@ -254,30 +287,41 @@ class TestFindPeaks:
         config = symmetric_config(2, gamma=EMISSION)
         ddi = ddi_matrix(config)
         result = scan(config, ddi, np.linspace(-60.0, 60.0, 121))
-        # Every probe is one LU solve of the refinement's chain: count them
-        # at the solver entry, with the number of detunings each solves.
-        solve, calls = spectra._solve_chains, []
-
-        def counting(*args, **kwargs):
-            calls.append(len(args[1]))
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(spectra, "_solve_chains", counting)
+        # Every probe is one LU solve of the refinement's chain: count the
+        # calls at the solver entry, and check each advances every open bracket.
+        calls = counted_solves(monkeypatch)
+        advancing_steps(monkeypatch)
         peaks = find_peaks(result, *CHANNELS, refine=True, config=config, ddi=ddi)
         assert len(peaks) == 7 and {p.channel for p in peaks} == set(CHANNELS)
-        together = list(calls)
+        together = len(calls)
 
-        # The first Tt peak on its own: a three-point window around it.
-        i = int(np.argmax(result.intensities["Tt"][:60]))
-        window = spectrum(
-            result.delta[i - 1 : i + 2],
-            {k: v[i - 1 : i + 2] for k, v in result.intensities.items()},
-        )
-        calls.clear()
-        (alone,) = find_peaks(window, "Tt", refine=True, config=config, ddi=ddi)
-        assert alone in peaks
-        assert len(calls) == len(together)
-        assert sum(together) > 6 * sum(calls)
+        # Each peak on its own, from a three-point window around it: peaks
+        # refined together take no more calls than the slowest alone.
+        alone = []
+        for channel in CHANNELS:
+            for i in spectra._plateau_maxima(result.delta, result.intensities[channel]):
+                window = spectrum(
+                    result.delta[i - 1 : i + 2],
+                    {k: v[i - 1 : i + 2] for k, v in result.intensities.items()},
+                )
+                calls.clear()
+                (peak,) = find_peaks(window, channel, refine=True, config=config, ddi=ddi)
+                assert peak in peaks
+                alone.append(len(calls))
+        assert len(alone) == 7 and together <= max(alone)
+
+    def test_more_brackets_than_one_stack_step_once_a_call(self, monkeypatch):
+        # 37 peaks at N = 30, where one LU stack holds 18 points: no call
+        # probes ahead, so each golden-section step is one call of every
+        # open bracket, after the first call's vertices and inner points.
+        config = chiral_config(30)
+        ddi = ddi_matrix(config)
+        result = scan(config, ddi, np.linspace(-300.0, 300.0, 2001))
+        calls = counted_solves(monkeypatch)
+        depths = advancing_steps(monkeypatch)
+        peaks = find_peaks(result, *CHANNELS, refine=True, config=config, ddi=ddi)
+        assert len(peaks) == 37 and set(depths) == {1}
+        assert len(calls) == 20 and all(len(deltas) == 37 for deltas in calls[1:])
 
     def test_refinement_builds_its_chain_once_and_probes_by_the_lu(self, monkeypatch):
         # Every probe solves the one chain built for the refinement, and its
@@ -318,6 +362,90 @@ class TestFindPeaks:
                     assert np.array_equal(got, want)
             for column, key in zip(rows.T, INTENSITY_KEYS):
                 assert np.array_equal(column, batch.intensities[key])
+
+
+def wrong_sides(config, ddi, channel):
+    """A stand-in for ``spectra._predicted_sides`` that predicts every side
+    wrong, from solves at the inner points."""
+    def predicted(peak, lower, upper):
+        lower, upper = (
+            solve_spectrum_point_batch(config, ddi, x).intensities[channel] for x in (lower, upper)
+        )
+        return ~(lower >= upper)
+
+    return predicted
+
+
+def ulp_chain():
+    """A two-emitter chain whose exchange puts a mode near delta = 1e15,
+    where one ulp is 0.125 Gamma0."""
+    exchange = 1e15
+    return chiral_config(2), DdiMatrix([[0.0, exchange], [exchange, 0.0]])
+
+
+@pytest.mark.parametrize("predictor", ["wrong", "lower", "upper"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "no-seeds",        # a monotone window: nothing to refine
+        "at-64-ulps",      # 2-wide brackets near 1e15: closed before any step
+        "near-64-ulps",    # 10-wide brackets near 1e15: steps at ulp resolution
+        "descending",
+    ],
+)
+def test_refined_peaks_do_not_depend_on_the_predictor(monkeypatch, case, predictor):
+    if case == "no-seeds":
+        config = chiral_config(1)
+        ddi, grid = ddi_matrix(config), np.linspace(0.5, 50.0, 100)
+    elif case.endswith("64-ulps"):
+        config, ddi = ulp_chain()
+        grid = np.linspace(1e15 - 60.0, 1e15 + 60.0, 121 if case == "at-64-ulps" else 13)
+    else:
+        config = chiral_config(3)
+        ddi, grid = ddi_matrix(config), np.linspace(60.0, -60.0, 121)
+    result = scan(config, ddi, grid)
+    expected = reference_peaks(config, ddi, result, ["Tt"])
+    assert (len(expected) == 0) == (case == "no-seeds")
+
+    sides = {
+        "wrong": wrong_sides(config, ddi, "Tt"),
+        "lower": lambda peak, lower, upper: np.ones(lower.shape, bool),
+        "upper": lambda peak, lower, upper: np.zeros(lower.shape, bool),
+    }
+    monkeypatch.setattr(spectra, "_predicted_sides", sides[predictor])
+    calls = advancing_steps(monkeypatch)
+    assert find_peaks(result, "Tt", refine=True, config=config, ddi=ddi) == expected
+    assert (len(calls) == 0) == (case in ("no-seeds", "at-64-ulps"))
+
+
+def test_only_probes_of_the_plain_search_raise(monkeypatch):
+    # Every point off the step-by-step search's path raises here, and every
+    # prediction is wrong, so each call's speculative probes raise: the
+    # refinement takes each such step alone and still refines every peak.
+    config = chiral_config(3)
+    ddi = ddi_matrix(config)
+    result = scan(config, ddi, np.linspace(-60.0, 60.0, 121))
+    path = []
+    expected = reference_peaks(config, ddi, result, ["Tt"], path)
+    solve, raised, failing = spectra._solve_chains, [], None
+
+    def solving(chains, deltas, modal):
+        for delta in deltas:
+            if delta not in path or delta == failing:
+                raised.append(delta)
+                raise SolverError("off the path", delta)
+        return solve(chains, deltas, modal)
+
+    monkeypatch.setattr(spectra, "_solve_chains", solving)
+    monkeypatch.setattr(spectra, "_predicted_sides", wrong_sides(config, ddi, "Tt"))
+    assert find_peaks(result, "Tt", refine=True, config=config, ddi=ddi) == expected
+    assert len(expected) > 1 and raised
+
+    # A probe the plain search makes still raises: here its last one.
+    failing = path[-1]
+    with pytest.raises(SolverError) as err:
+        find_peaks(result, "Tt", refine=True, config=config, ddi=ddi)
+    assert err.value.delta == failing
 
 
 @settings(max_examples=30, deadline=None)
@@ -517,6 +645,14 @@ class TestScaleEmitters:
         for chains in built:
             modal = [m for c, m in solves if c is chains]
             assert modal[0] and len(modal) > 1 and not any(modal[1:])  # a scan, then probes
+
+    def test_refinement_probes_ahead_in_few_calls(self, monkeypatch):
+        # One bracket on the N = 30 platform chain: 19 golden-section steps,
+        # up to 18 a call, after the call that probes its vertex and inner
+        # points (the first call is the scan).
+        calls = counted_solves(monkeypatch)
+        scale_emitters(chiral_config(30), [30], np.linspace(-300.0, 300.0, 2001))
+        assert len(calls) - 1 <= 4
 
     def test_failed_scan_point_raises(self):
         # The second emitter is decoupled, so delta = 0 is a pole of the scan.
