@@ -26,9 +26,8 @@ M splits into its diagonal and the coupling block C (the off-diagonal
 waveguide couplings with their phases, plus J; C_jj = 0).  What does not
 depend on delta is built once per chain, from its validated config and
 couplings, as a ``_Chains`` kept for every solve of it (a scan, each
-peak-refinement probe): the rates and, at carrier phases, C and its
-absolute row sums; with delta-dependent phases C is built once per stack,
-from the step phases each chain's config gives that stack's detunings.
+peak-refinement probe): the rates and, once a solve needs them, C and its
+absolute row sums at the carrier step phase theta, and the chain's modes.
 Stacks bound their memory: at most ``STACK_ELEMENTS`` elements of the LU's
 (P, N, N) matrices, or a quarter as many per array of the modal solver's
 (P, N) ones, about ten of which it holds at once.  Each point's backward
@@ -36,27 +35,37 @@ error takes ||M||_inf = max_j (sum_k |C_jk| + |M_jj|), O(N) per point.
 One check per stack accepts each point, solved and flux-balanced, or
 raises the SolverError of the first that fails, in input order.
 
-Two solvers fill the stacks.  The LU copies C into each point's matrix,
-writes its diagonal and factorises it: O(N^3) per point.  The modal solver
-uses M(delta) = M0 - delta I at carrier phases, M0 = C - diag(i Gamma/2):
-one eigendecomposition M0 = V Lambda V^-1 per chain (the chain's collective
-modes), made by its first modal solve and kept, and w = V^-1 b, then
-A = V (w / (lambda - delta)) per point, O(N^2), with the backward error
-taken from |M0 A - delta A - b|.  ``scan`` and ``sweep_separation`` use the
-modes at carrier phases; the LU re-solves
+Two solvers fill the stacks.  The LU writes C and the diagonal into each
+point's matrix and factorises it: O(N^3) per point; with delta-dependent
+phases it builds C for its own points alone.  The modal solver starts from
+M0 = C - diag(i Gamma/2) at carrier phases: one eigendecomposition
+M0 = V Lambda V^-1 per chain (the chain's collective modes), made by its
+first modal solve and kept.  At carrier phases M(delta) = M0 - delta I, so
+with w = V^-1 b each point is A = V (w / (lambda - delta)), O(N^2), its
+backward error taken from |M0 A - delta A - b|.  With delta-dependent
+phases each step phase is theta + Delta(delta), and
+M(delta) = D R D* + D* L D + J + diag(M_jj), with D = diag(e^{i j Delta})
+and R, L the carrier-phase rightward and leftward blocks.  A starts from
+V ((V^-1 b) / (lambda - delta)), and refinement sweeps through the same
+modes correct it (see ``_swept``), O(N^2) each; the reference N = 100
+chain takes three.  Its ||M||_inf is taken from below, so its backward
+error is bounded from above.  ``scan`` and ``sweep_separation`` use the
+modes; the LU re-solves
 
-- every point of a chain whose decomposition or V^-1 b raises LinAlgError
-  or is not finite (identical emitters without DDI form one Jordan block);
+- every point of a chain whose decomposition, V^-1 b or V^-1 raises
+  LinAlgError or is not finite (identical emitters without DDI form one
+  Jordan block);
 - every point within ``RESIDUAL_LIMIT`` * ||M(delta)||_inf of a mode, where
   the modes would return a finite answer to a singular system;
+- every delta-dependent point whose sweeps stop above N eps;
 - every point whose modal result the check rejects,
 
-and the LU's verdict stands.  Delta-dependent phases, where M is no shift
-of one matrix, ``solve_spectrum_point_batch``, ``solve_transport`` and the
-peak-refinement probes use the LU alone.  Probes solved from the scan's
-kept modes differ from the LU in the last bits, which flips golden-section
-comparisons and moves refined maxima: the N = 1..30 scaling benchmark's
-seed-0 gate then failed (deviation 6.654e-09, bound 1e-10).
+and the LU's verdict stands.  ``solve_spectrum_point_batch``,
+``solve_transport`` and the peak-refinement probes use the LU alone.
+Probes solved from the scan's kept modes differ from the LU in the last
+bits, which flips golden-section comparisons and moves refined maxima: the
+N = 1..30 scaling benchmark's seed-0 gate then failed (deviation 6.654e-09,
+bound 1e-10).
 """
 
 from __future__ import annotations
@@ -161,16 +170,16 @@ class _Chains:
     """The delta-independent parts of C chains, given by their validated
     ``configs``, which share N and rates, and their couplings J (C, N, N):
     a separation sweep's spacings, or one spectrum's chain.  Built once,
-    solved by ``_solve_chains`` over any number of detuning lists.  At
-    carrier phases it also holds each chain's phases (from its config's
-    theta), C and row sums, and its ``modes`` once a modal solve asks for
-    them."""
+    solved by ``_solve_chains`` over any number of detuning lists.  Each
+    chain's phases, C and row sums at its carrier step phase theta
+    (``carrier``) and its ``modes`` are built when a solve first needs them,
+    so the LU of delta-dependent phases builds neither."""
 
     @np.errstate(over="ignore", invalid="ignore")  # out-of-range values fail their point
     def __init__(self, configs: Sequence[SystemConfig], couplings: np.ndarray):
         config = configs[0]
         self.configs, self.n, self.couplings = configs, config.n_emitters, couplings
-        self.carrier = not config.delta_dependent_phases
+        self.drifts = config.delta_dependent_phases
         gamma = config.rate_profile("gamma")
         if config.regularize:
             gamma = gamma + POLE_REGULARIZATION
@@ -180,14 +189,16 @@ class _Chains:
         self.leftward = np.triu(np.outer(v_dl, v_dl) + np.outer(v_ul, v_ul), 1)
         self.gamma, self.total = gamma, gamma + rates.sum(axis=0)
         self.width = 0.5j * self.total
-        if self.carrier:
-            steps = np.array([chain.theta for chain in configs])
-            self.phases, self.block, self.row_sums = self.coupling(steps, couplings)
+        self.theta = np.array([chain.theta for chain in configs])
+
+    def phases(self, steps: np.ndarray) -> np.ndarray:
+        """Phases e^{i phi_j} (K, N) for step phases (K,)."""
+        return np.exp(1j * np.outer(steps, np.arange(self.n)))
 
     def coupling(self, steps: np.ndarray, exchange: np.ndarray) -> tuple[np.ndarray, ...]:
         """Phases e^{i phi_j} (K, N) for step phases (K,), the coupling block
         C (K, N, N) with exchange J, and C's absolute row sums (K, N)."""
-        phases = np.exp(1j * np.outer(steps, np.arange(self.n)))
+        phases = self.phases(steps)
         # In place: two (K, N, N) allocations per call, not seven.
         block = phases[:, :, None] * phases.conj()[:, None, :]
         leftward = block.conj()
@@ -199,11 +210,33 @@ class _Chains:
         return phases, block, np.abs(block).sum(axis=2)  # C_jj = 0: the off-diagonal sums
 
     @cached_property
-    def modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Each chain's lambda, V, w = V^-1 b (see ``_modes``) and M0, kept."""
-        m0 = self.block.copy()
+    def carrier(self) -> tuple[np.ndarray, ...]:
+        """``coupling`` at each chain's carrier step phase theta."""
+        return self.coupling(self.theta, self.couplings)
+
+    @cached_property
+    def modes(self) -> tuple[np.ndarray, ...]:
+        """Each chain's lambda, V (see ``_modes``) and M0, with w = V^-1 b at
+        carrier phases, or V^-1 with delta-dependent phases, kept."""
+        phases, block, _ = self.carrier
+        m0 = block.copy()
         m0[:, np.arange(self.n), np.arange(self.n)] = -self.width
-        return (*_modes(m0, -(self.v_dr * self.phases)), m0)
+        if self.drifts:
+            return (*_modes(m0, np.broadcast_to(np.eye(self.n), m0.shape)), m0)
+        lam, vecs, w = _modes(m0, -(self.v_dr * phases)[..., None])
+        return lam, vecs, w[..., 0], m0
+
+    @cached_property
+    def guided(self) -> tuple[np.ndarray, ...]:
+        """What ``_swept`` applies per chain: the carrier-phase rightward and
+        leftward blocks, J as complex, and sum_k G_jk |j - k| (N,) of the
+        guided couplings G."""
+        phases = self.carrier[0]
+        turns = phases[:, :, None] * phases.conj()[:, None, :]
+        offset = abs(np.subtract.outer(np.arange(self.n), np.arange(self.n)))
+        spread = ((self.rightward + self.leftward) * offset).sum(axis=1)
+        right, left = -1j * self.rightward * turns, -1j * self.leftward * turns.conj()
+        return right, left, self.couplings.astype(complex), spread
 
 
 def _chain(config: SystemConfig, ddi: DdiMatrix) -> _Chains:
@@ -221,21 +254,88 @@ def _per_point(values: np.ndarray, chain: np.ndarray) -> np.ndarray:
 
 def _modes(m0: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each chain's eigenvalues lambda (C, N), eigenvectors V (C, N, N) and
-    w = V^-1 b (C, N), for M0 (C, N, N) and b (C, N).  A chain whose
+    V^-1 rhs (C, N, K), for M0 (C, N, N) and rhs (C, N, K).  A chain whose
     decomposition raises LinAlgError or is not finite gets NaN, so every one
     of its points fails the modal check and goes to the LU."""
     try:
         lam, vecs = np.linalg.eig(m0)
-        w = np.linalg.solve(vecs, rhs[..., None])[..., 0]
+        solved = np.linalg.solve(vecs, rhs)
     except np.linalg.LinAlgError:
         if len(m0) == 1:
             nan = np.full_like(m0, np.nan)
-            return nan[:, 0], nan, nan[:, 0]
+            return nan[:, 0], nan, np.full(rhs.shape, np.nan, dtype=complex)
         parts = [_modes(m0[c : c + 1], rhs[c : c + 1]) for c in range(len(m0))]
         return tuple(np.concatenate(part) for part in zip(*parts))
-    finite = np.isfinite(lam).all(1) & np.isfinite(vecs).all((1, 2)) & np.isfinite(w).all(1)
-    lam[~finite], vecs[~finite], w[~finite] = np.nan, np.nan, np.nan
-    return lam, vecs, w
+    finite = np.isfinite(lam).all(1) & np.isfinite(vecs).all((1, 2))
+    finite &= np.isfinite(solved).all((1, 2))
+    lam[~finite], vecs[~finite], solved[~finite] = np.nan, np.nan, np.nan
+    return lam, vecs, solved
+
+
+def _backward_error(defect, norm, x, rhs_max) -> np.ndarray:
+    """Normwise backward error |M x - b|_inf / (||M||_inf |x|_inf + |b|_inf)
+    per point; a zero scale means b = 0 and x = 0, so the defect itself is
+    the residual."""
+    scale = norm * np.abs(x).max(axis=1) + rhs_max
+    return np.divide(defect, scale, out=defect.copy(), where=scale > 0.0)
+
+
+def _swept(
+    chains: _Chains, chain: np.ndarray, turns: np.ndarray, rhs: np.ndarray,
+    gap: np.ndarray, norm: np.ndarray, on_diagonal: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Amplitudes x (P, N), defects |M(delta) x - b|_inf (P,) and which
+    converged, for the delta-dependent points of a stack (``chain`` of each),
+    from their chains' carrier-phase modes.
+
+    With D = diag(e^{i j Delta}) (``turns``, Delta = step phase - theta),
+    M(delta) = D R D* + D* L D + J + diag(``on_diagonal``), R and L the
+    carrier-phase rightward and leftward blocks: three (N, N) @ (N, 1)
+    products per point, nothing (P, N, N).  x = V ((V^-1 b) / (lambda - delta))
+    (``gap``), then sweeps x <- x + V ((V^-1 (b - M(delta) x)) / (lambda - delta)).
+    A point's sweeps end once its backward error (``norm`` as the check
+    takes it) is at most eps, or a sweep fails to halve it: from a backward
+    error of 1, after at most log2(1 / eps) = 52.  A sweep that does not
+    lower it is dropped.  Each point sweeps on its own, so its bits do
+    not depend on the other points.  It has converged if it ends at most
+    N eps, the rounding level of its N-term products; a 1e-10 backward error
+    would not give 1e-10 intensities."""
+    _, vecs, inverse, _ = chains.modes
+    right, left, exchange, _ = chains.guided
+
+    def product(matrices, points, vectors):
+        return (_per_point(matrices, chain[points]) @ vectors[..., None])[..., 0]
+
+    def image(points, x):  # M(delta) x
+        d = turns[points]
+        return (
+            d * product(right, points, d.conj() * x) + d.conj() * product(left, points, d * x)
+            + product(exchange, points, x) + on_diagonal[points] * x
+        )
+
+    def step(points, residual):  # V ((V^-1 r) / (lambda - delta))
+        return product(vecs, points, product(inverse, points, residual) / gap[points])
+
+    def backward(points, x, mx):
+        defect = np.abs(mx - rhs[points]).max(axis=1)
+        return defect, _backward_error(defect, norm[points], x, np.abs(rhs[points]).max(axis=1))
+
+    eps = np.finfo(float).eps
+    points = np.arange(len(chain))
+    x = step(points, rhs)
+    mx = image(points, x)
+    defect, error = backward(points, x, mx)
+    while (points := points[error[points] > eps]).size:
+        trial = x[points] + step(points, rhs[points] - mx[points])
+        trial_mx = image(points, trial)
+        trial_defect, trial_error = backward(points, trial, trial_mx)
+        better = trial_error < error[points]
+        halved = trial_error <= 0.5 * error[points]
+        kept = points[better]
+        x[kept], mx[kept] = trial[better], trial_mx[better]
+        defect[kept], error[kept] = trial_defect[better], trial_error[better]
+        points = points[better & halved]
+    return x, defect, error <= chains.n * eps
 
 
 @np.errstate(over="ignore", invalid="ignore")  # out-of-range values fail their point
@@ -247,17 +347,18 @@ def _solve_chains(
     Points run chain-major, point c * P + p being chain c at ``deltas[p]``,
     and fail as in ``solve_spectrum_point_batch``, over that order; with
     delta-dependent phases each point takes its chain config's step phase
-    at its detuning.  ``modal`` solves carrier-phase points from the chains'
-    modes first.
+    at its detuning.  ``modal`` solves points from the chains' modes first.
     """
     n, v_dr, v_dl, v_ur, v_ul = chains.n, chains.v_dr, chains.v_dl, chains.v_ur, chains.v_ul
     deltas = np.asarray(deltas, dtype=float)
     flat = np.tile(deltas, len(chains.couplings))
     chain_of = np.arange(len(chains.couplings)).repeat(deltas.size)
     diagonal = np.arange(n)
-    if not chains.carrier:  # chain-major, as the points run
+    if chains.drifts:  # chain-major, as the points run
         steps = np.concatenate([config.step_phase(deltas) for config in chains.configs])
-    if modal := modal and chains.carrier:
+    if modal or not chains.drifts:
+        phases, carrier, row_sums = chains.carrier
+    if modal:
         lam, vecs, w, m0 = chains.modes
 
     a = np.empty((flat.size, n), dtype=complex)
@@ -269,10 +370,7 @@ def _solve_chains(
         """Store the points' amplitudes, output ports, intensities and
         backward error; return which are solved (backward error at most
         ``RESIDUAL_LIMIT``, finite norm) and which flux-balanced."""
-        # Normwise backward error; a zero scale means b = 0 and x = 0, so the
-        # defect itself is the residual.  An inf norm bounds nothing: it fails.
-        scale = norm * np.abs(x).max(axis=1) + rhs_max
-        residual[points] = np.divide(defect, scale, out=defect, where=scale > 0.0)
+        residual[points] = _backward_error(defect, norm, x, rhs_max)
         a[points] = x
         forward = phases.conj() * x
         backward = phases * x
@@ -290,6 +388,7 @@ def _solve_chains(
         bound = FLUX_IDENTITY_LIMIT * (1.0 + weight @ chains.total)
         identity = (np.abs(loss - weight @ chains.gamma) <= bound) & np.isfinite(bound)
         balanced = (loss >= -FLUX_TOLERANCE) & identity
+        # An inf norm bounds nothing: it fails.
         return (residual[points] <= RESIDUAL_LIMIT) & np.isfinite(norm), balanced
 
     lu_size = max(1, STACK_ELEMENTS // n**2)
@@ -297,37 +396,53 @@ def _solve_chains(
     for start in range(0, flat.size, size):
         stack = slice(start, start + size)
         chain = chain_of[stack]
-        if chains.carrier:
-            phases, sums = _per_point(chains.phases, chain), _per_point(chains.row_sums, chain)
-        else:
-            exchange = _per_point(chains.couplings, chain)
-            phases, block, sums = chains.coupling(steps[stack], exchange)
         on_diagonal = -flat[stack, None] - chains.width
-        # ||M||_inf = max_j (sum_k |C_jk| + |M_jj|), O(N) per point.
-        norm = (sums + np.abs(on_diagonal)).max(axis=1)
 
         lu = np.arange(len(on_diagonal))  # by place in the stack, the points the LU solves
         if modal:
-            # A = V (w / (lambda - delta)), one (N, N) @ (N, 1) product per
-            # point, so a point's bits depend on its detuning and chain only.
             detuning = flat[stack, None]
             gap = _per_point(lam, chain) - detuning
+            sums = _per_point(row_sums, chain)
+            if chains.drifts:
+                drift = steps[stack] - chains.theta[chain]  # Delta, per step
+                stack_phases = chains.phases(steps[stack])
+                # |C_jk(delta)| >= |C_jk| - G_jk |j - k| |Delta| bounds ||M||_inf
+                # from below, and so the backward error from above.
+                *_, spread = chains.guided
+                sums = np.maximum(sums - np.abs(drift)[:, None] * spread, 0.0)
+            else:
+                stack_phases = _per_point(phases, chain)
+            # ||M||_inf = max_j (sum_k |C_jk| + |M_jj|), O(N) per point.
+            norm = (sums + np.abs(on_diagonal)).max(axis=1)
+            rhs = -(v_dr * stack_phases)
             with np.errstate(divide="ignore"):  # at a mode: inf, which fails the point
-                y = _per_point(w, chain) / gap
-            x = (_per_point(vecs, chain) @ y[..., None])[..., 0]
-            rhs = -(v_dr * phases)
-            mx = (_per_point(m0, chain) @ x[..., None])[..., 0]
-            defect = np.abs(mx - detuning * x - rhs).max(axis=1)
-            solved, balanced = record(stack, x, defect, norm, np.abs(rhs).max(axis=-1), phases)
+                if chains.drifts:
+                    turns = chains.phases(drift)
+                    x, defect, converged = _swept(chains, chain, turns, rhs, gap, norm, on_diagonal)
+                else:
+                    # A = V (w / (lambda - delta)), one (N, N) @ (N, 1) product per
+                    # point, so a point's bits depend on its detuning and chain only.
+                    y = _per_point(w, chain) / gap
+                    x = (_per_point(vecs, chain) @ y[..., None])[..., 0]
+                    mx = (_per_point(m0, chain) @ x[..., None])[..., 0]
+                    defect = np.abs(mx - detuning * x - rhs).max(axis=1)
+                    converged = True
+            solved, balanced = record(
+                stack, x, defect, norm, np.abs(rhs).max(axis=-1), stack_phases
+            )
             near = (np.abs(gap) <= RESIDUAL_LIMIT * norm[:, None]).any(axis=1)
-            lu = np.flatnonzero(near | ~(solved & balanced))
+            lu = np.flatnonzero(near | ~(solved & balanced & converged))
 
         for part in range(0, lu.size, lu_size):  # LU stacks of at most lu_size points
             k = lu[part : part + lu_size]
-            # Without carrier phases k is the whole stack, and C is its own.
-            matrices = chains.block.take(chain[k], axis=0) if chains.carrier else block
-            lu_phases = phases if phases.ndim == 1 else phases[k]
+            if chains.drifts:  # C of these points alone
+                exchange = _per_point(chains.couplings, chain[k])
+                lu_phases, matrices, sums = chains.coupling(steps[start + k], exchange)
+            else:
+                lu_phases, sums = _per_point(phases, chain[k]), _per_point(row_sums, chain[k])
+                matrices = carrier.take(chain[k], axis=0)
             matrices[:, diagonal, diagonal] = on_diagonal[k]
+            norm = (sums + np.abs(on_diagonal[k])).max(axis=1)
             rhs = np.broadcast_to(-(v_dr * lu_phases)[..., None], (len(matrices), n, 1))
             singular = None
             try:
@@ -344,7 +459,7 @@ def _solve_chains(
                         break
             defect = np.abs(matrices @ x - rhs).max(axis=(1, 2))
             accepted, balanced = record(
-                start + k, x[..., 0], defect, norm[k], np.abs(rhs).max(axis=(1, 2)), lu_phases
+                start + k, x[..., 0], defect, norm, np.abs(rhs).max(axis=(1, 2)), lu_phases
             )
             # The one acceptance check: the LU's verdict stands.
             failed = np.flatnonzero(~(accepted & balanced))
@@ -355,7 +470,7 @@ def _solve_chains(
                     raise SolverError("singular transport system", delta, np.inf)
                 if not np.isfinite(x[i]).all():
                     raise SolverError("non-finite solution of the transport system", delta)
-                if not np.isfinite(norm[k[i]]):
+                if not np.isfinite(norm[i]):
                     raise SolverError("transport system beyond the float range", delta)
                 if not accepted[i]:
                     raise SolverError(

@@ -89,8 +89,8 @@ def scan(
     config: SystemConfig, ddi: DdiMatrix, grid: Sequence[float] | np.ndarray
 ) -> TransportSolution:
     """Batch-solve a monotone detuning grid into the solver's
-    TransportSolution, from the chain's modes at carrier phases (see
-    ``scattering``); the first grid point that fails raises its SolverError."""
+    TransportSolution, from the chain's modes (see ``scattering``); the first
+    grid point that fails raises its SolverError."""
     return _solve_chains(_chain(config, ddi), _checked_grid(grid), modal=True)
 
 
@@ -308,7 +308,8 @@ def sweep_separation(
     C and modes a call's chains hold, in spacing-major order, each point
     with its spacing's phases and couplings; the modal stacks inside a call
     are sized as a scan's (see ``scattering``), and the bits of each spacing
-    equal a plain scan's.  The first failing point in that order raises.
+    equal a plain scan's, at carrier or delta-dependent phases.  The first
+    failing point in that order raises.
     """
     l_min, l_max = l_range
     if l_min <= 0.0 or l_max <= 0.0:

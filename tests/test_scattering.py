@@ -21,6 +21,7 @@ from photon_router.scattering import (
     INTENSITY_KEYS,
     RESIDUAL_LIMIT,
     STACK_ELEMENTS,
+    _chain,
 )
 
 from closed_forms import single_chiral, single_symmetric, two_chiral
@@ -378,19 +379,25 @@ def test_loss_is_the_power_the_emitters_radiate(chain, offset):
 OFFSETS = (0.0, 1e-9, -1e-9, 1e-7, -1e-7, 1e-5, -1e-5, 1e-3, -1e-3)
 
 
-@pytest.mark.parametrize("phases", [False, True], ids=["carrier", "delta-dependent"])
+@pytest.mark.parametrize(
+    "phases, solve",
+    [(False, solve_spectrum_point_batch), (True, solve_spectrum_point_batch),
+     (False, scan), (True, scan)],
+    ids=["carrier", "delta-dependent", "carrier-scan", "delta-dependent-scan"],
+)
 @pytest.mark.parametrize(
     "make, n", [(chiral_config, 10), (chiral_config, 30), (symmetric_config, 30),
                 (symmetric_config, 100)],
     ids=["N10-chiral", "N30-chiral", "N30-symmetric", "N100-symmetric"],
 )
-def test_lossless_reference_chains_pass_the_flux_check_at_their_modes(make, n, phases):
+def test_lossless_reference_chains_pass_the_flux_check_at_their_modes(make, n, phases, solve):
     # The chains that set FLUX_TOLERANCE: the worst loss, next to the
-    # narrowest subradiant modes, stays 100x inside it.
+    # narrowest subradiant modes, stays 100x inside it, whether the LU or
+    # the modes (with refinement sweeps, for delta-dependent phases) solve.
     config = make(n, gamma=0.0, delta_dependent_phases=phases)
     ddi = ddi_matrix(config)
-    deltas = np.add.outer(OFFSETS, collective_modes(config, ddi).real).ravel()
-    loss = solve_spectrum_point_batch(config, ddi, deltas).intensities["loss"]
+    deltas = np.unique(np.add.outer(OFFSETS, collective_modes(config, ddi).real))
+    loss = solve(config, ddi, deltas).intensities["loss"]
     assert loss.min() > -FLUX_TOLERANCE / 100
 
 
@@ -573,11 +580,13 @@ scan_grids = st.lists(
 
 
 @settings(max_examples=60, deadline=None)
-@given(chain=random_chains(), deltas=scan_grids)
-def test_modal_scan_matches_the_lu_and_the_dense_oracle(chain, deltas):
-    # At carrier phases a scan solves A = V (w / (lambda - delta)) from the
-    # chain's modes; the LU batch and the 5N system are independent of them.
-    config, ddi = at_carrier_phases(chain)
+@given(chain=random_chains(), phases=st.booleans(), deltas=scan_grids)
+def test_modal_scan_matches_the_lu_and_the_dense_oracle(chain, phases, deltas):
+    # A scan solves A = V (w / (lambda - delta)) from the chain's carrier-phase
+    # modes, then refinement sweeps where the phases depend on delta; the LU
+    # batch and the 5N system are independent of them.
+    config, ddi = chain
+    config = replace(config, delta_dependent_phases=phases)
     modal = scan(config, ddi, deltas)
     lu = solve_spectrum_point_batch(config, ddi, deltas)
     assert (modal.residual <= RESIDUAL_LIMIT).all()
@@ -592,12 +601,14 @@ def test_modal_scan_matches_the_lu_and_the_dense_oracle(chain, deltas):
 
 
 @settings(max_examples=60, deadline=None)
-@given(chain=random_chains(), deltas=scan_grids)
-def test_modal_residual_is_the_dense_normwise_backward_error(chain, deltas):
-    # The scan's residual, taken as |M0 A - delta A - b|, is the backward
-    # error of its amplitudes in the explicitly formed M(delta), the system
-    # the LU batch factorises, up to rounding.
-    config, ddi = at_carrier_phases(chain)
+@given(chain=random_chains(), phases=st.booleans(), deltas=scan_grids)
+def test_modal_residual_is_the_dense_normwise_backward_error(chain, phases, deltas):
+    # The scan's residual, taken as |M(delta) A - b| with M(delta) applied
+    # from the carrier-phase blocks, is the backward error of its amplitudes
+    # in the explicitly formed M(delta), the system the LU batch factorises,
+    # up to rounding.
+    config, ddi = chain
+    config = replace(config, delta_dependent_phases=phases)
     batch = scan(config, ddi, deltas)
     recorder = RecordingSolve()
     with pytest.MonkeyPatch.context() as patch:
@@ -609,7 +620,40 @@ def test_modal_residual_is_the_dense_normwise_backward_error(chain, deltas):
     norm = np.abs(matrices).sum(axis=2).max(axis=1)
     scale = norm * np.abs(x).max(axis=(1, 2)) + np.abs(rhs).max(axis=(1, 2))
     dense = np.divide(defect, scale, out=defect.copy(), where=scale > 0.0)
-    np.testing.assert_allclose(batch.residual, dense, rtol=0.0, atol=4 * EPS)
+    if not phases:
+        np.testing.assert_allclose(batch.residual, dense, rtol=0.0, atol=4 * EPS)
+        return
+    # With delta-dependent phases the residual takes ||M||_inf from below,
+    # so it bounds the backward error from above.  The blocks the sweeps
+    # apply and the LU's matrices differ in the rounding of the phases
+    # j * step phase, up to N eps (1 + (N - 1) max|step phase|), "rounding"
+    # here; the sweeps end near eps, so both sit at that level.  Measured
+    # over 400 random chains: dense - residual <= 0.48 rounding, and
+    # residual <= 0.52 max(dense, rounding).
+    n = config.n_emitters
+    rounding = EPS * n * (1 + (n - 1) * max(abs(config.step_phase(d)) for d in deltas))
+    assert np.all(batch.residual >= dense - rounding)
+    assert np.all(batch.residual <= 2 * np.maximum(dense, rounding))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    chain=random_chains(),
+    gamma0=st.floats(min_value=1.0, max_value=1e8),
+    deltas=scan_grids,
+)
+def test_norm_bound_lies_below_the_row_sums(chain, gamma0, deltas):
+    # The modal points' norm: C's carrier-phase row sums less
+    # |Delta| sum_k G_jk |j - k|, never above the row sums of C(delta) itself,
+    # for step-phase drifts Delta from 0 up to tens of rad.
+    config, ddi = chain
+    config = replace(config, delta_dependent_phases=True, gamma0_mhz=gamma0)
+    chains = _chain(config, ddi)
+    steps = np.array([config.step_phase(d) for d in deltas])
+    _, _, exact = chains.coupling(steps, ddi.values)
+    spread = chains.guided[-1]
+    bound = chains.carrier[2] - np.abs(steps - config.theta)[:, None] * spread
+    assert np.all(bound <= exact * (1 + 4 * config.n_emitters * EPS))
 
 
 def test_reference_grid_is_solved_from_one_decomposition():
@@ -629,6 +673,46 @@ def test_reference_grid_is_solved_from_one_decomposition():
         assert np.max(np.abs(modal.intensities[key] - lu.intensities[key])) < 1e-12
 
 
+def test_delta_dependent_reference_grid_is_solved_from_one_decomposition():
+    # The benchmark's N = 100 symmetric chain with delta-dependent phases:
+    # one solve, V^-1, and refinement sweeps from the carrier-phase modes; no
+    # point of the 251-point grid needs the LU, and all agree with it.
+    config = symmetric_config(100, gamma=EMISSION, delta_dependent_phases=True)
+    ddi = ddi_matrix(config)
+    grid = np.linspace(-100.0, 100.0, 251)
+    recorder = RecordingSolve()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "solve", recorder)
+        modal = scan(config, ddi, grid)
+    ((vectors, identity, _),) = recorder.systems
+    assert vectors.shape == identity.shape == (1, 100, 100)
+    assert (modal.residual <= 100 * EPS).all()
+    lu = solve_spectrum_point_batch(config, ddi, grid)
+    for key in INTENSITY_KEYS:
+        assert np.max(np.abs(modal.intensities[key] - lu.intensities[key])) < 1e-12
+
+
+def test_drift_beyond_the_sweeps_is_solved_by_the_lu_alone():
+    # Gamma0 = 5e6 MHz turns each step's phase by 0.2-0.6 rad over this grid:
+    # far from the carrier phases, so no sweep converges and every point is
+    # the LU's, as the batch solves it.
+    config = symmetric_config(30, gamma=EMISSION, delta_dependent_phases=True, gamma0_mhz=5e6)
+    ddi = ddi_matrix(config)
+    deltas = np.linspace(20.0, 60.0, 41)
+    assert abs(config.step_phase(deltas[0]) - config.theta) > 0.2
+    recorder = RecordingSolve()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "solve", recorder)
+        modal = scan(config, ddi, deltas)
+    lu_points = [len(m) for m, rhs, _ in recorder.systems if rhs.shape[-1] == 1]
+    assert sum(lu_points) == deltas.size
+    lu = solve_spectrum_point_batch(config, ddi, deltas)
+    for key in ("a", *AMPLITUDES, "residual"):
+        assert np.array_equal(getattr(modal, key), getattr(lu, key))
+    for key in INTENSITY_KEYS:
+        assert np.array_equal(modal.intensities[key], lu.intensities[key])
+
+
 #: Points of one modal stack at N = 30: its (P, N) arrays hold at most a
 #: quarter of ``STACK_ELEMENTS`` elements each.
 MODAL_STACK_30 = STACK_ELEMENTS // (4 * 30)
@@ -638,19 +722,22 @@ MODAL_STACK_30 = STACK_ELEMENTS // (4 * 30)
 def test_modal_stacks_are_solved_independently(piece):
     # A grid of several modal stacks has the bits of scanning each piece of
     # it alone, whatever the piece size: what makes the stack size free.
-    config = chiral_config(30)
-    ddi = ddi_matrix(config)
-    grid = np.linspace(-300.0, 300.0, 5 * MODAL_STACK_30 + 17)
-    whole = scan(config, ddi, grid)
-    parts = [scan(config, ddi, grid[k : k + piece]) for k in range(0, grid.size, piece)]
-    for key in ("a", *AMPLITUDES, "residual"):
-        assert np.array_equal(getattr(whole, key), np.concatenate([getattr(p, key) for p in parts]))
-    for key in INTENSITY_KEYS:
-        joined = np.concatenate([p.intensities[key] for p in parts])
-        assert np.array_equal(whole.intensities[key], joined)
+    # Each point takes its own sweeps, so this holds with them too.
+    for phases in (False, True):
+        config = chiral_config(30, delta_dependent_phases=phases)
+        ddi = ddi_matrix(config)
+        grid = np.linspace(-300.0, 300.0, 5 * MODAL_STACK_30 + 17)
+        whole = scan(config, ddi, grid)
+        parts = [scan(config, ddi, grid[k : k + piece]) for k in range(0, grid.size, piece)]
+        for key in ("a", *AMPLITUDES, "residual"):
+            joined = np.concatenate([getattr(p, key) for p in parts])
+            assert np.array_equal(getattr(whole, key), joined)
+        for key in INTENSITY_KEYS:
+            joined = np.concatenate([p.intensities[key] for p in parts])
+            assert np.array_equal(whole.intensities[key], joined)
 
 
-def isolated_pair_chain():
+def isolated_pair_chain(phases=False):
     """The reference N = 30 chain whose last two emitters are lossless and
     decoupled from the guides and the other emitters, with J = 1 between
     them: M(delta) is exactly singular at delta = -1 and +1."""
@@ -658,7 +745,8 @@ def isolated_pair_chain():
         return (value,) * 28 + (0.0, 0.0)
 
     config = chiral_config(
-        30, gamma=rates(EMISSION), gamma_dr=rates(COUPLING), gamma_ur=rates(COUPLING)
+        30, gamma=rates(EMISSION), gamma_dr=rates(COUPLING), gamma_ur=rates(COUPLING),
+        delta_dependent_phases=phases,
     )
     exchange = ddi_matrix(config).values.copy()
     exchange[28:], exchange[:, 28:] = 0.0, 0.0
@@ -669,20 +757,22 @@ def isolated_pair_chain():
 @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
 @SOLVERS
 def test_failure_past_the_first_modal_stack_names_its_detuning(solve, descending):
-    config, ddi = isolated_pair_chain()
     grid = np.arange(-400.0, 401.0)
     poles = np.flatnonzero(abs(grid) == 1.0)
     assert poles.min() >= MODAL_STACK_30  # both past the first modal stack
-    # Off the poles, the scan is solved from the modes alone: one V^-1 b.
-    recorder = RecordingSolve()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(np.linalg, "solve", recorder)
-        scan(config, ddi, grid + 0.5)
-    assert [m.shape for m, _, _ in recorder.systems] == [(1, 30, 30)]
-    with pytest.raises(SolverError, match="^singular transport system") as err:
-        solve(config, ddi, grid[::-1] if descending else grid)
-    assert err.value.delta == (1.0 if descending else -1.0)
-    assert err.value.condition == np.inf
+    for phases in (False, True):
+        config, ddi = isolated_pair_chain(phases)
+        # Off the poles, the scan is solved from the modes alone: one V^-1 b,
+        # or V^-1 with delta-dependent phases.
+        recorder = RecordingSolve()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "solve", recorder)
+            scan(config, ddi, grid + 0.5)
+        assert [m.shape for m, _, _ in recorder.systems] == [(1, 30, 30)]
+        with pytest.raises(SolverError, match="^singular transport system") as err:
+            solve(config, ddi, grid[::-1] if descending else grid)
+        assert err.value.delta == (1.0 if descending else -1.0)
+        assert err.value.condition == np.inf
 
 
 @settings(max_examples=60, deadline=None)

@@ -363,6 +363,27 @@ class TestFindPeaks:
             for column, key in zip(rows.T, INTENSITY_KEYS):
                 assert np.array_equal(column, batch.intensities[key])
 
+    def test_delta_dependent_refinement_probes_by_the_lu_alone(self, monkeypatch):
+        # The scan of a delta-dependent chain sweeps from its modes; every
+        # refinement probe is the LU's, and its chain builds neither the
+        # carrier-phase block nor the modes.  The refined peaks are the
+        # scalar reference's, from the scan's samples.
+        config = chiral_config(30, delta_dependent_phases=True)
+        ddi = ddi_matrix(config)
+        result = scan(config, ddi, np.linspace(-300.0, 300.0, 201))
+        solves, solve = [], spectra._solve_chains
+
+        def solving(chains, deltas, modal):
+            solves.append((chains, modal))
+            return solve(chains, deltas, modal)
+
+        monkeypatch.setattr(spectra, "_solve_chains", solving)
+        peaks = find_peaks(result, *CHANNELS, refine=True, config=config, ddi=ddi)
+        assert len(peaks) > 1 and solves and not any(modal for _, modal in solves)
+        for chains, _ in solves:
+            assert "carrier" not in vars(chains) and "modes" not in vars(chains)
+        assert peaks == reference_peaks(config, ddi, result, CHANNELS)
+
 
 def wrong_sides(config, ddi, channel):
     """A stand-in for ``spectra._predicted_sides`` that predicts every side
