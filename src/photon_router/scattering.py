@@ -22,12 +22,13 @@ cumulative sums:
 so a chiral chain (v_dl = v_ul = 0) has exactly zero backflow.  Only the
 output ports are returned: t_N, tt_N, r_1 and rt_1.
 
-M splits into its diagonal and the coupling block C (the off-diagonal
-waveguide couplings with their phases, plus J; C_jj = 0).  What does not
-depend on delta is built once per chain, from its validated config and
-couplings, as a ``_Chains`` kept for every solve of it (a scan, each
-peak-refinement probe): the rates and, once a solve needs them, C and its
-absolute row sums at the carrier step phase theta, and the chain's modes.
+M splits into its diagonal and the coupling block C = D (-i G_r) D* +
+D* (-i G_l) D + J, with D = diag(e^{i phi_j}) and G_r, G_l the guided
+couplings above (C_jj = 0).  What does not depend on delta is built once
+per chain, from its validated config and couplings, as a ``_Chains`` kept
+for every solve of it (a scan, each peak-refinement probe): the rates,
+-i G_r, -i G_l and, once a solve needs them, M0 = C - diag(i Gamma/2) and
+C's absolute row sums at the carrier step phase theta, and the modes.
 Stacks bound their memory: at most ``STACK_ELEMENTS`` elements of the LU's
 (P, N, N) matrices, or a quarter as many per array of the modal solver's
 (P, N) ones, about ten of which it holds at once.  Each point's backward
@@ -38,14 +39,13 @@ raises the SolverError of the first that fails, in input order.
 Two solvers fill the stacks.  The LU writes C and the diagonal into each
 point's matrix and factorises it: O(N^3) per point; with delta-dependent
 phases it builds C for its own points alone.  The modal solver starts from
-M0 = C - diag(i Gamma/2) at carrier phases: one eigendecomposition
-M0 = V Lambda V^-1 per chain (the chain's collective modes), made by its
-first modal solve and kept.  At carrier phases M(delta) = M0 - delta I, so
-with w = V^-1 b each point is A = V (w / (lambda - delta)), O(N^2), its
-backward error taken from |M0 A - delta A - b|.  With delta-dependent
-phases each step phase is theta + Delta(delta), and
-M(delta) = D R D* + D* L D + J + diag(M_jj), with D = diag(e^{i j Delta})
-and R, L the carrier-phase rightward and leftward blocks.  A starts from
+the carrier M0: one eigendecomposition M0 = V Lambda V^-1 per chain (the
+chain's collective modes), made by its first modal solve and kept.  At
+carrier phases M(delta) = M0 - delta I, so with w = V^-1 b each point is
+A = V (w / (lambda - delta)), O(N^2), its backward error taken from
+|M0 A - delta A - b|.  With delta-dependent phases each point applies
+M(delta) x = D (-i G_r) (D* x) + D* (-i G_l) (D x) + J x + diag(M_jj) x at
+its own phases, the LU's matrix unformed.  A starts from
 V ((V^-1 b) / (lambda - delta)), and refinement sweeps through the same
 modes correct it (see ``_swept``), O(N^2) each; the reference N = 100
 chain takes three.  Its ||M||_inf is taken from below, so its backward
@@ -170,10 +170,10 @@ class _Chains:
     """The delta-independent parts of C chains, given by their validated
     ``configs``, which share N and rates, and their couplings J (C, N, N):
     a separation sweep's spacings, or one spectrum's chain.  Built once,
-    solved by ``_solve_chains`` over any number of detuning lists.  Each
-    chain's phases, C and row sums at its carrier step phase theta
-    (``carrier``) and its ``modes`` are built when a solve first needs them,
-    so the LU of delta-dependent phases builds neither."""
+    solved by ``_solve_chains`` over any number of detuning lists.  The
+    ``carrier`` M0, the ``modes`` and what only the sweeps read
+    (``exchange``, ``spread``) are built when a solve first needs them, so
+    the LU of delta-dependent phases builds none of them."""
 
     @np.errstate(over="ignore", invalid="ignore")  # out-of-range values fail their point
     def __init__(self, configs: Sequence[SystemConfig], couplings: np.ndarray):
@@ -185,8 +185,8 @@ class _Chains:
             gamma = gamma + POLE_REGULARIZATION
         rates = np.array([config.rate_profile(name) for name in _CHANNELS])
         self.v_dr, self.v_dl, self.v_ur, self.v_ul = v_dr, v_dl, v_ur, v_ul = np.sqrt(rates)
-        self.rightward = np.tril(np.outer(v_dr, v_dr) + np.outer(v_ur, v_ur), -1)
-        self.leftward = np.triu(np.outer(v_dl, v_dl) + np.outer(v_ul, v_ul), 1)
+        self.rightward = -1j * np.tril(np.outer(v_dr, v_dr) + np.outer(v_ur, v_ur), -1)
+        self.leftward = -1j * np.triu(np.outer(v_dl, v_dl) + np.outer(v_ul, v_ul), 1)
         self.gamma, self.total = gamma, gamma + rates.sum(axis=0)
         self.width = 0.5j * self.total
         self.theta = np.array([chain.theta for chain in configs])
@@ -205,38 +205,35 @@ class _Chains:
         block *= self.rightward
         leftward *= self.leftward
         block += leftward
-        block *= -1j
         block += exchange
         return phases, block, np.abs(block).sum(axis=2)  # C_jj = 0: the off-diagonal sums
 
     @cached_property
     def carrier(self) -> tuple[np.ndarray, ...]:
-        """``coupling`` at each chain's carrier step phase theta."""
-        return self.coupling(self.theta, self.couplings)
+        """``coupling`` at each chain's carrier theta, with C made M0 in place."""
+        phases, m0, sums = self.coupling(self.theta, self.couplings)
+        m0[:, np.arange(self.n), np.arange(self.n)] = -self.width
+        return phases, m0, sums
 
     @cached_property
     def modes(self) -> tuple[np.ndarray, ...]:
-        """Each chain's lambda, V (see ``_modes``) and M0, with w = V^-1 b at
-        carrier phases, or V^-1 with delta-dependent phases, kept."""
-        phases, block, _ = self.carrier
-        m0 = block.copy()
-        m0[:, np.arange(self.n), np.arange(self.n)] = -self.width
+        """Each chain's lambda and V (see ``_modes``) of the carrier M0, and
+        w = V^-1 b (C, N, 1), or V^-1 with delta-dependent phases."""
+        phases, m0, _ = self.carrier
         if self.drifts:
-            return (*_modes(m0, np.broadcast_to(np.eye(self.n), m0.shape)), m0)
-        lam, vecs, w = _modes(m0, -(self.v_dr * phases)[..., None])
-        return lam, vecs, w[..., 0], m0
+            return _modes(m0, np.broadcast_to(np.eye(self.n), m0.shape))
+        return _modes(m0, -(self.v_dr * phases)[..., None])
 
     @cached_property
-    def guided(self) -> tuple[np.ndarray, ...]:
-        """What ``_swept`` applies per chain: the carrier-phase rightward and
-        leftward blocks, J as complex, and sum_k G_jk |j - k| (N,) of the
-        guided couplings G."""
-        phases = self.carrier[0]
-        turns = phases[:, :, None] * phases.conj()[:, None, :]
+    def exchange(self) -> np.ndarray:
+        """J as complex, for the products of ``_swept``."""
+        return self.couplings.astype(complex)
+
+    @cached_property
+    def spread(self) -> np.ndarray:
+        """sum_k G_jk |j - k| (N,) of the guided couplings G = G_r + G_l."""
         offset = abs(np.subtract.outer(np.arange(self.n), np.arange(self.n)))
-        spread = ((self.rightward + self.leftward) * offset).sum(axis=1)
-        right, left = -1j * self.rightward * turns, -1j * self.leftward * turns.conj()
-        return right, left, self.couplings.astype(complex), spread
+        return (abs(self.rightward + self.leftward) * offset).sum(axis=1)
 
 
 def _chain(config: SystemConfig, ddi: DdiMatrix) -> _Chains:
@@ -244,6 +241,11 @@ def _chain(config: SystemConfig, ddi: DdiMatrix) -> _Chains:
     if ddi.n != config.n_emitters:
         raise ValueError(f"coupling matrix is {ddi.n}x{ddi.n} for {config.n_emitters} emitters")
     return _Chains([config], ddi.values[None])
+
+
+def _lu_points(n: int) -> int:
+    """Points of one LU stack: at most ``STACK_ELEMENTS`` matrix elements."""
+    return max(1, STACK_ELEMENTS // n**2)
 
 
 def _per_point(values: np.ndarray, chain: np.ndarray) -> np.ndarray:
@@ -281,18 +283,18 @@ def _backward_error(defect, norm, x, rhs_max) -> np.ndarray:
 
 
 def _swept(
-    chains: _Chains, chain: np.ndarray, turns: np.ndarray, rhs: np.ndarray,
+    chains: _Chains, chain: np.ndarray, phases: np.ndarray, rhs: np.ndarray,
     gap: np.ndarray, norm: np.ndarray, on_diagonal: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Amplitudes x (P, N), defects |M(delta) x - b|_inf (P,) and which
     converged, for the delta-dependent points of a stack (``chain`` of each),
     from their chains' carrier-phase modes.
 
-    With D = diag(e^{i j Delta}) (``turns``, Delta = step phase - theta),
-    M(delta) = D R D* + D* L D + J + diag(``on_diagonal``), R and L the
-    carrier-phase rightward and leftward blocks: three (N, N) @ (N, 1)
-    products per point, nothing (P, N, N).  x = V ((V^-1 b) / (lambda - delta))
-    (``gap``), then sweeps x <- x + V ((V^-1 (b - M(delta) x)) / (lambda - delta)).
+    M(delta) x is the LU's matrix applied as the module docstring writes it,
+    D at each point's own ``phases``, plus ``on_diagonal`` x: three (N, N) @
+    (N, 1) products per point, nothing (P, N, N).  x starts at
+    V ((V^-1 b) / (lambda - delta)) (``gap``), then sweeps
+    x <- x + V ((V^-1 (b - M(delta) x)) / (lambda - delta)).
     A point's sweeps end once its backward error (``norm`` as the check
     takes it) is at most eps, or a sweep fails to halve it: from a backward
     error of 1, after at most log2(1 / eps) = 52.  A sweep that does not
@@ -300,21 +302,19 @@ def _swept(
     not depend on the other points.  It has converged if it ends at most
     N eps, the rounding level of its N-term products; a 1e-10 backward error
     would not give 1e-10 intensities."""
-    _, vecs, inverse, _ = chains.modes
-    right, left, exchange, _ = chains.guided
+    _, vecs, inverse = chains.modes
 
-    def product(matrices, points, vectors):
-        return (_per_point(matrices, chain[points]) @ vectors[..., None])[..., 0]
+    def product(matrices, vectors):  # (N, N) @ (N, 1) per point
+        return (matrices @ vectors[..., None])[..., 0]
 
     def image(points, x):  # M(delta) x
-        d = turns[points]
-        return (
-            d * product(right, points, d.conj() * x) + d.conj() * product(left, points, d * x)
-            + product(exchange, points, x) + on_diagonal[points] * x
-        )
+        d, exchange = phases[points], _per_point(chains.exchange, chain[points])
+        right, left = product(chains.rightward, d.conj() * x), product(chains.leftward, d * x)
+        return d * right + d.conj() * left + product(exchange, x) + on_diagonal[points] * x
 
     def step(points, residual):  # V ((V^-1 r) / (lambda - delta))
-        return product(vecs, points, product(inverse, points, residual) / gap[points])
+        y = product(_per_point(inverse, chain[points]), residual) / gap[points]
+        return product(_per_point(vecs, chain[points]), y)
 
     def backward(points, x, mx):
         defect = np.abs(mx - rhs[points]).max(axis=1)
@@ -357,9 +357,9 @@ def _solve_chains(
     if chains.drifts:  # chain-major, as the points run
         steps = np.concatenate([config.step_phase(deltas) for config in chains.configs])
     if modal or not chains.drifts:
-        phases, carrier, row_sums = chains.carrier
+        phases, m0, row_sums = chains.carrier
     if modal:
-        lam, vecs, w, m0 = chains.modes
+        lam, vecs, w = chains.modes
 
     a = np.empty((flat.size, n), dtype=complex)
     t, r, tt, rt = np.empty((4, flat.size), dtype=complex)
@@ -391,7 +391,7 @@ def _solve_chains(
         # An inf norm bounds nothing: it fails.
         return (residual[points] <= RESIDUAL_LIMIT) & np.isfinite(norm), balanced
 
-    lu_size = max(1, STACK_ELEMENTS // n**2)
+    lu_size = _lu_points(n)
     size = max(1, STACK_ELEMENTS // (4 * n)) if modal else lu_size
     for start in range(0, flat.size, size):
         stack = slice(start, start + size)
@@ -408,8 +408,7 @@ def _solve_chains(
                 stack_phases = chains.phases(steps[stack])
                 # |C_jk(delta)| >= |C_jk| - G_jk |j - k| |Delta| bounds ||M||_inf
                 # from below, and so the backward error from above.
-                *_, spread = chains.guided
-                sums = np.maximum(sums - np.abs(drift)[:, None] * spread, 0.0)
+                sums = np.maximum(sums - np.abs(drift)[:, None] * chains.spread, 0.0)
             else:
                 stack_phases = _per_point(phases, chain)
             # ||M||_inf = max_j (sum_k |C_jk| + |M_jj|), O(N) per point.
@@ -417,12 +416,13 @@ def _solve_chains(
             rhs = -(v_dr * stack_phases)
             with np.errstate(divide="ignore"):  # at a mode: inf, which fails the point
                 if chains.drifts:
-                    turns = chains.phases(drift)
-                    x, defect, converged = _swept(chains, chain, turns, rhs, gap, norm, on_diagonal)
+                    x, defect, converged = _swept(
+                        chains, chain, stack_phases, rhs, gap, norm, on_diagonal
+                    )
                 else:
                     # A = V (w / (lambda - delta)), one (N, N) @ (N, 1) product per
                     # point, so a point's bits depend on its detuning and chain only.
-                    y = _per_point(w, chain) / gap
+                    y = _per_point(w, chain)[..., 0] / gap
                     x = (_per_point(vecs, chain) @ y[..., None])[..., 0]
                     mx = (_per_point(m0, chain) @ x[..., None])[..., 0]
                     defect = np.abs(mx - detuning * x - rhs).max(axis=1)
@@ -440,7 +440,7 @@ def _solve_chains(
                 lu_phases, matrices, sums = chains.coupling(steps[start + k], exchange)
             else:
                 lu_phases, sums = _per_point(phases, chain[k]), _per_point(row_sums, chain[k])
-                matrices = carrier.take(chain[k], axis=0)
+                matrices = m0.take(chain[k], axis=0)  # its diagonal overwritten below
             matrices[:, diagonal, diagonal] = on_diagonal[k]
             norm = (sums + np.abs(on_diagonal[k])).max(axis=1)
             rhs = np.broadcast_to(-(v_dr * lu_phases)[..., None], (len(matrices), n, 1))

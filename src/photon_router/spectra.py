@@ -14,11 +14,11 @@ from .ddi import DdiMatrix, ddi_matrix
 from .params import SystemConfig, validate
 from .scattering import (
     INTENSITY_KEYS,
-    STACK_ELEMENTS,
     SolverError,
     TransportSolution,
     _chain,
     _Chains,
+    _lu_points,
     _solve_chains,
 )
 
@@ -195,8 +195,8 @@ def _refine_maxima(
     by golden-section search to ``PEAK_REFINE_TOL``, or to 64 ulps of the
     bracket's detunings where those are coarser.  Every solver call probes
     every open bracket, each up to depth = max(1, lu_size // open brackets)
-    steps ahead (``_golden_steps``), with lu_size = max(1, ``STACK_ELEMENTS``
-    // N^2) the points of one LU stack; many brackets take one step a call.
+    steps ahead (``_golden_steps``), with lu_size the points of one LU stack
+    (``scattering._lu_points``); many brackets take one step a call.
     Each probe is its own LU solve, so the predictions set only the number
     of calls: locations and heights are those of a step-by-step search, bit
     for bit.  A call whose speculative probes raise a SolverError is taken
@@ -232,9 +232,8 @@ def _refine_maxima(
     at = np.concatenate([rows[[i - up, i + up]], at_inner])
     # Below 64 ulps rounding could stall the search: its points would coincide.
     tol = np.maximum(PEAK_REFINE_TOL, 64.0 * np.spacing(np.maximum(abs(lo), abs(hi))))
-    lu_size = max(1, STACK_ELEMENTS // chains.n**2)
     while opened := np.count_nonzero(points[1] - points[0] > tol):
-        depth = max(1, lu_size // opened)
+        depth = max(1, _lu_points(chains.n) // opened)
         try:
             points, at = _golden_steps(chains, points, at, column, tol, depth)
         except SolverError:
@@ -304,8 +303,8 @@ def sweep_separation(
     Every spacing is validated, and its coupling matrix built, before any
     solve, so a ConfigError at any spacing comes before a SolverError at an
     earlier one.  Whole spacings then share solver calls of at most
-    max(P, ``STACK_ELEMENTS`` // N^2) points (P detunings), which bounds the
-    C and modes a call's chains hold, in spacing-major order, each point
+    max(P, the points of one LU stack) (P detunings), which bounds the
+    M0 and modes a call's chains hold, in spacing-major order, each point
     with its spacing's phases and couplings; the modal stacks inside a call
     are sized as a scan's (see ``scattering``), and the bits of each spacing
     equal a plain scan's, at carrier or delta-dependent phases.  The first
@@ -337,7 +336,7 @@ def sweep_separation(
         first_rows.append(ddi_matrix(configs[-1]).values[0])
     n = config.n_emitters
     offset = abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    per_call = max(grid.size, STACK_ELEMENTS // n**2) // grid.size
+    per_call = max(grid.size, _lu_points(n)) // grid.size
 
     routed = np.empty((l_points, grid.size))
     transmitted = np.empty((l_points, grid.size))
