@@ -29,16 +29,19 @@ per chain, from its validated config and couplings, as a ``_Chains`` kept
 for every solve of it (a scan, each peak-refinement probe): the rates,
 -i G_r, -i G_l and, once a solve needs them, M0 = C - diag(i Gamma/2) and
 C's absolute row sums at the carrier step phase theta, and the modes.
-Stacks bound their memory: at most ``STACK_ELEMENTS`` elements of the LU's
-(P, N, N) matrices, or a quarter as many per array of the modal solver's
-(P, N) ones, about ten of which it holds at once.  Each point's backward
-error takes ||M||_inf = max_j (sum_k |C_jk| + |M_jj|), O(N) per point.
-One check per stack accepts each point, solved and flux-balanced, or
+Stacks bound their memory: a quarter of ``STACK_ELEMENTS`` elements per
+(P, N) array, about ten of which a stack holds at once, and the LU solves
+its points in LU stacks of at most ``STACK_ELEMENTS`` matrix elements.
+Each point's backward error takes ||M||_inf = max_j (sum_k |C_jk| + |M_jj|),
+O(N) per point.  One check per stack (the modal points', then the LU's,
+after all its LU stacks) accepts each point, solved and flux-balanced, or
 raises the SolverError of the first that fails, in input order.
 
 Two solvers fill the stacks.  The LU writes C and the diagonal into each
-point's matrix and factorises it: O(N^3) per point; with delta-dependent
-phases it builds C for its own points alone.  The modal solver starts from
+point's matrix and factorises it: O(N^3) per point.  At carrier phases an
+LU stack copies M0 into one buffer that each chain keeps, so it allocates
+no matrices; with delta-dependent phases it builds C for its own points
+alone.  The modal solver starts from
 the carrier M0: one eigendecomposition M0 = V Lambda V^-1 per chain (the
 chain's collective modes), made by its first modal solve and kept.  At
 carrier phases M(delta) = M0 - delta I, so with w = V^-1 b each point is
@@ -171,9 +174,10 @@ class _Chains:
     ``configs``, which share N and rates, and their couplings J (C, N, N):
     a separation sweep's spacings, or one spectrum's chain.  Built once,
     solved by ``_solve_chains`` over any number of detuning lists.  The
-    ``carrier`` M0, the ``modes`` and what only the sweeps read
-    (``exchange``, ``spread``) are built when a solve first needs them, so
-    the LU of delta-dependent phases builds none of them."""
+    ``carrier`` M0, the ``modes``, what only the sweeps read (``exchange``,
+    ``spread``) and the ``buffer`` that carrier-phase LU stacks write their
+    matrices into are built when a solve first needs them, so the LU of
+    delta-dependent phases builds none of them."""
 
     @np.errstate(over="ignore", invalid="ignore")  # out-of-range values fail their point
     def __init__(self, configs: Sequence[SystemConfig], couplings: np.ndarray):
@@ -225,6 +229,11 @@ class _Chains:
         return _modes(m0, -(self.v_dr * phases)[..., None])
 
     @cached_property
+    def buffer(self) -> np.ndarray:
+        """The matrices of one LU stack, rewritten by every carrier-phase LU stack."""
+        return np.empty((_lu_points(self.n), self.n, self.n), dtype=complex)
+
+    @cached_property
     def exchange(self) -> np.ndarray:
         """J as complex, for the products of ``_swept``."""
         return self.couplings.astype(complex)
@@ -274,12 +283,18 @@ def _modes(m0: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return lam, vecs, solved
 
 
-def _backward_error(defect, norm, x, rhs_max) -> np.ndarray:
+def _backward_error(defect, norm, x_max, rhs_max) -> np.ndarray:
     """Normwise backward error |M x - b|_inf / (||M||_inf |x|_inf + |b|_inf)
-    per point; a zero scale means b = 0 and x = 0, so the defect itself is
-    the residual."""
-    scale = norm * np.abs(x).max(axis=1) + rhs_max
+    per point, given |x|_inf; a zero scale means b = 0 and x = 0, so the
+    defect itself is the residual."""
+    scale = norm * x_max + rhs_max
     return np.divide(defect, scale, out=defect.copy(), where=scale > 0.0)
+
+
+def _port_sum(rates: np.ndarray, waves: np.ndarray):
+    """sum_k rates_k waves_k per point as cumsum's last column, not np.sum (the
+    same additions, so the same bits); exactly 0 for a channel without rates."""
+    return np.cumsum(rates * waves, axis=1)[:, -1] if rates.any() else 0.0
 
 
 def _swept(
@@ -317,8 +332,8 @@ def _swept(
         return product(_per_point(vecs, chain[points]), y)
 
     def backward(points, x, mx):
-        defect = np.abs(mx - rhs[points]).max(axis=1)
-        return defect, _backward_error(defect, norm[points], x, np.abs(rhs[points]).max(axis=1))
+        defect, rhs_max = np.abs(mx - rhs[points]).max(axis=1), np.abs(rhs[points]).max(axis=1)
+        return defect, _backward_error(defect, norm[points], np.abs(x).max(axis=1), rhs_max)
 
     eps = np.finfo(float).eps
     points = np.arange(len(chain))
@@ -359,6 +374,8 @@ def _solve_chains(
     if modal or not chains.drifts:
         phases, m0, row_sums = chains.carrier
     if modal:
+        if chains.drifts:  # before the modes: its N x N temporaries are freed before V exists
+            chains.spread
         lam, vecs, w = chains.modes
 
     a = np.empty((flat.size, n), dtype=complex)
@@ -370,37 +387,50 @@ def _solve_chains(
         """Store the points' amplitudes, output ports, intensities and
         backward error; return which are solved (backward error at most
         ``RESIDUAL_LIMIT``, finite norm) and which flux-balanced."""
-        residual[points] = _backward_error(defect, norm, x, rhs_max)
+        magnitude = np.abs(x)
+        residual[points] = _backward_error(defect, norm, magnitude.max(axis=1), rhs_max)
+        weight = np.square(magnitude, out=magnitude)
         a[points] = x
         forward = phases.conj() * x
-        backward = phases * x
-        # cumsum's last column, not np.sum: the same additions, so the same bits.
-        t[points] = 1.0 - 1j * np.cumsum(v_dr * forward, axis=1)[:, -1]
-        tt[points] = -1j * np.cumsum(v_ur * forward, axis=1)[:, -1]
-        r[points] = -1j * np.cumsum((v_dl * backward)[:, ::-1], axis=1)[:, -1]
-        rt[points] = -1j * np.cumsum((v_ul * backward)[:, ::-1], axis=1)[:, -1]
-        ports = port_intensities(t[points], r[points], tt[points], rt[points])
-        power[:, points] = list(ports.values())
+        backward = (phases * x)[:, ::-1]  # from the last emitter
+        ports = (1.0 - 1j * _port_sum(v_dr, forward), -1j * _port_sum(v_dl[::-1], backward),
+                 -1j * _port_sum(v_ur, forward), -1j * _port_sum(v_ul[::-1], backward))
+        intensities = port_intensities(*ports)
+        for column, value in zip((t, r, tt, rt, *power), (*ports, *intensities.values())):
+            column[points] = value
         # Flux balance: loss >= -tol (which also fails a NaN or -inf loss),
         # and loss is the power the emitters radiate, to within a finite bound.
-        loss = power[-1, points]
-        weight = np.abs(x) ** 2
+        loss = intensities["loss"]
         bound = FLUX_IDENTITY_LIMIT * (1.0 + weight @ chains.total)
         identity = (np.abs(loss - weight @ chains.gamma) <= bound) & np.isfinite(bound)
         balanced = (loss >= -FLUX_TOLERANCE) & identity
         # An inf norm bounds nothing: it fails.
         return (residual[points] <= RESIDUAL_LIMIT) & np.isfinite(norm), balanced
 
-    lu_size = _lu_points(n)
-    size = max(1, STACK_ELEMENTS // (4 * n)) if modal else lu_size
+    def lu_systems(points, fresh=False):
+        """M(delta) (K, N, N) at ``points`` and ||M||_inf (K,): with
+        delta-dependent phases C of these points alone, else the carrier M0
+        in the chains' LU buffer, or in a ``fresh`` block."""
+        chain = chain_of[points]
+        if chains.drifts:
+            _, matrices, sums = chains.coupling(steps[points], _per_point(chains.couplings, chain))
+        else:
+            out = None if fresh else chains.buffer[: len(chain)]
+            matrices = m0.take(chain, axis=0, out=out, mode="clip")  # "raise" would buffer
+            sums = _per_point(row_sums, chain)
+        on_diagonal = -flat[points, None] - chains.width
+        matrices[:, diagonal, diagonal] = on_diagonal
+        return matrices, (sums + np.abs(on_diagonal)).max(axis=1)
+
+    size, lu_size = max(1, STACK_ELEMENTS // (4 * n)), _lu_points(n)
     for start in range(0, flat.size, size):
         stack = slice(start, start + size)
         chain = chain_of[stack]
-        on_diagonal = -flat[stack, None] - chains.width
 
-        lu = np.arange(len(on_diagonal))  # by place in the stack, the points the LU solves
+        points = np.arange(start, start + len(chain))  # the points the LU solves
         if modal:
             detuning = flat[stack, None]
+            on_diagonal = -detuning - chains.width
             gap = _per_point(lam, chain) - detuning
             sums = _per_point(row_sums, chain)
             if chains.drifts:
@@ -431,54 +461,54 @@ def _solve_chains(
                 stack, x, defect, norm, np.abs(rhs).max(axis=-1), stack_phases
             )
             near = (np.abs(gap) <= RESIDUAL_LIMIT * norm[:, None]).any(axis=1)
-            lu = np.flatnonzero(near | ~(solved & balanced & converged))
+            points = start + np.flatnonzero(near | ~(solved & balanced & converged))
+            if not points.size:
+                continue
 
-        for part in range(0, lu.size, lu_size):  # LU stacks of at most lu_size points
-            k = lu[part : part + lu_size]
-            if chains.drifts:  # C of these points alone
-                exchange = _per_point(chains.couplings, chain[k])
-                lu_phases, matrices, sums = chains.coupling(steps[start + k], exchange)
-            else:
-                lu_phases, sums = _per_point(phases, chain[k]), _per_point(row_sums, chain[k])
-                matrices = m0.take(chain[k], axis=0)  # its diagonal overwritten below
-            matrices[:, diagonal, diagonal] = on_diagonal[k]
-            norm = (sums + np.abs(on_diagonal[k])).max(axis=1)
-            rhs = np.broadcast_to(-(v_dr * lu_phases)[..., None], (len(matrices), n, 1))
-            singular = None
+        lu_phases = (chains.phases(steps[points]) if chains.drifts
+                     else _per_point(phases, chain_of[points]))
+        rhs = -(v_dr * lu_phases)
+        stacked = np.broadcast_to(rhs, (points.size, n))[..., None]
+        x = np.empty((points.size, n), dtype=complex)
+        defect, norm = np.empty((2, points.size))
+        singular = np.zeros(points.size, dtype=bool)
+        for part in range(0, points.size, lu_size):  # LU stacks: solve and take the defect
+            k = slice(part, part + lu_size)
+            matrices, norm[k] = lu_systems(points[k])
             try:
-                x = np.linalg.solve(matrices, rhs)
+                solution = np.linalg.solve(matrices, stacked[k])
             except np.linalg.LinAlgError:
                 # Re-solve point by point up to the first singular system; the
                 # points after it stay NaN and so fail after it.
-                x = np.full_like(rhs, np.nan)
-                for i in range(len(x)):
+                solution = np.full_like(stacked[k], np.nan)
+                for i in range(len(solution)):
                     try:
-                        x[i] = np.linalg.solve(matrices[i], rhs[i])
+                        solution[i] = np.linalg.solve(matrices[i], stacked[part + i])
                     except np.linalg.LinAlgError:
-                        singular = i
+                        singular[part + i] = True
                         break
-            defect = np.abs(matrices @ x - rhs).max(axis=(1, 2))
-            accepted, balanced = record(
-                start + k, x[..., 0], defect, norm, np.abs(rhs).max(axis=(1, 2)), lu_phases
-            )
-            # The one acceptance check: the LU's verdict stands.
-            failed = np.flatnonzero(~(accepted & balanced))
-            if failed.size:
-                i = failed[0]
-                delta, loss = float(flat[start + k[i]]), power[-1, start + k[i]]
-                if i == singular:
-                    raise SolverError("singular transport system", delta, np.inf)
-                if not np.isfinite(x[i]).all():
-                    raise SolverError("non-finite solution of the transport system", delta)
-                if not np.isfinite(norm[i]):
-                    raise SolverError("transport system beyond the float range", delta)
-                if not accepted[i]:
-                    raise SolverError(
-                        "near-singular transport system", delta, np.linalg.cond(matrices[i])
-                    )
-                if not np.isfinite(loss):  # as soon as one intensity is
-                    raise SolverError("non-finite solution of the transport system", delta)
-                raise SolverError(f"flux balance violated (loss {loss:.3g})", delta)
+            x[k] = solution[..., 0]
+            defect[k] = np.abs(matrices @ solution - stacked[k]).max(axis=(1, 2))
+        accepted, balanced = record(
+            points, x, defect, norm, np.abs(rhs).max(axis=-1), lu_phases
+        )
+        # The one acceptance check: the LU's verdict stands.
+        failed = np.flatnonzero(~(accepted & balanced))
+        if failed.size:
+            i = failed[0]
+            delta, loss = float(flat[points[i]]), power[-1, points[i]]
+            if singular[i]:
+                raise SolverError("singular transport system", delta, np.inf)
+            if not np.isfinite(x[i]).all():
+                raise SolverError("non-finite solution of the transport system", delta)
+            if not np.isfinite(norm[i]):
+                raise SolverError("transport system beyond the float range", delta)
+            if not accepted[i]:
+                matrix = lu_systems(points[i : i + 1], fresh=True)[0][0]  # not the buffer's
+                raise SolverError("near-singular transport system", delta, np.linalg.cond(matrix))
+            if not np.isfinite(loss):  # as soon as one intensity is
+                raise SolverError("non-finite solution of the transport system", delta)
+            raise SolverError(f"flux balance violated (loss {loss:.3g})", delta)
 
     intensities = dict(zip(INTENSITY_KEYS, power))
     return TransportSolution(flat, a, t, r, tt, rt, intensities, residual)

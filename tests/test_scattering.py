@@ -9,6 +9,7 @@ from photon_router import (
     SolverError,
     SystemConfig,
     ddi_matrix,
+    find_peaks,
     scan,
     solve_spectrum_point_batch,
     solve_transport,
@@ -22,6 +23,8 @@ from photon_router.scattering import (
     RESIDUAL_LIMIT,
     STACK_ELEMENTS,
     _chain,
+    _Chains,
+    _solve_chains,
 )
 
 from closed_forms import single_chiral, single_symmetric, two_chiral
@@ -780,6 +783,111 @@ def test_failure_past_the_first_modal_stack_names_its_detuning(solve, descending
             solve(config, ddi, grid[::-1] if descending else grid)
         assert err.value.delta == (1.0 if descending else -1.0)
         assert err.value.condition == np.inf
+
+
+#: Points of one LU stack at N = 30.
+LU_STACK_30 = STACK_ELEMENTS // 30**2
+
+
+class KeepingSolve(RecordingSolve):
+    """``RecordingSolve`` that keeps the stacked matrices it was given, not
+    copies: the arrays the solver wrote them into."""
+
+    def __call__(self, matrices, rhs):
+        x = self.solve(matrices, rhs)
+        self.systems.append((matrices, np.array(rhs), x))
+        return x
+
+
+def test_lu_stacks_of_a_refinement_share_one_buffer():
+    # Every LU stack of the reference refinement writes its matrices into
+    # its chain's one buffer; none allocates a block of its own.
+    config = chiral_config(30)
+    ddi = ddi_matrix(config)
+    result = scan(config, ddi, np.linspace(-300.0, 300.0, 2001))
+    recorder = KeepingSolve()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "solve", recorder)
+        find_peaks(result, "T", "Tt", refine=True, config=config, ddi=ddi)
+    stacks = [matrices for matrices, _, _ in recorder.systems]
+    assert len(stacks) > 10 and max(len(m) for m in stacks) == LU_STACK_30
+    assert len({id(m.base) for m in stacks}) == 1
+    assert all(np.shares_memory(m, stacks[0]) for m in stacks)
+
+
+def reference_chains(spacings):
+    """The reference N = 30 chain at each of ``spacings``, as one ``_Chains``."""
+    configs = [chiral_config(30, spacing=spacing) for spacing in spacings]
+    return _Chains(configs, np.array([ddi_matrix(c).values for c in configs]))
+
+
+@pytest.mark.parametrize("spacings", [(32.75,), (32.75, 40.0)], ids=["one-chain", "two-chains"])
+def test_interleaved_solves_of_one_chain_match_fresh_chains(spacings):
+    # The LU buffer a chain keeps between solves changes no bit: a scan, then
+    # probes, then LU batches longer than one LU stack, some of whose stacks
+    # span two chains, give what each gives on a fresh chain.
+    grid = np.linspace(-300.0, 300.0, 401)
+    probes = np.array([241.6, -12.25, 57.0])
+    batch = np.linspace(-50.0, 50.0, 3 * LU_STACK_30 + 5)
+    chains = reference_chains(spacings)
+    for deltas, modal in ((grid, True), (probes, False), (batch, False), (batch[:10], False),
+                          (probes[:1], False), (batch[::-1], False), (grid, True)):
+        kept = _solve_chains(chains, deltas, modal)
+        fresh = _solve_chains(reference_chains(spacings), deltas, modal)
+        for key in ("a", *AMPLITUDES, "residual"):
+            assert np.array_equal(getattr(kept, key), getattr(fresh, key))
+        for key in INTENSITY_KEYS:
+            assert np.array_equal(kept.intensities[key], fresh.intensities[key])
+
+
+def corrupting_solve(faults):
+    """``np.linalg.solve`` that spoils the solution of each stacked system
+    whose diagonal reads -delta for a delta in ``faults``: scaled by
+    1 + 1e-6 ("near"), a backward error of about 1e-6, or NaN ("nan")."""
+    solve = np.linalg.solve
+
+    def corrupted(matrices, rhs):
+        x = solve(matrices, rhs)
+        for i, matrix in enumerate(matrices if matrices.ndim == 3 else ()):
+            fault = faults.get(-matrix[0, 0].real)
+            if fault == "near":
+                x[i] *= 1.0 + 1e-6
+            elif fault == "nan":
+                x[i] = np.nan
+        return x
+
+    return corrupted
+
+
+@pytest.mark.parametrize("first, then", [("near", "nan"), ("nan", "near")])
+def test_failure_past_the_first_lu_stack_of_a_point_stack(first, then):
+    # One point stack of 60 points, in LU stacks of 18: the first failure
+    # sits in the second LU stack, a different one after it in the third.
+    # All are solved before the one check, which raises the first.
+    config = chiral_config(30)
+    ddi = ddi_matrix(config)
+    deltas = np.linspace(-100.0, 100.0, 60)
+    assert deltas.size <= STACK_ELEMENTS // (4 * 30)
+    early, late = deltas[LU_STACK_30 + 2], deltas[2 * LU_STACK_30 + 3]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "solve", corrupting_solve({early: first, late: then}))
+        with pytest.raises(SolverError) as err:
+            solve_spectrum_point_batch(config, ddi, deltas)
+    assert err.value.delta == early
+    if first == "nan":
+        message = f"non-finite solution of the transport system at delta={early:+.6g}"
+        assert str(err.value) == message
+        assert err.value.condition is None
+        return
+    # The point's own matrix, built apart from the chain's LU buffer.
+    chains = _chain(config, ddi)
+    _, matrix, _ = chains.coupling(np.array([config.theta]), ddi.values)
+    matrix = matrix[0]
+    np.fill_diagonal(matrix, -early - chains.width)
+    condition = np.linalg.cond(matrix)
+    assert err.value.condition == condition
+    assert str(err.value) == (f"near-singular transport system at delta={early:+.6g}"
+                              f" (condition estimate {condition:.3e})")
 
 
 @settings(max_examples=60, deadline=None)
