@@ -37,16 +37,15 @@ O(N) per point.  One check per stack (the modal points', then the LU's,
 after all its LU stacks) accepts each point, solved and flux-balanced, or
 raises the SolverError of the first that fails, in input order.
 
-Two solvers fill the stacks.  The LU writes C and the diagonal into each
-point's matrix and factorises it: O(N^3) per point.  At carrier phases an
-LU stack copies M0 into one buffer that each chain keeps, so it allocates
-no matrices; with delta-dependent phases it builds C for its own points
-alone.  The modal solver starts from
-the carrier M0: one eigendecomposition M0 = V Lambda V^-1 per chain (the
-chain's collective modes), made by its first modal solve and kept.  At
-carrier phases M(delta) = M0 - delta I, so with w = V^-1 b each point is
-A = V (w / (lambda - delta)), O(N^2), its backward error taken from
-|M0 A - delta A - b|.  With delta-dependent phases each point applies
+Two solvers fill the stacks.  The LU writes each point's M(delta) into one
+buffer that each chain keeps (M0 copied at carrier phases, or C built at
+the point's own phases, then the diagonal) and factorises it: O(N^3) per
+point.  The modal solver starts from the carrier M0: one eigendecomposition
+M0 = V Lambda V^-1 per chain (the chain's collective modes), made by its
+first modal solve and kept.  At carrier phases M(delta) = M0 - delta I, so
+with w = V^-1 b each point is A = V (w / (lambda - delta)), O(N^2), its
+backward error taken from |M0 A - delta A - b|.  With delta-dependent
+phases each point applies
 M(delta) x = D (-i G_r) (D* x) + D* (-i G_l) (D x) + J x + diag(M_jj) x at
 its own phases, the LU's matrix unformed.  A starts from
 V ((V^-1 b) / (lambda - delta)), and refinement sweeps through the same
@@ -175,9 +174,9 @@ class _Chains:
     a separation sweep's spacings, or one spectrum's chain.  Built once,
     solved by ``_solve_chains`` over any number of detuning lists.  The
     ``carrier`` M0, the ``modes``, what only the sweeps read (``exchange``,
-    ``spread``) and the ``buffer`` that carrier-phase LU stacks write their
-    matrices into are built when a solve first needs them, so the LU of
-    delta-dependent phases builds none of them."""
+    ``spread``) and the ``buffer`` that every LU system is written into are
+    built when a solve first needs them, so the LU of delta-dependent phases
+    builds only the buffer."""
 
     @np.errstate(over="ignore", invalid="ignore")  # out-of-range values fail their point
     def __init__(self, configs: Sequence[SystemConfig], couplings: np.ndarray):
@@ -199,23 +198,23 @@ class _Chains:
         """Phases e^{i phi_j} (K, N) for step phases (K,)."""
         return np.exp(1j * np.outer(steps, np.arange(self.n)))
 
-    def coupling(self, steps: np.ndarray, exchange: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Phases e^{i phi_j} (K, N) for step phases (K,), the coupling block
-        C (K, N, N) with exchange J, and C's absolute row sums (K, N)."""
-        phases = self.phases(steps)
-        # In place: two (K, N, N) allocations per call, not seven.
-        block = phases[:, :, None] * phases.conj()[:, None, :]
+    def coupling(
+        self, phases: np.ndarray, exchange: np.ndarray, out=None
+    ) -> tuple[np.ndarray, ...]:
+        """The coupling block C (K, N, N) at phases e^{i phi_j} (K, N) with exchange
+        J, written into ``out`` if given, and C's absolute row sums (K, N)."""
+        block = np.multiply(phases[:, :, None], phases.conj()[:, None, :], out=out)
         leftward = block.conj()
         block *= self.rightward
         leftward *= self.leftward
         block += leftward
         block += exchange
-        return phases, block, np.abs(block).sum(axis=2)  # C_jj = 0: the off-diagonal sums
+        return block, np.abs(block).sum(axis=2)  # C_jj = 0: the off-diagonal sums
 
     @cached_property
     def carrier(self) -> tuple[np.ndarray, ...]:
         """``coupling`` at each chain's carrier theta, with C made M0 in place."""
-        phases, m0, sums = self.coupling(self.theta, self.couplings)
+        m0, sums = self.coupling(phases := self.phases(self.theta), self.couplings)
         m0[:, np.arange(self.n), np.arange(self.n)] = -self.width
         return phases, m0, sums
 
@@ -230,7 +229,8 @@ class _Chains:
 
     @cached_property
     def buffer(self) -> np.ndarray:
-        """The matrices of one LU stack, rewritten by every carrier-phase LU stack."""
+        """The matrices of one LU stack, all rewritten by every LU stack before
+        it solves, and by a near-singular point's diagnosis before it raises."""
         return np.empty((_lu_points(self.n), self.n, self.n), dtype=complex)
 
     @cached_property
@@ -297,6 +297,11 @@ def _port_sum(rates: np.ndarray, waves: np.ndarray):
     return np.cumsum(rates * waves, axis=1)[:, -1] if rates.any() else 0.0
 
 
+def _product(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """(N, N) @ (N, 1) per point: ``matrices`` (P, N, N) or (N, N), ``vectors`` (P, N)."""
+    return (matrices @ vectors[..., None])[..., 0]
+
+
 def _swept(
     chains: _Chains, chain: np.ndarray, phases: np.ndarray, rhs: np.ndarray,
     gap: np.ndarray, norm: np.ndarray, on_diagonal: np.ndarray,
@@ -319,17 +324,14 @@ def _swept(
     would not give 1e-10 intensities."""
     _, vecs, inverse = chains.modes
 
-    def product(matrices, vectors):  # (N, N) @ (N, 1) per point
-        return (matrices @ vectors[..., None])[..., 0]
-
     def image(points, x):  # M(delta) x
         d, exchange = phases[points], _per_point(chains.exchange, chain[points])
-        right, left = product(chains.rightward, d.conj() * x), product(chains.leftward, d * x)
-        return d * right + d.conj() * left + product(exchange, x) + on_diagonal[points] * x
+        right, left = _product(chains.rightward, d.conj() * x), _product(chains.leftward, d * x)
+        return d * right + d.conj() * left + _product(exchange, x) + on_diagonal[points] * x
 
     def step(points, residual):  # V ((V^-1 r) / (lambda - delta))
-        y = product(_per_point(inverse, chain[points]), residual) / gap[points]
-        return product(_per_point(vecs, chain[points]), y)
+        y = _product(_per_point(inverse, chain[points]), residual) / gap[points]
+        return _product(_per_point(vecs, chain[points]), y)
 
     def backward(points, x, mx):
         defect, rhs_max = np.abs(mx - rhs[points]).max(axis=1), np.abs(rhs[points]).max(axis=1)
@@ -368,7 +370,6 @@ def _solve_chains(
     deltas = np.asarray(deltas, dtype=float)
     flat = np.tile(deltas, len(chains.couplings))
     chain_of = np.arange(len(chains.couplings)).repeat(deltas.size)
-    diagonal = np.arange(n)
     if chains.drifts:  # chain-major, as the points run
         steps = np.concatenate([config.step_phase(deltas) for config in chains.configs])
     if modal or not chains.drifts:
@@ -383,11 +384,11 @@ def _solve_chains(
     residual = np.empty(flat.size)
     power = np.empty((len(INTENSITY_KEYS), flat.size))  # one row per intensity
 
-    def record(points, x, defect, norm, rhs_max, phases):
+    def record(points, x, defect, norm, phases):
         """Store the points' amplitudes, output ports, intensities and
         backward error; return which are solved (backward error at most
         ``RESIDUAL_LIMIT``, finite norm) and which flux-balanced."""
-        magnitude = np.abs(x)
+        magnitude, rhs_max = np.abs(x), np.abs(v_dr * phases).max(axis=-1)
         residual[points] = _backward_error(defect, norm, magnitude.max(axis=1), rhs_max)
         weight = np.square(magnitude, out=magnitude)
         a[points] = x
@@ -407,20 +408,29 @@ def _solve_chains(
         # An inf norm bounds nothing: it fails.
         return (residual[points] <= RESIDUAL_LIMIT) & np.isfinite(norm), balanced
 
-    def lu_systems(points, fresh=False):
-        """M(delta) (K, N, N) at ``points`` and ||M||_inf (K,): with
-        delta-dependent phases C of these points alone, else the carrier M0
-        in the chains' LU buffer, or in a ``fresh`` block."""
-        chain = chain_of[points]
+    def point_phases(points):
+        """e^{i phi_j} (K, N) at ``points``, or (N,) if all share their chain's carrier phases."""
         if chains.drifts:
-            _, matrices, sums = chains.coupling(steps[points], _per_point(chains.couplings, chain))
+            return chains.phases(steps[points])
+        return _per_point(phases, chain_of[points])
+
+    def diagonal_norm(points, sums):
+        """M_jj (K, N) at ``points`` and ||M||_inf = max_j (sum_k |C_jk| + |M_jj|) (K,)."""
+        on_diagonal = -flat[points, None] - chains.width
+        return on_diagonal, (sums + np.abs(on_diagonal)).max(axis=1)
+
+    def lu_systems(points, d):
+        """M(delta) (K, N, N) at ``points`` in the chains' LU buffer, from C at
+        their phases ``d`` (K, N) or the carrier M0, and ||M||_inf (K,)."""
+        chain, out = chain_of[points], chains.buffer[: points.size]
+        if chains.drifts:
+            matrices, sums = chains.coupling(d, _per_point(chains.couplings, chain), out)
         else:
-            out = None if fresh else chains.buffer[: len(chain)]
             matrices = m0.take(chain, axis=0, out=out, mode="clip")  # "raise" would buffer
             sums = _per_point(row_sums, chain)
-        on_diagonal = -flat[points, None] - chains.width
-        matrices[:, diagonal, diagonal] = on_diagonal
-        return matrices, (sums + np.abs(on_diagonal)).max(axis=1)
+        on_diagonal, norm = diagonal_norm(points, sums)
+        matrices[:, np.arange(n), np.arange(n)] = on_diagonal
+        return matrices, norm
 
     size, lu_size = max(1, STACK_ELEMENTS // (4 * n)), _lu_points(n)
     for start in range(0, flat.size, size):
@@ -430,19 +440,15 @@ def _solve_chains(
         points = np.arange(start, start + len(chain))  # the points the LU solves
         if modal:
             detuning = flat[stack, None]
-            on_diagonal = -detuning - chains.width
             gap = _per_point(lam, chain) - detuning
             sums = _per_point(row_sums, chain)
+            stack_phases = point_phases(points)
             if chains.drifts:
                 drift = steps[stack] - chains.theta[chain]  # Delta, per step
-                stack_phases = chains.phases(steps[stack])
                 # |C_jk(delta)| >= |C_jk| - G_jk |j - k| |Delta| bounds ||M||_inf
                 # from below, and so the backward error from above.
                 sums = np.maximum(sums - np.abs(drift)[:, None] * chains.spread, 0.0)
-            else:
-                stack_phases = _per_point(phases, chain)
-            # ||M||_inf = max_j (sum_k |C_jk| + |M_jj|), O(N) per point.
-            norm = (sums + np.abs(on_diagonal)).max(axis=1)
+            on_diagonal, norm = diagonal_norm(points, sums)
             rhs = -(v_dr * stack_phases)
             with np.errstate(divide="ignore"):  # at a mode: inf, which fails the point
                 if chains.drifts:
@@ -450,48 +456,41 @@ def _solve_chains(
                         chains, chain, stack_phases, rhs, gap, norm, on_diagonal
                     )
                 else:
-                    # A = V (w / (lambda - delta)), one (N, N) @ (N, 1) product per
-                    # point, so a point's bits depend on its detuning and chain only.
-                    y = _per_point(w, chain)[..., 0] / gap
-                    x = (_per_point(vecs, chain) @ y[..., None])[..., 0]
-                    mx = (_per_point(m0, chain) @ x[..., None])[..., 0]
+                    # A = V (w / (lambda - delta)): a point's bits depend on its
+                    # detuning and chain only.
+                    x = _product(_per_point(vecs, chain), _per_point(w, chain)[..., 0] / gap)
+                    mx = _product(_per_point(m0, chain), x)
                     defect = np.abs(mx - detuning * x - rhs).max(axis=1)
                     converged = True
-            solved, balanced = record(
-                stack, x, defect, norm, np.abs(rhs).max(axis=-1), stack_phases
-            )
+            solved, balanced = record(stack, x, defect, norm, stack_phases)
             near = (np.abs(gap) <= RESIDUAL_LIMIT * norm[:, None]).any(axis=1)
             points = start + np.flatnonzero(near | ~(solved & balanced & converged))
             if not points.size:
                 continue
 
-        lu_phases = (chains.phases(steps[points]) if chains.drifts
-                     else _per_point(phases, chain_of[points]))
+        lu_phases = np.broadcast_to(point_phases(points), (points.size, n))
         rhs = -(v_dr * lu_phases)
-        stacked = np.broadcast_to(rhs, (points.size, n))[..., None]
         x = np.empty((points.size, n), dtype=complex)
         defect, norm = np.empty((2, points.size))
         singular = np.zeros(points.size, dtype=bool)
         for part in range(0, points.size, lu_size):  # LU stacks: solve and take the defect
             k = slice(part, part + lu_size)
-            matrices, norm[k] = lu_systems(points[k])
+            matrices, norm[k] = lu_systems(points[k], lu_phases[k])
             try:
-                solution = np.linalg.solve(matrices, stacked[k])
+                solution = np.linalg.solve(matrices, rhs[k, :, None])[..., 0]
             except np.linalg.LinAlgError:
                 # Re-solve point by point up to the first singular system; the
                 # points after it stay NaN and so fail after it.
-                solution = np.full_like(stacked[k], np.nan)
+                solution = np.full_like(rhs[k], np.nan)
                 for i in range(len(solution)):
                     try:
-                        solution[i] = np.linalg.solve(matrices[i], stacked[part + i])
+                        solution[i] = np.linalg.solve(matrices[i], rhs[part + i])
                     except np.linalg.LinAlgError:
                         singular[part + i] = True
                         break
-            x[k] = solution[..., 0]
-            defect[k] = np.abs(matrices @ solution - stacked[k]).max(axis=(1, 2))
-        accepted, balanced = record(
-            points, x, defect, norm, np.abs(rhs).max(axis=-1), lu_phases
-        )
+            x[k] = solution
+            defect[k] = np.abs(_product(matrices, solution) - rhs[k]).max(axis=1)
+        accepted, balanced = record(points, x, defect, norm, lu_phases)
         # The one acceptance check: the LU's verdict stands.
         failed = np.flatnonzero(~(accepted & balanced))
         if failed.size:
@@ -504,7 +503,7 @@ def _solve_chains(
             if not np.isfinite(norm[i]):
                 raise SolverError("transport system beyond the float range", delta)
             if not accepted[i]:
-                matrix = lu_systems(points[i : i + 1], fresh=True)[0][0]  # not the buffer's
+                matrix = lu_systems(points[i : i + 1], lu_phases[i : i + 1])[0][0]  # rebuilt
                 raise SolverError("near-singular transport system", delta, np.linalg.cond(matrix))
             if not np.isfinite(loss):  # as soon as one intensity is
                 raise SolverError("non-finite solution of the transport system", delta)

@@ -195,6 +195,22 @@ def test_unknown_key_exits_1(tmp_path, capsys):
     assert "unknown config key 'coupling'" in capsys.readouterr().err
 
 
+def test_config_array_root_exits_1(tmp_path, capsys):
+    config = tmp_path / "list.json"
+    config.write_text(json.dumps([TWO_EMITTER]))
+    assert main(["validate", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "config error: config root must be a JSON object\n"
+
+
+def test_sweep_without_spacings_exits_1(two_emitter_config, tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    argv = ["sweep-separation", "--config", str(two_emitter_config), "--out", str(out),
+            "--l-points", "0"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "config error: l_points must be >= 1, got 0\n"
+    assert not out.exists()
+
+
 def test_validation_failure_exits_1(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"n_emitters": 0, "gamma": -1.0}))

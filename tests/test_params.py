@@ -135,6 +135,13 @@ def test_load_config_rejects_unknown_detuning_keys(tmp_path):
         load_config(path)
 
 
+def test_load_config_rejects_a_non_object_root(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps([{"n_emitters": 2}]))
+    with pytest.raises(ConfigError, match="config root must be a JSON object"):
+        load_config(path)
+
+
 def test_load_config_accepts_rate_lists(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"n_emitters": 2, "gamma": [1.0, 2.0]}))

@@ -24,6 +24,7 @@ from photon_router.scattering import (
     STACK_ELEMENTS,
     _chain,
     _Chains,
+    _modes,
     _solve_chains,
 )
 
@@ -660,7 +661,7 @@ def test_norm_bound_lies_below_the_row_sums(chain, gamma0, deltas):
     config = replace(config, delta_dependent_phases=True, gamma0_mhz=gamma0)
     chains = _chain(config, ddi)
     steps = np.array([config.step_phase(d) for d in deltas])
-    _, _, exact = chains.coupling(steps, ddi.values)
+    _, exact = chains.coupling(chains.phases(steps), ddi.values)
     spread = chains.spread
     bound = chains.carrier[2] - np.abs(steps - config.theta)[:, None] * spread
     assert np.all(bound <= exact * (1 + 4 * config.n_emitters * EPS))
@@ -799,10 +800,14 @@ class KeepingSolve(RecordingSolve):
         return x
 
 
-def test_lu_stacks_of_a_refinement_share_one_buffer():
+PHASE_MODELS = pytest.mark.parametrize("phases", [False, True], ids=["carrier", "delta-dependent"])
+
+
+@PHASE_MODELS
+def test_lu_stacks_of_a_refinement_share_one_buffer(phases):
     # Every LU stack of the reference refinement writes its matrices into
     # its chain's one buffer; none allocates a block of its own.
-    config = chiral_config(30)
+    config = chiral_config(30, delta_dependent_phases=phases)
     ddi = ddi_matrix(config)
     result = scan(config, ddi, np.linspace(-300.0, 300.0, 2001))
     recorder = KeepingSolve()
@@ -859,12 +864,13 @@ def corrupting_solve(faults):
     return corrupted
 
 
+@PHASE_MODELS
 @pytest.mark.parametrize("first, then", [("near", "nan"), ("nan", "near")])
-def test_failure_past_the_first_lu_stack_of_a_point_stack(first, then):
+def test_failure_past_the_first_lu_stack_of_a_point_stack(first, then, phases):
     # One point stack of 60 points, in LU stacks of 18: the first failure
     # sits in the second LU stack, a different one after it in the third.
     # All are solved before the one check, which raises the first.
-    config = chiral_config(30)
+    config = chiral_config(30, delta_dependent_phases=phases)
     ddi = ddi_matrix(config)
     deltas = np.linspace(-100.0, 100.0, 60)
     assert deltas.size <= STACK_ELEMENTS // (4 * 30)
@@ -881,7 +887,7 @@ def test_failure_past_the_first_lu_stack_of_a_point_stack(first, then):
         return
     # The point's own matrix, built apart from the chain's LU buffer.
     chains = _chain(config, ddi)
-    _, matrix, _ = chains.coupling(np.array([config.theta]), ddi.values)
+    matrix, _ = chains.coupling(chains.phases(np.array([config.step_phase(early)])), ddi.values)
     matrix = matrix[0]
     np.fill_diagonal(matrix, -early - chains.width)
     condition = np.linalg.cond(matrix)
@@ -950,6 +956,22 @@ def test_defective_chain_is_solved_by_the_lu_alone(n, gamma):
         assert np.array_equal(getattr(modal, key), getattr(lu, key))
     for key in INTENSITY_KEYS:
         assert np.array_equal(modal.intensities[key], lu.intensities[key])
+
+
+def test_a_failing_decomposition_fails_its_chain_alone():
+    # eig raises for a stack of chains one of which holds an inf: each chain
+    # is then decomposed on its own, so chain 0 keeps its modes, bit for bit,
+    # and chain 1 is all NaN, which sends its points to the LU.
+    config = chiral_config(30)
+    chains = _chain(config, ddi_matrix(config))
+    phases, m0, _ = chains.carrier
+    rhs = -(chains.v_dr * phases)[..., None]
+    spoiled = m0.copy()
+    spoiled[0, 3, 4] = np.inf
+    lam, vecs, solved = _modes(np.concatenate([m0, spoiled]), np.concatenate([rhs, rhs]))
+    for got, alone in zip((lam, vecs, solved), _modes(m0.copy(), rhs)):
+        assert np.array_equal(got[:1], alone)
+        assert np.isnan(got[1]).all()
 
 
 def test_delta_dependent_phase_is_a_tiny_correction():

@@ -469,6 +469,33 @@ def test_only_probes_of_the_plain_search_raise(monkeypatch):
     assert err.value.delta == failing
 
 
+def test_a_failing_probe_of_a_one_step_call_raises(monkeypatch):
+    # With ten or more open brackets at N = 30 each call takes one
+    # golden-section step (depth 1): every probe is the plain search's, so
+    # a SolverError from one propagates, and the step is not taken again.
+    config = chiral_config(30)
+    ddi = ddi_matrix(config)
+    result = scan(config, ddi, np.linspace(-300.0, 300.0, 2001))
+    solve, calls, failing = spectra._solve_chains, [], None
+
+    def solving(chains, deltas, modal):
+        calls.append(np.array(deltas))
+        if failing in deltas:
+            raise SolverError("on the path", failing)
+        return solve(chains, deltas, modal)
+
+    monkeypatch.setattr(spectra, "_solve_chains", solving)
+    find_peaks(result, "T", "Tt", refine=True, config=config, ddi=ddi)
+    first_step = calls[1]  # calls[0] probes the vertices and inner points
+    assert spectra._lu_points(30) // first_step.size <= 1  # depth 1
+
+    failing, calls[:] = first_step[-1], []
+    with pytest.raises(SolverError) as err:
+        find_peaks(result, "T", "Tt", refine=True, config=config, ddi=ddi)
+    assert err.value.delta == failing
+    assert sum(failing in deltas for deltas in calls) == 1
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     chain=random_chains(),
@@ -504,6 +531,11 @@ class TestSweepSeparation:
             sweep_separation(config, (5.0, 700.0), 3, grid)
         with pytest.raises(ValueError, match="empty spacing range"):
             sweep_separation(config, (50.0, 5.0), 3, grid)
+
+    def test_rejects_a_sweep_without_spacings(self):
+        grid = np.linspace(-1.0, 1.0, 3)
+        with pytest.raises(ValueError, match="l_points must be >= 1, got 0"):
+            sweep_separation(chiral_config(2), (5.0, 50.0), 0, grid)
 
     def test_routing_regions_exist_on_both_detuning_signs(self):
         config = chiral_config(2)
