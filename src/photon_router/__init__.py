@@ -7,11 +7,7 @@ dipole-dipole interaction: one N x N system in the emitter amplitudes per
 detuning, stacked over a whole detuning grid, with the amplitudes at the
 four output ports recovered by cumulative sums.  It also provides spectrum
 scans, peak refinement, separation sweeps and chain-length scaling reports,
-all built on that one batched solve.  Peak refinement probes every open
-peak of every channel in each solver call, several golden-section steps
-ahead where one LU stack has room (depth = max(1, LU stack points // open
-peaks)), and keeps each peak's steps up to its first mispredicted one, so
-its results do not depend on the predictions, bit for bit.
+all built on that one batched solve (see ``scattering``).
 """
 
 __version__ = "0.1.0"
@@ -28,7 +24,6 @@ from .scattering import (
     SolverError,
     TransportSolution,
     solve_spectrum_point_batch,
-    solve_transport,
 )
 from .spectra import (
     Peak,
@@ -54,7 +49,6 @@ __all__ = [
     "SolverError",
     "TransportSolution",
     "solve_spectrum_point_batch",
-    "solve_transport",
     "Peak",
     "ScalingRecord",
     "ScalingReport",

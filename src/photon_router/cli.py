@@ -84,9 +84,7 @@ def cmd_spectrum(args: argparse.Namespace, config: SystemConfig) -> tuple[dict, 
     config = _with_grid(config, args)
     ddi = ddi_matrix(config)
     result = scan(config, ddi, config.detuning.to_array())
-    peaks = find_peaks(
-        result, *PEAK_CHANNELS, refine=args.refine_peaks, config=config, ddi=ddi
-    )
+    peaks = find_peaks(result, *PEAK_CHANNELS, refine=args.refine_peaks)
     out = Path(args.out)
     table = np.column_stack([result.delta, *(result.intensities[key] for key in INTENSITY_KEYS)])
     header = [_UNITS_HEADER, "delta," + ",".join(INTENSITY_KEYS)]

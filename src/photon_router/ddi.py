@@ -67,6 +67,12 @@ def ddi_matrix(config: SystemConfig) -> DdiMatrix:
 
     A spacing whose law is not finite at some pair's separation is a ConfigError.
     """
+    return DdiMatrix(_toeplitz(_by_offset(config)))
+
+
+def _by_offset(config: SystemConfig) -> np.ndarray:
+    """``ddi_matrix``'s coupling (N,) at each offset |j - k| = 0..N-1, 0 at
+    offset 0, with its ConfigErrors: J_jk depends on the offset alone."""
     n = config.n_emitters
     by_offset = [0.0] * (n - 1)  # ddi_mode "off"
     if config.ddi_mode != "off" and n > 1:
@@ -93,5 +99,11 @@ def ddi_matrix(config: SystemConfig) -> DdiMatrix:
                     f" it to ddi_strength {config.ddi_strength} overflows or makes a"
                     " longer-range pair exceed |ddi_strength|"
                 ])
-    idx = np.arange(n)
-    return DdiMatrix(np.array([0.0, *by_offset])[abs(np.subtract.outer(idx, idx))])
+    return np.array([0.0, *by_offset])
+
+
+def _toeplitz(by_offset: np.ndarray) -> np.ndarray:
+    """The symmetric matrices X_jk = by_offset[..., |j - k|] (..., N, N) of
+    values by offset (..., N)."""
+    idx = np.arange(by_offset.shape[-1])
+    return by_offset[..., abs(np.subtract.outer(idx, idx))]

@@ -62,23 +62,25 @@ modes; the LU re-solves
 - every delta-dependent point whose sweeps stop above N eps;
 - every point whose modal result the check rejects,
 
-and the LU's verdict stands.  ``solve_spectrum_point_batch``,
-``solve_transport`` and the peak-refinement probes use the LU alone.
-Probes solved from the scan's kept modes differ from the LU in the last
-bits, which flips golden-section comparisons and moves refined maxima: the
-N = 1..30 scaling benchmark's seed-0 gate then failed (deviation 6.654e-09,
-bound 1e-10).
+and the LU's verdict stands.  ``solve_spectrum_point_batch`` and the
+peak-refinement probes use the LU alone, and never build the modes.  The
+LU solves each point on its own, so a probe's bits do not depend on the
+other points of its call: refinement may probe several golden-section
+steps ahead in one call.  Probes solved from the scan's kept modes differ
+from the LU in the last bits, which flips golden-section comparisons and
+moves refined maxima: the N = 1..30 scaling benchmark's seed-0 gate then
+failed (deviation 6.654e-09, bound 1e-10).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .ddi import DdiMatrix
+from .ddi import DdiMatrix, _toeplitz
 from .params import POLE_REGULARIZATION, SystemConfig
 
 #: Accepted solves must have a backward error below this bound.
@@ -138,9 +140,10 @@ class TransportSolution:
     port intensities (see ``port_intensities``) and the backward error of
     the reduced solve.
 
-    From ``solve_spectrum_point_batch`` ``a`` has shape (P, N) and every
-    other array (P,); ``solve_transport`` returns one point: ``a`` of shape
-    (N,), a float ``delta`` and scalars elsewhere.
+    ``a`` has shape (P, N) and every other array (P,), over the detunings
+    ``delta``.  ``source`` is the caller's own (config, ddi) that ``scan`` or
+    ``solve_spectrum_point_batch`` solved, for ``find_peaks`` to refine
+    from, and None on a result built otherwise.
     """
 
     delta: np.ndarray
@@ -151,12 +154,14 @@ class TransportSolution:
     rt: np.ndarray
     intensities: dict[str, np.ndarray]
     residual: np.ndarray
+    source: tuple[SystemConfig, DdiMatrix] | None = None
 
 
 def solve_spectrum_point_batch(
     config: SystemConfig, ddi: DdiMatrix, deltas: Sequence[float] | np.ndarray
 ) -> TransportSolution:
-    """Solve every detuning of a 1-D list, in input order, by LU.
+    """Solve every detuning of a 1-D list, in input order, by LU, recording
+    ``config`` and ``ddi`` as the result's ``source``.
 
     Detunings are stacked into direct solves of at most ``STACK_ELEMENTS``
     matrix elements each; a singular stack is re-solved point by point.
@@ -165,7 +170,10 @@ def solve_spectrum_point_batch(
     norm beyond the float range, backward error above ``RESIDUAL_LIMIT``,
     non-finite intensities, flux balance (see ``SolverError``).
     """
-    return _solve_chains(_chain(config, ddi), deltas, modal=False)
+    deltas = np.asarray(deltas, dtype=float)
+    if deltas.ndim > 1:
+        raise ValueError(f"detunings must be a 1-D list, got shape {deltas.shape}")
+    return replace(_solve_chains(_chain(config, ddi), deltas, modal=False), source=(config, ddi))
 
 
 class _Chains:
@@ -241,8 +249,7 @@ class _Chains:
     @cached_property
     def spread(self) -> np.ndarray:
         """sum_k G_jk |j - k| (N,) of the guided couplings G = G_r + G_l."""
-        offset = abs(np.subtract.outer(np.arange(self.n), np.arange(self.n)))
-        return (abs(self.rightward + self.leftward) * offset).sum(axis=1)
+        return (abs(self.rightward + self.leftward) * _toeplitz(np.arange(self.n))).sum(axis=1)
 
 
 def _chain(config: SystemConfig, ddi: DdiMatrix) -> _Chains:
@@ -512,19 +519,3 @@ def _solve_chains(
     intensities = dict(zip(INTENSITY_KEYS, power))
     return TransportSolution(flat, a, t, r, tt, rt, intensities, residual)
 
-
-def solve_transport(
-    config: SystemConfig, ddi: DdiMatrix, delta: float
-) -> TransportSolution:
-    """Point 0 of a one-point ``solve_spectrum_point_batch``.
-
-    Raises SolverError at (or numerically indistinguishable from) the
-    isolated real poles a lossless chain can develop, like every solve;
-    scans are expected to step around them or request regularization.
-    """
-    batch = solve_spectrum_point_batch(config, ddi, [delta])
-    return TransportSolution(
-        float(batch.delta[0]), batch.a[0], batch.t[0], batch.r[0], batch.tt[0],
-        batch.rt[0], {key: float(value[0]) for key, value in batch.intensities.items()},
-        float(batch.residual[0]),
-    )

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ddi import DdiMatrix, ddi_matrix
+from .ddi import DdiMatrix, _by_offset, _toeplitz, ddi_matrix
 from .params import SystemConfig, validate
 from .scattering import (
     INTENSITY_KEYS,
@@ -89,9 +89,11 @@ def scan(
     config: SystemConfig, ddi: DdiMatrix, grid: Sequence[float] | np.ndarray
 ) -> TransportSolution:
     """Batch-solve a monotone detuning grid into the solver's
-    TransportSolution, from the chain's modes (see ``scattering``); the first
-    grid point that fails raises its SolverError."""
-    return _solve_chains(_chain(config, ddi), _checked_grid(grid), modal=True)
+    TransportSolution, from the chain's modes (see ``scattering``), recording
+    ``config`` and ``ddi`` as its ``source``; the first grid point that fails
+    raises its SolverError."""
+    result = _solve_chains(_chain(config, ddi), _checked_grid(grid), modal=True)
+    return dataclasses.replace(result, source=(config, ddi))
 
 
 def _plateau_maxima(deltas: np.ndarray, values: np.ndarray) -> list[int]:
@@ -250,20 +252,14 @@ def _refine_maxima(
     return location, best[k, column], best
 
 
-def find_peaks(
-    result: TransportSolution,
-    *channels: str,
-    refine: bool = False,
-    config: SystemConfig | None = None,
-    ddi: DdiMatrix | None = None,
-) -> list[Peak]:
+def find_peaks(result: TransportSolution, *channels: str, refine: bool = False) -> list[Peak]:
     """Local maxima of one or more channels on a strictly monotone grid,
     sorted by location (stable, so equal locations keep channel order).
 
     ``refine`` polishes every maximum off-grid (see ``_refine_maxima``), all
-    channels' peaks in the same solver calls; it re-solves the transport
-    problem, so it needs the config and coupling matrix that produced the
-    scan.
+    channels' peaks in the same solver calls, by re-solving the chain that
+    ``result.source`` records: refining a result without one, that no
+    ``scan`` or ``solve_spectrum_point_batch`` returned, raises ValueError.
     """
     _checked_grid(result.delta)
     if not channels:
@@ -271,8 +267,9 @@ def find_peaks(
     for channel in channels:
         if channel not in result.intensities:
             raise KeyError(f"unknown channel {channel!r}")
-    if refine and (config is None or ddi is None):
-        raise ValueError("refinement requires config and ddi for fresh solves")
+    if refine and result.source is None:
+        raise ValueError("refinement needs the config and ddi that a result of scan or"
+                         " solve_spectrum_point_batch records")
 
     seeds = [
         (channel, i)
@@ -280,7 +277,7 @@ def find_peaks(
         for i in _plateau_maxima(result.delta, result.intensities[channel])
     ]
     if refine:
-        locations, heights, _ = _refine_maxima(_chain(config, ddi), result, seeds)
+        locations, heights, _ = _refine_maxima(_chain(*result.source), result, seeds)
     else:
         locations = [result.delta[i] for _, i in seeds]
         heights = [result.intensities[channel][i] for channel, i in seeds]
@@ -300,7 +297,7 @@ def sweep_separation(
 ) -> SeparationSweep:
     """Re-solve the full spectrum for each inter-emitter separation.
 
-    Every spacing is validated, and its coupling matrix built, before any
+    Every spacing is validated, and its couplings built, before any
     solve, so a ConfigError at any spacing comes before a SolverError at an
     earlier one.  Whole spacings then share solver calls of at most
     max(P, the points of one LU stack) (P detunings), which bounds the
@@ -329,20 +326,17 @@ def sweep_separation(
         )
 
     spacings = np.linspace(l_min, l_max, l_points)
-    configs, first_rows = [], []
+    configs, by_offset = [], []  # J in O(N) memory per spacing
     for spacing in spacings:
         configs.append(validate(dataclasses.replace(config, spacing=float(spacing))))
-        # J_jk depends on |j - k| only, so row 0 holds J in O(N) memory.
-        first_rows.append(ddi_matrix(configs[-1]).values[0])
-    n = config.n_emitters
-    offset = abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    per_call = max(grid.size, _lu_points(n)) // grid.size
+        by_offset.append(_by_offset(configs[-1]))
+    per_call = max(grid.size, _lu_points(config.n_emitters)) // grid.size
 
     routed = np.empty((l_points, grid.size))
     transmitted = np.empty((l_points, grid.size))
     for k in range(0, l_points, per_call):
         call = slice(k, k + per_call)
-        chains = _Chains(configs[call], np.array(first_rows[call])[:, offset])
+        chains = _Chains(configs[call], _toeplitz(np.array(by_offset[call])))
         result = _solve_chains(chains, grid, modal=True)
         routed[call] = result.intensities["Tt"].reshape(-1, grid.size)
         transmitted[call] = result.intensities["T"].reshape(-1, grid.size)
@@ -373,7 +367,7 @@ def scale_emitters(
     grid = _checked_grid(grid)
     records = []
     for n in n_list:
-        cfg = validate(dataclasses.replace(config, n_emitters=int(n)))
+        cfg = validate(dataclasses.replace(config, n_emitters=n))
         chains = _chain(cfg, ddi_matrix(cfg))  # shared by the scan and the refinement
         result = _solve_chains(chains, grid, modal=True)
         i = int(np.argmax(result.intensities["Tt"]))

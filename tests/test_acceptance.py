@@ -16,7 +16,7 @@ from photon_router import (
     ddi_matrix,
     find_peaks,
     scan,
-    solve_transport,
+    solve_spectrum_point_batch,
     validate,
 )
 
@@ -38,7 +38,7 @@ def no_ddi(n: int) -> DdiMatrix:
 def test_criterion_1_symmetric_resonance_splits_evenly():
     started = time.perf_counter()
     config = symmetric_config(1)
-    sol = solve_transport(config, no_ddi(1), 0.0)
+    sol = solve_spectrum_point_batch(config, no_ddi(1), [0.0])
     values = [sol.intensities[k] for k in ("T", "R", "Tt", "Rt")]
     elapsed = time.perf_counter() - started
     ok = all(abs(v - 0.25) <= 1e-10 for v in values) and elapsed < 1.0
@@ -48,10 +48,10 @@ def test_criterion_1_symmetric_resonance_splits_evenly():
 
 def test_criterion_2_chiral_resonance_routes_with_pi_phase():
     config = chiral_config(1, gamma=0.0)
-    sol = solve_transport(config, no_ddi(1), 0.0)
+    sol = solve_spectrum_point_batch(config, no_ddi(1), [0.0])
     routed = sol.intensities["Tt"]
     through = sol.intensities["T"]
-    phase = abs(cmath.phase(sol.tt))
+    phase = abs(cmath.phase(sol.tt[0]))
     ok = (
         abs(routed - 1.0) <= 1e-10
         and through <= 1e-10
@@ -63,13 +63,13 @@ def test_criterion_2_chiral_resonance_routes_with_pi_phase():
 
 def test_criterion_3_chiral_resonance_with_loss():
     config = chiral_config(1)
-    sol = solve_transport(config, no_ddi(1), 0.0)
+    sol = solve_spectrum_point_batch(config, no_ddi(1), [0.0])
     ok = (
         abs(sol.intensities["Tt"] - 0.5819) <= 1e-4
         and abs(sol.intensities["T"] - 0.0563) <= 1e-4
     )
     report(3, "single emitter, chiral, lossy: routing drops to 58%", ok,
-           f"Tt={sol.intensities['Tt']:.6f}, T={sol.intensities['T']:.6f}")
+           f"Tt={sol.intensities['Tt'][0]:.6f}, T={sol.intensities['T'][0]:.6f}")
 
 
 def test_criterion_4_ddi_strength_at_reference_spacing():
@@ -83,9 +83,9 @@ def test_criterion_4_ddi_strength_at_reference_spacing():
 
 def test_criterion_5_two_emitters_uncoupled_lossless():
     config = chiral_config(2, gamma=0.0, ddi_mode="off")
-    split_hi = solve_transport(config, no_ddi(2), +COUPLING).intensities["Tt"]
-    split_lo = solve_transport(config, no_ddi(2), -COUPLING).intensities["Tt"]
-    through = solve_transport(config, no_ddi(2), 0.0).intensities["T"]
+    split_hi = solve_spectrum_point_batch(config, no_ddi(2), [+COUPLING]).intensities["Tt"]
+    split_lo = solve_spectrum_point_batch(config, no_ddi(2), [-COUPLING]).intensities["Tt"]
+    through = solve_spectrum_point_batch(config, no_ddi(2), [0.0]).intensities["T"]
     ok = (
         abs(split_hi - 1.0) <= 1e-9
         and abs(split_lo - 1.0) <= 1e-9
@@ -100,14 +100,14 @@ def test_criterion_6_two_emitters_coupled_lossless_peaks():
     ddi = ddi_matrix(config)
     result = scan(config, ddi, np.linspace(-60.0, 60.0, 1201))
     peaks = [
-        p for p in find_peaks(result, "Tt", refine=True, config=config, ddi=ddi)
+        p for p in find_peaks(result, "Tt", refine=True)
         if p.height > 0.5
     ]
     locations = sorted(p.location for p in peaks)
     heights = [p.height for p in peaks]
 
     fine = np.arange(-13.3, -12.8, 5e-4)
-    routed = [solve_transport(config, ddi, d).intensities["Tt"] for d in fine]
+    routed = [solve_spectrum_point_batch(config, ddi, [d]).intensities["Tt"] for d in fine]
     null_location = float(fine[int(np.argmin(routed))])
     null_value = float(np.min(routed))
 
@@ -128,7 +128,7 @@ def test_criterion_7_two_emitters_coupled_lossy_peak():
     config = chiral_config(2)
     ddi = ddi_matrix(config)
     result = scan(config, ddi, np.linspace(-60.0, 60.0, 1201))
-    peaks = find_peaks(result, "Tt", refine=True, config=config, ddi=ddi)
+    peaks = find_peaks(result, "Tt", refine=True)
     best = max(peaks, key=lambda p: p.height)
     ok = abs(best.height - 0.67) <= 0.02 and best.location > 0.0
     report(7, "two emitters, coupled, lossy: routing reaches 67% at positive detuning",
@@ -170,19 +170,19 @@ def test_criterion_9_oracle_equivalence():
         sym = symmetric_config(1, gamma=gamma)
         chi = chiral_config(1, gamma=gamma)
         for delta in grid:
-            num = solve_transport(sym, no_ddi(1), delta)
+            num = solve_spectrum_point_batch(sym, no_ddi(1), [delta])
             ref = single_symmetric(delta, COUPLING, gamma)
             worst = max(
                 worst,
-                abs(num.t - ref.t), abs(num.r - ref.r),
-                abs(num.tt - ref.tt), abs(num.rt - ref.rt),
+                *abs(num.t - ref.t), *abs(num.r - ref.r),
+                *abs(num.tt - ref.tt), *abs(num.rt - ref.rt),
             )
-            num = solve_transport(chi, no_ddi(1), delta)
+            num = solve_spectrum_point_batch(chi, no_ddi(1), [delta])
             ref = single_chiral(delta, COUPLING, gamma)
             worst = max(
                 worst,
-                abs(num.t - ref.t), abs(num.r - ref.r),
-                abs(num.tt - ref.tt), abs(num.rt - ref.rt),
+                *abs(num.t - ref.t), *abs(num.r - ref.r),
+                *abs(num.tt - ref.tt), *abs(num.rt - ref.rt),
             )
 
     coupled = ddi_matrix(chiral_config(2))
@@ -192,12 +192,12 @@ def test_criterion_9_oracle_equivalence():
         config = chiral_config(2, gamma=gamma)
         ddi = coupled if exchange else no_ddi(2)
         for delta in grid:
-            num = solve_transport(config, ddi, delta)
+            num = solve_spectrum_point_batch(config, ddi, [delta])
             ref = two_chiral(delta, COUPLING, gamma, exchange, config.theta)
             worst = max(
                 worst,
-                abs(num.t - ref.t), abs(num.r - ref.r),
-                abs(num.tt - ref.tt), abs(num.rt - ref.rt),
+                *abs(num.t - ref.t), *abs(num.r - ref.r),
+                *abs(num.tt - ref.tt), *abs(num.rt - ref.rt),
             )
 
     ok = worst < 1e-8
@@ -232,16 +232,18 @@ def test_criterion_10_property_suite():
         exchange = 0.5 * (exchange + exchange.T)
         np.fill_diagonal(exchange, 0.0)
         try:
-            sol = solve_transport(config, DdiMatrix(exchange), rng.uniform(-50.0, 50.0))
+            sol = solve_spectrum_point_batch(
+                config, DdiMatrix(exchange), [rng.uniform(-50.0, 50.0)]
+            )
         except SolverError:
             rejected += 1  # isolated lossless pole; the solver refuses it
             assert rejected < 20
             continue
         accepted += 1
         total = sum(v for k, v in sol.intensities.items() if k != "loss")
-        max_flux_error = max(max_flux_error, abs(1.0 - total))
-        min_loss = min(min_loss, sol.intensities["loss"])
-        max_residual = max(max_residual, sol.residual)
+        max_flux_error = max(max_flux_error, *abs(1.0 - total))
+        min_loss = min(min_loss, *sol.intensities["loss"])
+        max_residual = max(max_residual, *sol.residual)
 
     # (b) chiral configs have exactly zero backflow
     backflow = 0.0
@@ -255,16 +257,16 @@ def test_criterion_10_property_suite():
                 spacing=rng.uniform(5.0, 100.0),
             )
         )
-        sol = solve_transport(config, ddi_matrix(config), rng.uniform(-50.0, 50.0))
-        fields = segment_amplitudes(config, [sol.delta], sol.a[None])
+        sol = solve_spectrum_point_batch(config, ddi_matrix(config), [rng.uniform(-50.0, 50.0)])
+        fields = segment_amplitudes(config, sol.delta, sol.a)
         backflow = max(
             backflow,
-            abs(sol.r), abs(sol.rt),
+            *abs(sol.r), *abs(sol.rt),
             np.abs(fields["r"]).max(), np.abs(fields["rt"]).max(),
-            sol.intensities["R"], sol.intensities["Rt"],
+            *sol.intensities["R"], *sol.intensities["Rt"],
         )
-        min_loss = min(min_loss, sol.intensities["loss"])
-        max_residual = max(max_residual, sol.residual)
+        min_loss = min(min_loss, *sol.intensities["loss"])
+        max_residual = max(max_residual, *sol.residual)
 
     # (d) coupling matrix structure for random chains
     structure_ok = True

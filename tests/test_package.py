@@ -1,11 +1,14 @@
-"""What the installed package holds: only modules the program runs."""
+"""What the installed package holds: only modules the program runs, and the
+API that the README's quick start calls."""
 
 import ast
+import re
 from pathlib import Path
 
 import photon_router
 
 PACKAGE = Path(photon_router.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 #: Entry points: the re-exporting package and the command line.
 ENTRY_POINTS = {"__init__", "cli"}
@@ -33,3 +36,10 @@ def test_every_library_module_is_run_by_the_package():
             used |= relative_imports(path)
     unused = sorted(set(modules) - ENTRY_POINTS - used)
     assert unused == [], f"package modules no library module imports: {unused}"
+
+
+def test_readme_quick_start_runs():
+    # The README's one Python block: it fails here once it names an API that
+    # the package no longer has.
+    (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    exec(compile(block, str(README), "exec"), {})

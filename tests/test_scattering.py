@@ -12,7 +12,6 @@ from photon_router import (
     find_peaks,
     scan,
     solve_spectrum_point_batch,
-    solve_transport,
     validate,
 )
 
@@ -69,20 +68,18 @@ def point_intensities(batch, i):
 def segments(config, solution):
     """Every segment's field amplitudes, (P, N), recovered from a solution's
     emitter amplitudes; its port amplitudes must be the outer segments, bit
-    for bit.  Takes a batch or a ``solve_transport`` point."""
-    fields = segment_amplitudes(
-        config, np.atleast_1d(solution.delta), np.atleast_2d(solution.a)
-    )
+    for bit."""
+    fields = segment_amplitudes(config, solution.delta, solution.a)
     for key, port in PORTS.items():
-        assert np.array_equal(np.atleast_1d(getattr(solution, key)), fields[key][:, port])
+        assert np.array_equal(getattr(solution, key), fields[key][:, port])
     return fields
 
 
 def assert_same_point(batch, i, sol):
     """Point i of a batched solution equals a one-point solve, bit for bit."""
     for key in ("a", *AMPLITUDES):
-        assert np.array_equal(getattr(batch, key)[i], getattr(sol, key))
-    assert point_intensities(batch, i) == sol.intensities
+        assert np.array_equal(getattr(batch, key)[i], getattr(sol, key)[0])
+    assert point_intensities(batch, i) == point_intensities(sol, 0)
 
 
 def test_system_shape_and_boundary_terms():
@@ -101,9 +98,18 @@ def test_dimension_mismatch_rejected():
         solve_spectrum_point_batch(config, no_ddi(2), [0.0])
 
 
+def test_detunings_of_more_than_one_dimension_rejected():
+    config = chiral_config(2)
+    with pytest.raises(ValueError, match=r"1-D list, got shape \(1, 2\)"):
+        solve_spectrum_point_batch(config, no_ddi(2), [[1.0, 2.0]])
+    empty = solve_spectrum_point_batch(config, no_ddi(2), [])
+    assert empty.delta.shape == (0,) and empty.a.shape == (0, 2)
+    assert all(column.shape == (0,) for column in empty.intensities.values())
+
+
 def test_decoupled_emitter_passes_photon_through():
     config = validate(SystemConfig(n_emitters=1, ddi_mode="off"))
-    sol = solve_transport(config, no_ddi(1), 0.5)
+    sol = solve_spectrum_point_batch(config, no_ddi(1), [0.5])
     assert sol.t == 1.0
     assert sol.a[0] == 0.0
     assert sol.intensities["T"] == 1.0
@@ -114,7 +120,7 @@ def test_decoupled_emitter_passes_photon_through():
 def test_decoupled_emitter_is_singular_at_resonance():
     config = validate(SystemConfig(n_emitters=1, ddi_mode="off"))
     with pytest.raises(SolverError) as err:
-        solve_transport(config, no_ddi(1), 0.0)
+        solve_spectrum_point_batch(config, no_ddi(1), [0.0])
     assert err.value.delta == 0.0
     assert "delta=+0" in str(err.value)
     assert err.value.condition is not None
@@ -122,31 +128,31 @@ def test_decoupled_emitter_is_singular_at_resonance():
 
 def test_regularization_resolves_the_pole():
     config = validate(SystemConfig(n_emitters=1, ddi_mode="off", regularize=True))
-    sol = solve_transport(config, no_ddi(1), 0.0)
+    sol = solve_spectrum_point_batch(config, no_ddi(1), [0.0])
     assert sol.intensities["T"] == 1.0
 
 
 def test_single_symmetric_resonance_splits_evenly():
     config = symmetric_config(1)
-    sol = solve_transport(config, no_ddi(1), 0.0)
+    sol = solve_spectrum_point_batch(config, no_ddi(1), [0.0])
     for key in ("T", "R", "Tt", "Rt"):
         assert sol.intensities[key] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_two_chiral_uncoupled_lossless_landmarks():
     config = chiral_config(2, gamma=0.0, ddi_mode="off")
-    at_resonance = solve_transport(config, no_ddi(2), 0.0)
+    at_resonance = solve_spectrum_point_batch(config, no_ddi(2), [0.0])
     assert at_resonance.intensities["T"] == pytest.approx(1.0, abs=1e-12)
     assert at_resonance.intensities["Tt"] == pytest.approx(0.0, abs=1e-12)
     for sign in (+1.0, -1.0):
-        split = solve_transport(config, no_ddi(2), sign * COUPLING)
+        split = solve_spectrum_point_batch(config, no_ddi(2), [sign * COUPLING])
         assert split.intensities["Tt"] == pytest.approx(1.0, abs=1e-12)
         assert split.intensities["T"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_chiral_backflow_is_exactly_zero():
     config = chiral_config(4)
-    sol = solve_transport(config, ddi_matrix(config), 17.3)
+    sol = solve_spectrum_point_batch(config, ddi_matrix(config), [17.3])
     fields = segments(config, sol)
     assert np.all(fields["r"] == 0.0)
     assert np.all(fields["rt"] == 0.0)
@@ -159,11 +165,11 @@ def test_matches_single_emitter_closed_forms():
     sym = symmetric_config(1, gamma=EMISSION)
     chi = chiral_config(1)
     for delta in grid:
-        num = solve_transport(sym, no_ddi(1), delta)
+        num = solve_spectrum_point_batch(sym, no_ddi(1), [delta])
         ref = single_symmetric(delta, COUPLING, EMISSION)
         assert abs(num.t - ref.t) < 1e-10
         assert abs(num.r - ref.r) < 1e-10
-        num = solve_transport(chi, no_ddi(1), delta)
+        num = solve_spectrum_point_batch(chi, no_ddi(1), [delta])
         ref = single_chiral(delta, COUPLING, EMISSION)
         assert abs(num.t - ref.t) < 1e-10
         assert abs(num.tt - ref.tt) < 1e-10
@@ -173,7 +179,7 @@ def test_matches_two_emitter_closed_form_with_coupling():
     config = chiral_config(2)
     ddi = ddi_matrix(config)
     for delta in np.linspace(-80.0, 80.0, 321):
-        num = solve_transport(config, ddi, delta)
+        num = solve_spectrum_point_batch(config, ddi, [delta])
         ref = two_chiral(delta, COUPLING, EMISSION, ddi.values[0, 1], config.theta)
         assert abs(num.t - ref.t) < 1e-10
         assert abs(num.tt - ref.tt) < 1e-10
@@ -218,8 +224,8 @@ def test_scalar_and_tuple_rates_solve_identically():
         gamma_ur=(COUPLING,) * 3,
     )
     ddi = ddi_matrix(scalar)
-    a = solve_transport(scalar, ddi, 12.0)
-    b = solve_transport(per_emitter, ddi, 12.0)
+    a = solve_spectrum_point_batch(scalar, ddi, [12.0])
+    b = solve_spectrum_point_batch(per_emitter, ddi, [12.0])
     assert np.array_equal(a.t, b.t)
     assert np.array_equal(a.tt, b.tt)
     assert np.array_equal(a.a, b.a)
@@ -235,22 +241,22 @@ def test_heterogeneous_chain_decouples_silent_emitter():
         ddi_mode="off",
     )
     lone = chiral_config(1)
-    sol_pair = solve_transport(pair, no_ddi(2), 3.7)
-    sol_lone = solve_transport(lone, no_ddi(1), 3.7)
+    sol_pair = solve_spectrum_point_batch(pair, no_ddi(2), [3.7])
+    sol_lone = solve_spectrum_point_batch(lone, no_ddi(1), [3.7])
     assert sol_pair.t == pytest.approx(sol_lone.t, abs=1e-14)
     assert sol_pair.tt == pytest.approx(sol_lone.tt, abs=1e-14)
-    assert sol_pair.a[1] == 0.0
+    assert sol_pair.a[0, 1] == 0.0
 
 
 def test_residual_recorded_and_small():
     config = chiral_config(5)
-    sol = solve_transport(config, ddi_matrix(config), 40.0)
+    sol = solve_spectrum_point_batch(config, ddi_matrix(config), [40.0])
     assert 0.0 <= sol.residual < 1e-12
 
 
 def test_far_detuned_transparency_for_long_chain():
     config = chiral_config(30)
-    sol = solve_transport(config, ddi_matrix(config), 1e4)
+    sol = solve_spectrum_point_batch(config, ddi_matrix(config), [1e4])
     assert sol.intensities["T"] > 0.99
     assert sol.residual < 1e-10
 
@@ -261,7 +267,8 @@ def test_batch_matches_pointwise_and_preserves_order():
     deltas = [-5.0, 0.0, 12.5]
     batch = solve_spectrum_point_batch(config, ddi, deltas)
     singleton = solve_spectrum_point_batch(config, ddi, [0.0])
-    assert point_intensities(singleton, 0) == solve_transport(config, ddi, 0.0).intensities
+    again = solve_spectrum_point_batch(config, ddi, [0.0])
+    assert point_intensities(singleton, 0) == again.intensities
     assert batch.delta.tolist() == deltas
     forward = batch.intensities["Tt"].tolist()
     backward = solve_spectrum_point_batch(config, ddi, deltas[::-1]).intensities["Tt"]
@@ -293,7 +300,7 @@ def test_non_finite_solution_never_passes_the_residual_check():
     assert "non-finite solution" in str(failure)
     assert failure.condition is None  # cond() of this matrix is 1: no hint
     assert "condition" not in str(failure)
-    assert solve_transport(config, no_ddi(1), 1.0).intensities["T"] == 1.0
+    assert solve_spectrum_point_batch(config, no_ddi(1), [1.0]).intensities["T"] == 1.0
 
 
 def test_matrix_norm_beyond_the_float_range_fails_the_point():
@@ -304,7 +311,7 @@ def test_matrix_norm_beyond_the_float_range_fails_the_point():
                        r" at delta=\+0$") as err:
         solve_spectrum_point_batch(config, ddi_matrix(config), [0.0, 1.0])
     assert err.value.condition is None
-    assert solve_transport(chiral_config(2, gamma_ul=1e308), ddi_matrix(config), 0.0)
+    assert solve_spectrum_point_batch(chiral_config(2, gamma_ul=1e308), ddi_matrix(config), [0.0])
 
 
 #: A chain whose rates span the float range: its backward error passes at
@@ -424,7 +431,7 @@ def test_lossless_chains_never_trip_the_flux_check(n, rates, spacing, phases, of
     ddi = DdiMatrix(0.5 * (exchange + exchange.T) * (1.0 - np.eye(n)))
     for delta in collective_modes(config, ddi).real + offset:
         try:
-            solve_transport(config, ddi, delta)
+            solve_spectrum_point_batch(config, ddi, [delta])
         except SolverError as err:  # a real pole may be singular, never unbalanced
             assert not str(err).startswith("flux balance"), str(err)
 
@@ -497,7 +504,7 @@ def test_grid_longer_than_one_stack_matches_pointwise():
     batch = solve_spectrum_point_batch(config, ddi, deltas)
     assert batch.delta.tolist() == deltas.tolist()
     for i, delta in enumerate(deltas):
-        assert_same_point(batch, i, solve_transport(config, ddi, delta))
+        assert_same_point(batch, i, solve_spectrum_point_batch(config, ddi, [delta]))
     fields = segments(config, batch)
     for i in (0, 255, 256, 600):
         ref = solve_dense(config, ddi, deltas[i])
@@ -523,7 +530,7 @@ def test_carrier_phase_grid_shares_one_coupling_block():
     assert (matrices[:, ~diagonal] == matrices[0, ~diagonal]).all()
     assert np.array_equal(matrices[:, diagonal].real, -deltas[:, None] * np.ones(8))
     for i, delta in enumerate(deltas):
-        assert_same_point(batch, i, solve_transport(config, ddi, delta))
+        assert_same_point(batch, i, solve_spectrum_point_batch(config, ddi, [delta]))
     fields = segments(config, batch)
     for i in (0, size - 1, size, 2 * size - 1, 2 * size, 600):
         ref = solve_dense(config, ddi, deltas[i])
@@ -566,7 +573,7 @@ def test_batched_solver_matches_dense_oracle(chain, deltas):
     batch = solve_spectrum_point_batch(config, ddi, deltas)
     fields = segments(config, batch)
     for i, delta in enumerate(deltas):
-        assert_same_point(batch, i, solve_transport(config, ddi, delta))
+        assert_same_point(batch, i, solve_spectrum_point_batch(config, ddi, [delta]))
         ref = solve_dense(config, ddi, delta)
         for key in AMPLITUDES:
             assert np.max(np.abs(fields[key][i] - ref[key])) < 1e-10
@@ -813,7 +820,7 @@ def test_lu_stacks_of_a_refinement_share_one_buffer(phases):
     recorder = KeepingSolve()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.linalg, "solve", recorder)
-        find_peaks(result, "T", "Tt", refine=True, config=config, ddi=ddi)
+        find_peaks(result, "T", "Tt", refine=True)
     stacks = [matrices for matrices, _, _ in recorder.systems]
     assert len(stacks) > 10 and max(len(m) for m in stacks) == LU_STACK_30
     assert len({id(m.base) for m in stacks}) == 1
@@ -978,8 +985,8 @@ def test_delta_dependent_phase_is_a_tiny_correction():
     fixed = chiral_config(2)
     corrected = chiral_config(2, delta_dependent_phases=True)
     ddi = ddi_matrix(fixed)
-    a = solve_transport(fixed, ddi, 100.0).intensities["Tt"]
-    b = solve_transport(corrected, ddi, 100.0).intensities["Tt"]
+    a = solve_spectrum_point_batch(fixed, ddi, [100.0]).intensities["Tt"]
+    b = solve_spectrum_point_batch(corrected, ddi, [100.0]).intensities["Tt"]
     assert a != b
     assert abs(a - b) < 1e-4
 
@@ -1004,7 +1011,7 @@ def test_lossless_flux_conservation(n, rates, spacing, delta, seed):
     exchange = 0.5 * (exchange + exchange.T)
     np.fill_diagonal(exchange, 0.0)
     try:
-        sol = solve_transport(config, DdiMatrix(exchange), delta)
+        sol = solve_spectrum_point_batch(config, DdiMatrix(exchange), [delta])
     except SolverError:
         return  # isolated real pole of a lossless chain; the solver refuses it
     total = sum(v for k, v in sol.intensities.items() if k != "loss")
@@ -1028,7 +1035,7 @@ def test_chiral_zero_backflow_property(n, gamma, forward, delta):
         SystemConfig(n_emitters=n, gamma=gamma, gamma_dr=dr, gamma_ur=ur)
     )
     try:
-        sol = solve_transport(config, ddi_matrix(config), delta)
+        sol = solve_spectrum_point_batch(config, ddi_matrix(config), [delta])
     except SolverError:
         return
     fields = segments(config, sol)

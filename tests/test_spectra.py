@@ -16,7 +16,6 @@ from photon_router import (
     scale_emitters,
     scan,
     solve_spectrum_point_batch,
-    solve_transport,
     sweep_separation,
 )
 from photon_router.scattering import INTENSITY_KEYS
@@ -58,7 +57,7 @@ def reference_peaks(config, ddi, result, channels, probes=None):
         def evaluate(delta, channel=channel):
             if probes is not None:
                 probes.append(delta)
-            return solve_transport(config, ddi, delta).intensities[channel]
+            return solve_spectrum_point_batch(config, ddi, [delta]).intensities[channel][0]
 
         y = result.intensities[channel]
         for i in spectra._plateau_maxima(result.delta, y):
@@ -208,7 +207,7 @@ class TestFindPeaks:
         result = solve_spectrum_point_batch(config, ddi, grid)
         for refine in (False, True):
             with pytest.raises(ValueError, match="grid must be strictly monotone"):
-                find_peaks(result, "Tt", refine=refine, config=config, ddi=ddi)
+                find_peaks(result, "Tt", refine=refine)
 
     def test_refinement_stops_at_the_float_resolution(self):
         # At delta ~ 1e15 one ulp is 0.125 Gamma0: a bracket can never shrink
@@ -218,7 +217,7 @@ class TestFindPeaks:
         ddi = DdiMatrix([[0.0, exchange], [exchange, 0.0]])
         result = scan(config, ddi, np.linspace(exchange - 60.0, exchange + 60.0, 121))
         (raw,) = find_peaks(result, "Tt")
-        (peak,) = find_peaks(result, "Tt", refine=True, config=config, ddi=ddi)
+        (peak,) = find_peaks(result, "Tt", refine=True)
         assert peak.refined and peak.height >= raw.height
         assert abs(peak.location - raw.location) <= 1.0
 
@@ -232,7 +231,7 @@ class TestFindPeaks:
         grid = np.linspace(-60.0, 60.0, 121)  # coarse on purpose
         result = scan(config, ddi, grid)
         raw = find_peaks(result, "Tt")
-        refined = find_peaks(result, "Tt", refine=True, config=config, ddi=ddi)
+        refined = find_peaks(result, "Tt", refine=True)
         assert len(raw) == len(refined)
         for before, after in zip(raw, refined):
             assert after.refined
@@ -244,7 +243,7 @@ class TestFindPeaks:
         ddi = ddi_matrix(config)
         grid = np.linspace(-60.0, 60.0, 481)
         result = scan(config, ddi, grid)
-        peaks = find_peaks(result, "Tt", refine=True, config=config, ddi=ddi)
+        peaks = find_peaks(result, "Tt", refine=True)
         tall = [p for p in peaks if p.height > 0.99]
         assert len(tall) == 2
         # +-sqrt(J^2 + G^2 + 2 J G sin(theta)) with J pinned to 23.10
@@ -277,7 +276,7 @@ class TestFindPeaks:
         ddi = ddi_matrix(config)
         grid = np.linspace(-60.0, 60.0, 121)
         up, down = (
-            find_peaks(scan(config, ddi, g), "Tt", refine=True, config=config, ddi=ddi)
+            find_peaks(scan(config, ddi, g), "Tt", refine=True)
             for g in (grid, grid[::-1])
         )
         assert len(up) == 2
@@ -291,7 +290,7 @@ class TestFindPeaks:
         # calls at the solver entry, and check each advances every open bracket.
         calls = counted_solves(monkeypatch)
         advancing_steps(monkeypatch)
-        peaks = find_peaks(result, *CHANNELS, refine=True, config=config, ddi=ddi)
+        peaks = find_peaks(result, *CHANNELS, refine=True)
         assert len(peaks) == 7 and {p.channel for p in peaks} == set(CHANNELS)
         together = len(calls)
 
@@ -304,8 +303,9 @@ class TestFindPeaks:
                     result.delta[i - 1 : i + 2],
                     {k: v[i - 1 : i + 2] for k, v in result.intensities.items()},
                 )
+                window = dataclasses.replace(window, source=result.source)
                 calls.clear()
-                (peak,) = find_peaks(window, channel, refine=True, config=config, ddi=ddi)
+                (peak,) = find_peaks(window, channel, refine=True)
                 assert peak in peaks
                 alone.append(len(calls))
         assert len(alone) == 7 and together <= max(alone)
@@ -319,7 +319,7 @@ class TestFindPeaks:
         result = scan(config, ddi, np.linspace(-300.0, 300.0, 2001))
         calls = counted_solves(monkeypatch)
         depths = advancing_steps(monkeypatch)
-        peaks = find_peaks(result, *CHANNELS, refine=True, config=config, ddi=ddi)
+        peaks = find_peaks(result, *CHANNELS, refine=True)
         assert len(peaks) == 37 and set(depths) == {1}
         assert len(calls) == 20 and all(len(deltas) == 37 for deltas in calls[1:])
 
@@ -347,7 +347,7 @@ class TestFindPeaks:
         monkeypatch.setattr(spectra, "_probe", probing)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(np.linalg, "solve", recorder)
-            peaks = find_peaks(result, *CHANNELS, refine=True, config=config, ddi=ddi)
+            peaks = find_peaks(result, *CHANNELS, refine=True)
         assert len(peaks) > 1 and len(built) == 1
         assert sum(len(systems) for *_, systems in probes) == len(recorder.systems)
         for deltas, chains, rows, systems in probes:
@@ -362,6 +362,27 @@ class TestFindPeaks:
                     assert np.array_equal(got, want)
             for column, key in zip(rows.T, INTENSITY_KEYS):
                 assert np.array_equal(column, batch.intensities[key])
+
+    @pytest.mark.parametrize("solve", [scan, solve_spectrum_point_batch], ids=["scan", "lu"])
+    def test_refinement_solves_the_chain_its_result_records(self, monkeypatch, solve):
+        # The record holds the caller's own objects, and the refinement builds
+        # one chain from them: a lossless config passed beside this lossy
+        # scan once refined its Tt peaks to 0.970 and 0.9998, above every
+        # grid sample (at most 0.670).
+        config = chiral_config(2)
+        ddi = ddi_matrix(config)
+        result = solve(config, ddi, np.linspace(-60.0, 60.0, 121))
+        assert result.source[0] is config and result.source[1] is ddi
+        built, chain = [], spectra._chain
+
+        def building(*args):
+            built.append(args)
+            return chain(*args)
+
+        monkeypatch.setattr(spectra, "_chain", building)
+        peaks = find_peaks(result, "Tt", refine=True)
+        assert len(built) == 1 and all(a is b for a, b in zip(built[0], (config, ddi)))
+        assert [round(p.height, 3) for p in peaks] == [0.455, 0.670]
 
     def test_delta_dependent_refinement_probes_by_the_lu_alone(self, monkeypatch):
         # The scan of a delta-dependent chain sweeps from its modes; every
@@ -378,7 +399,7 @@ class TestFindPeaks:
             return solve(chains, deltas, modal)
 
         monkeypatch.setattr(spectra, "_solve_chains", solving)
-        peaks = find_peaks(result, *CHANNELS, refine=True, config=config, ddi=ddi)
+        peaks = find_peaks(result, *CHANNELS, refine=True)
         assert len(peaks) > 1 and solves and not any(modal for _, modal in solves)
         for chains, _ in solves:
             assert "carrier" not in vars(chains) and "modes" not in vars(chains)
@@ -435,7 +456,7 @@ def test_refined_peaks_do_not_depend_on_the_predictor(monkeypatch, case, predict
     }
     monkeypatch.setattr(spectra, "_predicted_sides", sides[predictor])
     calls = advancing_steps(monkeypatch)
-    assert find_peaks(result, "Tt", refine=True, config=config, ddi=ddi) == expected
+    assert find_peaks(result, "Tt", refine=True) == expected
     assert (len(calls) == 0) == (case in ("no-seeds", "at-64-ulps"))
 
 
@@ -459,13 +480,13 @@ def test_only_probes_of_the_plain_search_raise(monkeypatch):
 
     monkeypatch.setattr(spectra, "_solve_chains", solving)
     monkeypatch.setattr(spectra, "_predicted_sides", wrong_sides(config, ddi, "Tt"))
-    assert find_peaks(result, "Tt", refine=True, config=config, ddi=ddi) == expected
+    assert find_peaks(result, "Tt", refine=True) == expected
     assert len(expected) > 1 and raised
 
     # A probe the plain search makes still raises: here its last one.
     failing = path[-1]
     with pytest.raises(SolverError) as err:
-        find_peaks(result, "Tt", refine=True, config=config, ddi=ddi)
+        find_peaks(result, "Tt", refine=True)
     assert err.value.delta == failing
 
 
@@ -485,13 +506,13 @@ def test_a_failing_probe_of_a_one_step_call_raises(monkeypatch):
         return solve(chains, deltas, modal)
 
     monkeypatch.setattr(spectra, "_solve_chains", solving)
-    find_peaks(result, "T", "Tt", refine=True, config=config, ddi=ddi)
+    find_peaks(result, "T", "Tt", refine=True)
     first_step = calls[1]  # calls[0] probes the vertices and inner points
     assert spectra._lu_points(30) // first_step.size <= 1  # depth 1
 
     failing, calls[:] = first_step[-1], []
     with pytest.raises(SolverError) as err:
-        find_peaks(result, "T", "Tt", refine=True, config=config, ddi=ddi)
+        find_peaks(result, "T", "Tt", refine=True)
     assert err.value.delta == failing
     assert sum(failing in deltas for deltas in calls) == 1
 
@@ -509,7 +530,7 @@ def test_lockstep_refinement_matches_scalar_reference(chain, points, descending)
         result = scan(config, ddi, grid[::-1] if descending else grid)
     except SolverError:
         assume(False)
-    peaks = find_peaks(result, *CHANNELS, refine=True, config=config, ddi=ddi)
+    peaks = find_peaks(result, *CHANNELS, refine=True)
     assert peaks == reference_peaks(config, ddi, result, CHANNELS)
 
 
@@ -671,7 +692,7 @@ class TestScaleEmitters:
             at_peak = scan(config, ddi, [record.delta_star]).intensities
             at_peak = {key: float(value[0]) for key, value in at_peak.items()}
         else:
-            at_peak = solve_transport(config, ddi, record.delta_star).intensities
+            at_peak = solve_spectrum_point_batch(config, ddi, [record.delta_star]).intensities
         assert record.tt_max == at_peak["Tt"]
         assert record.t_bar_min == at_peak["T"]
         assert record.loss_at_peak == at_peak["loss"]
@@ -723,6 +744,19 @@ class TestScaleEmitters:
             scale_emitters(config, [], grid)
         with pytest.raises(ValueError, match="ascending"):
             scale_emitters(config, [3, 2], grid)
+
+    @pytest.mark.parametrize("n_list", [[1, 2.5], [True, 2]], ids=["fractional", "bool"])
+    def test_chain_lengths_are_validated_uncast(self, n_list):
+        grid = np.linspace(-60.0, 60.0, 121)
+        with pytest.raises(ConfigError, match="n_emitters must be an integer"):
+            scale_emitters(chiral_config(2), n_list, grid)
+
+    def test_numpy_integer_chain_length_is_accepted(self):
+        grid = np.linspace(-60.0, 60.0, 121)
+        config = chiral_config(2)
+        (record,) = scale_emitters(config, [np.int64(2)], grid).records
+        assert type(record.n) is int
+        assert record == scale_emitters(config, [2], grid).records[0]
 
     def test_routing_improves_with_chain_length(self, reference_scaling):
         maxima = [r.tt_max for r in reference_scaling.records]
