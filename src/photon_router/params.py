@@ -23,10 +23,6 @@ import numpy as np
 
 DDI_MODES = ("auto", "manual", "off")
 
-#: Gamma0 floor added to every emitter's spontaneous emission rate when a
-#: config requests pole regularization for lossless scans.
-POLE_REGULARIZATION = 1e-9
-
 #: Largest detuning magnitude, Gamma0: keeps every grid and refinement step finite.
 DETUNING_LIMIT = sys.float_info.max / 4
 
@@ -86,7 +82,6 @@ class SystemConfig:
     ddi_mode: str = "auto"
     ddi_strength: float | None = None   # nearest-neighbour value, manual mode
     gamma0_mhz: float = 7.5    # metadata only; see module docstring
-    regularize: bool = False
     delta_dependent_phases: bool = False
     detuning: DetuningGrid | None = None
 
@@ -191,10 +186,8 @@ def validate(config: SystemConfig) -> SystemConfig:
             errors.append("ddi_mode 'manual' requires ddi_strength")
         elif not _is_finite(config.ddi_strength):
             errors.append(f"ddi_strength must be finite, got {config.ddi_strength!r}")
-    for name in ("regularize", "delta_dependent_phases"):
-        value = getattr(config, name)
-        if not isinstance(value, bool):
-            errors.append(f"{name} must be true or false, got {value!r}")
+    if not isinstance(drifts := config.delta_dependent_phases, bool):
+        errors.append(f"delta_dependent_phases must be true or false, got {drifts!r}")
     if config.detuning is not None:
         grid = config.detuning
         if not _is_count(grid.points):

@@ -81,7 +81,7 @@ from typing import Sequence
 import numpy as np
 
 from .ddi import DdiMatrix, _toeplitz
-from .params import POLE_REGULARIZATION, SystemConfig
+from .params import SystemConfig
 
 #: Accepted solves must have a backward error below this bound.
 RESIDUAL_LIMIT = 1e-10
@@ -138,7 +138,9 @@ class TransportSolution:
     """Emitter amplitudes ``a``, the amplitudes at the four output ports
     (``t`` and ``r`` of the lower waveguide, ``tt`` and ``rt`` of the upper),
     port intensities (see ``port_intensities``) and the backward error of
-    the reduced solve.
+    the reduced solve: that of the matrix the solver forms from its rounded
+    phases e^{i j s}, not of the exact M(delta), which it does not bound at
+    the rounding level.
 
     ``a`` has shape (P, N) and every other array (P,), over the detunings
     ``delta``.  ``source`` is the caller's own (config, ddi) that ``scan`` or
@@ -192,8 +194,6 @@ class _Chains:
         self.configs, self.n, self.couplings = configs, config.n_emitters, couplings
         self.drifts = config.delta_dependent_phases
         gamma = config.rate_profile("gamma")
-        if config.regularize:
-            gamma = gamma + POLE_REGULARIZATION
         rates = np.array([config.rate_profile(name) for name in _CHANNELS])
         self.v_dr, self.v_dl, self.v_ur, self.v_ul = v_dr, v_dl, v_ur, v_ul = np.sqrt(rates)
         self.rightward = -1j * np.tril(np.outer(v_dr, v_dr) + np.outer(v_ur, v_ur), -1)
@@ -257,6 +257,11 @@ def _chain(config: SystemConfig, ddi: DdiMatrix) -> _Chains:
     if ddi.n != config.n_emitters:
         raise ValueError(f"coupling matrix is {ddi.n}x{ddi.n} for {config.n_emitters} emitters")
     return _Chains([config], ddi.values[None])
+
+
+def _stack_points(n: int) -> int:
+    """Points of one stack: a quarter of ``STACK_ELEMENTS`` elements per (P, N) array."""
+    return max(1, STACK_ELEMENTS // (4 * n))
 
 
 def _lu_points(n: int) -> int:
@@ -382,8 +387,6 @@ def _solve_chains(
     if modal or not chains.drifts:
         phases, m0, row_sums = chains.carrier
     if modal:
-        if chains.drifts:  # before the modes: its N x N temporaries are freed before V exists
-            chains.spread
         lam, vecs, w = chains.modes
 
     a = np.empty((flat.size, n), dtype=complex)
@@ -439,7 +442,7 @@ def _solve_chains(
         matrices[:, np.arange(n), np.arange(n)] = on_diagonal
         return matrices, norm
 
-    size, lu_size = max(1, STACK_ELEMENTS // (4 * n)), _lu_points(n)
+    size, lu_size = _stack_points(n), _lu_points(n)
     for start in range(0, flat.size, size):
         stack = slice(start, start + size)
         chain = chain_of[stack]

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ddi import DdiMatrix, _by_offset, _toeplitz, ddi_matrix
+from .ddi import DdiMatrix, _by_offset, _toeplitz
 from .params import SystemConfig, validate
 from .scattering import (
     INTENSITY_KEYS,
@@ -20,6 +20,7 @@ from .scattering import (
     _Chains,
     _lu_points,
     _solve_chains,
+    _stack_points,
 )
 
 #: Peak locations are refined until stable to this width, Gamma0 units.
@@ -196,9 +197,10 @@ def _refine_maxima(
     the parabola through its three samples (if that bows down), and narrowed
     by golden-section search to ``PEAK_REFINE_TOL``, or to 64 ulps of the
     bracket's detunings where those are coarser.  Every solver call probes
-    every open bracket, each up to depth = max(1, lu_size // open brackets)
-    steps ahead (``_golden_steps``), with lu_size the points of one LU stack
-    (``scattering._lu_points``); many brackets take one step a call.
+    every open bracket, each up to depth = max(1, stack // open brackets)
+    steps ahead (``_golden_steps``), with stack the points that the solver
+    records and checks at once (``scattering._stack_points``, 136 at
+    N = 30); many brackets take one step a call.
     Each probe is its own LU solve, so the predictions set only the number
     of calls: locations and heights are those of a step-by-step search, bit
     for bit.  A call whose speculative probes raise a SolverError is taken
@@ -235,7 +237,7 @@ def _refine_maxima(
     # Below 64 ulps rounding could stall the search: its points would coincide.
     tol = np.maximum(PEAK_REFINE_TOL, 64.0 * np.spacing(np.maximum(abs(lo), abs(hi))))
     while opened := np.count_nonzero(points[1] - points[0] > tol):
-        depth = max(1, _lu_points(chains.n) // opened)
+        depth = max(1, _stack_points(chains.n) // opened)
         try:
             points, at = _golden_steps(chains, points, at, column, tol, depth)
         except SolverError:
@@ -326,10 +328,8 @@ def sweep_separation(
         )
 
     spacings = np.linspace(l_min, l_max, l_points)
-    configs, by_offset = [], []  # J in O(N) memory per spacing
-    for spacing in spacings:
-        configs.append(validate(dataclasses.replace(config, spacing=float(spacing))))
-        by_offset.append(_by_offset(configs[-1]))
+    configs = [dataclasses.replace(config, spacing=float(spacing)) for spacing in spacings]
+    by_offset = [_by_offset(validate(cfg)) for cfg in configs]  # in order; J in O(N) each
     per_call = max(grid.size, _lu_points(config.n_emitters)) // grid.size
 
     routed = np.empty((l_points, grid.size))
@@ -352,11 +352,12 @@ def scale_emitters(
 ) -> ScalingReport:
     """Routing figures of merit as a function of chain length.
 
-    For each N the chain and its coupling matrix are rebuilt, the grid is
-    scanned, and the routed-intensity maximum is refined off-grid.  The
-    refined sample participates in the transmission minimum so the reported
-    t_bar_min >= t_min ordering is structural.  The first failing point of
-    the first scan that has one raises its SolverError.
+    Every chain length is validated, and its couplings built, before any
+    solve, so a ConfigError at any length comes before a SolverError at an
+    earlier one.  Each N's grid is then scanned, and its routed-intensity
+    maximum refined off-grid on the same chain; the refined sample joins the
+    transmission minimum, so t_bar_min >= t_min holds by construction.  The
+    first failing point of the first scan that has one raises its SolverError.
     """
     n_list = list(n_list)
     if not n_list:
@@ -365,10 +366,11 @@ def scale_emitters(
         raise ValueError(f"n_list must be strictly ascending, got {n_list}")
 
     grid = _checked_grid(grid)
+    configs = [dataclasses.replace(config, n_emitters=n) for n in n_list]
+    by_offset = [_by_offset(validate(cfg)) for cfg in configs]  # in order; J in O(N) each
     records = []
-    for n in n_list:
-        cfg = validate(dataclasses.replace(config, n_emitters=n))
-        chains = _chain(cfg, ddi_matrix(cfg))  # shared by the scan and the refinement
+    for cfg, couplings in zip(configs, by_offset):
+        chains = _chain(cfg, DdiMatrix(_toeplitz(couplings)))  # for the scan and the refinement
         result = _solve_chains(chains, grid, modal=True)
         i = int(np.argmax(result.intensities["Tt"]))
         if 0 < i < grid.size - 1:
@@ -380,7 +382,7 @@ def scale_emitters(
         at_peak = dict(zip(INTENSITY_KEYS, map(float, row)))
         records.append(
             ScalingRecord(
-                n=int(n),
+                n=int(cfg.n_emitters),
                 tt_max=at_peak["Tt"],
                 delta_star=delta_star,
                 t_min=min(float(np.min(result.intensities["T"])), at_peak["T"]),

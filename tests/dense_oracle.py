@@ -25,7 +25,6 @@ import dataclasses
 import numpy as np
 
 from photon_router import DdiMatrix, SystemConfig
-from photon_router.params import POLE_REGULARIZATION
 
 
 def assemble_system(
@@ -37,8 +36,6 @@ def assemble_system(
         raise ValueError(f"coupling matrix is {ddi.n}x{ddi.n} for {n} emitters")
 
     gamma = config.rate_profile("gamma")
-    if config.regularize:
-        gamma = gamma + POLE_REGULARIZATION
     v_dr = np.sqrt(config.rate_profile("gamma_dr"))
     v_dl = np.sqrt(config.rate_profile("gamma_dl"))
     v_ur = np.sqrt(config.rate_profile("gamma_ur"))

@@ -195,6 +195,16 @@ def test_unknown_key_exits_1(tmp_path, capsys):
     assert "unknown config key 'coupling'" in capsys.readouterr().err
 
 
+def test_removed_pole_switch_is_an_unknown_key(tmp_path, capsys):
+    # A loss floor is stated as gamma; the switch that added one is gone.
+    config = tmp_path / "floor.json"
+    config.write_text(json.dumps(TWO_EMITTER | {"regularize": True}))
+    out = tmp_path / "never.csv"
+    assert main(["spectrum", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "config error: unknown config key 'regularize'\n"
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_config_array_root_exits_1(tmp_path, capsys):
     config = tmp_path / "list.json"
     config.write_text(json.dumps([TWO_EMITTER]))
@@ -597,7 +607,6 @@ def hostile_configs(draw):
     low, high = sorted([draw(HOSTILE_REALS), draw(HOSTILE_REALS)])
     return config | {
         "ddi_mode": draw(st.sampled_from(["auto", "manual", "off"])),
-        "regularize": draw(st.booleans()),
         "delta_dependent_phases": draw(st.booleans()),
         "detuning": {"min": low, "max": high, "points": draw(st.integers(1, 5))},
     }

@@ -191,7 +191,7 @@ def test_chain_length_and_point_count_are_bounded():
         ({"gamma0_mhz": math.nan, "gamma_dr": 1.0}, "gamma0_mhz must be positive"),
         ({"spacing": "far"}, "spacing must be positive"),
         ({"ddi_mode": "manual", "ddi_strength": "x"}, "ddi_strength must be finite"),
-        ({"regularize": "yes"}, "regularize must be true or false"),
+        ({"delta_dependent_phases": "yes"}, "delta_dependent_phases must be true or false"),
         ({"detuning": {"points": 3.5}}, "detuning points must be an integer"),
         ({"detuning": {"min": "low"}}, "detuning window must be finite"),
     ],

@@ -126,8 +126,8 @@ def test_decoupled_emitter_is_singular_at_resonance():
     assert err.value.condition is not None
 
 
-def test_regularization_resolves_the_pole():
-    config = validate(SystemConfig(n_emitters=1, ddi_mode="off", regularize=True))
+def test_loss_floor_resolves_the_pole():
+    config = validate(SystemConfig(n_emitters=1, ddi_mode="off", gamma=1e-9))
     sol = solve_spectrum_point_batch(config, no_ddi(1), [0.0])
     assert sol.intensities["T"] == 1.0
 

@@ -66,6 +66,13 @@ def reference_peaks(config, ddi, result, channels, probes=None):
     return sorted(peaks, key=lambda p: p.location)
 
 
+def crowded_scan():
+    """A lossy symmetric N = 100 scan with 61 peaks in ``CHANNELS``, more
+    than one of the solver's point stacks holds at N = 100 (40 points)."""
+    config = symmetric_config(100, gamma=EMISSION)
+    return scan(config, ddi_matrix(config), np.linspace(-300.0, 300.0, 2001))
+
+
 def counted_solves(monkeypatch):
     """Record the detunings of every solver call of the spectra module."""
     solve, calls = spectra._solve_chains, []
@@ -311,17 +318,26 @@ class TestFindPeaks:
         assert len(alone) == 7 and together <= max(alone)
 
     def test_more_brackets_than_one_stack_step_once_a_call(self, monkeypatch):
-        # 37 peaks at N = 30, where one LU stack holds 18 points: no call
+        # 61 peaks at N = 100, where one point stack holds 40 points: no call
         # probes ahead, so each golden-section step is one call of every
         # open bracket, after the first call's vertices and inner points.
-        config = chiral_config(30)
-        ddi = ddi_matrix(config)
-        result = scan(config, ddi, np.linspace(-300.0, 300.0, 2001))
+        result = crowded_scan()
         calls = counted_solves(monkeypatch)
         depths = advancing_steps(monkeypatch)
         peaks = find_peaks(result, *CHANNELS, refine=True)
-        assert len(peaks) == 37 and set(depths) == {1}
-        assert len(calls) == 20 and all(len(deltas) == 37 for deltas in calls[1:])
+        assert len(peaks) == 61 > spectra._stack_points(100) and set(depths) == {1}
+        assert len(calls) == 20 and all(len(deltas) == 61 for deltas in calls[1:])
+
+    def test_brackets_probe_ahead_by_the_point_stack(self, monkeypatch):
+        # 37 peaks at N = 30, where one point stack holds 136 points: every
+        # call probes each open bracket three steps ahead.
+        config = chiral_config(30)
+        result = scan(config, ddi_matrix(config), np.linspace(-300.0, 300.0, 2001))
+        calls = counted_solves(monkeypatch)
+        depths = advancing_steps(monkeypatch)
+        peaks = find_peaks(result, *CHANNELS, refine=True)
+        assert len(peaks) == 37 and set(depths) == {spectra._stack_points(30) // 37} == {3}
+        assert len(calls) < 20
 
     def test_refinement_builds_its_chain_once_and_probes_by_the_lu(self, monkeypatch):
         # Every probe solves the one chain built for the refinement, and its
@@ -491,12 +507,10 @@ def test_only_probes_of_the_plain_search_raise(monkeypatch):
 
 
 def test_a_failing_probe_of_a_one_step_call_raises(monkeypatch):
-    # With ten or more open brackets at N = 30 each call takes one
+    # With more open brackets than one point stack holds each call takes one
     # golden-section step (depth 1): every probe is the plain search's, so
     # a SolverError from one propagates, and the step is not taken again.
-    config = chiral_config(30)
-    ddi = ddi_matrix(config)
-    result = scan(config, ddi, np.linspace(-300.0, 300.0, 2001))
+    result = crowded_scan()
     solve, calls, failing = spectra._solve_chains, [], None
 
     def solving(chains, deltas, modal):
@@ -506,13 +520,13 @@ def test_a_failing_probe_of_a_one_step_call_raises(monkeypatch):
         return solve(chains, deltas, modal)
 
     monkeypatch.setattr(spectra, "_solve_chains", solving)
-    find_peaks(result, "T", "Tt", refine=True)
+    find_peaks(result, *CHANNELS, refine=True)
     first_step = calls[1]  # calls[0] probes the vertices and inner points
-    assert spectra._lu_points(30) // first_step.size <= 1  # depth 1
+    assert spectra._stack_points(100) // first_step.size == 0  # depth 1
 
     failing, calls[:] = first_step[-1], []
     with pytest.raises(SolverError) as err:
-        find_peaks(result, "T", "Tt", refine=True)
+        find_peaks(result, *CHANNELS, refine=True)
     assert err.value.delta == failing
     assert sum(failing in deltas for deltas in calls) == 1
 
@@ -722,7 +736,7 @@ class TestScaleEmitters:
 
     def test_refinement_probes_ahead_in_few_calls(self, monkeypatch):
         # One bracket on the N = 30 platform chain: 19 golden-section steps,
-        # up to 18 a call, after the call that probes its vertex and inner
+        # up to 136 a call, after the call that probes its vertex and inner
         # points (the first call is the scan).
         calls = counted_solves(monkeypatch)
         scale_emitters(chiral_config(30), [30], np.linspace(-300.0, 300.0, 2001))
@@ -750,6 +764,26 @@ class TestScaleEmitters:
         grid = np.linspace(-60.0, 60.0, 121)
         with pytest.raises(ConfigError, match="n_emitters must be an integer"):
             scale_emitters(chiral_config(2), n_list, grid)
+
+    @pytest.mark.parametrize(
+        "spacing, n_list, message",
+        [
+            (32.75, [1, 30, 1001], "n_emitters must be <= 1000"),
+            # The coupling law overflows at the first pair: N = 2, not N = 1.
+            (1e200, [1, 2, 1001], r"spacing 1e\+200 nm is too large"),
+        ],
+        ids=["length", "couplings"],
+    )
+    def test_every_chain_length_is_checked_before_any_solve(
+        self, monkeypatch, spacing, n_list, message
+    ):
+        # A config error at a later length comes before the scans of the
+        # earlier ones, and the first length that fails names it.
+        calls = counted_solves(monkeypatch)
+        config = chiral_config(2, spacing=spacing)
+        with pytest.raises(ConfigError, match=message):
+            scale_emitters(config, n_list, np.linspace(-300.0, 300.0, 2001))
+        assert calls == []
 
     def test_numpy_integer_chain_length_is_accepted(self):
         grid = np.linspace(-60.0, 60.0, 121)
