@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 import time
 import traceback
@@ -134,6 +135,12 @@ def cmd_validate(args: argparse.Namespace, config: SystemConfig) -> tuple[dict, 
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A negative number in any form float() reads (-1e2, -inf) is a value,
+        # as -1 and -.5 are to argparse, not an unknown option.
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):  # route usage errors to exit code 1
         raise ConfigError([message])
 

@@ -130,6 +130,14 @@ def _predicted_sides(peak: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> 
     return abs(lower - peak) <= abs(upper - peak)
 
 
+def _stepped(left: np.ndarray, quad: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Brackets ``quad`` = (a, b, c, d) after a golden-section step with new
+    inner point ``probe``: (a, d, probe, c) where it keeps the side of c
+    (``left``), else (c, b, d, probe)."""
+    a, b, c, d = quad
+    return np.where(left, [a, d, probe, c], [c, b, d, probe])
+
+
 def _golden_steps(
     chains: _Chains, points: np.ndarray, at: np.ndarray, column: np.ndarray,
     tol: np.ndarray, depth: int,
@@ -139,53 +147,47 @@ def _golden_steps(
 
     ``points`` (4, K) holds each bracket's ends a, b and inner points c, d,
     ``at`` (4, K, 5) the intensities there; a step keeps the side of the
-    inner point that is higher in the bracket's ``column``.  The first
-    step's side is read from ``at``; the later ones are predicted from the
-    vertex of the parabola through the kept end and both inner points
-    (``_predicted_sides``), then checked against the probed values: each
-    bracket takes its steps up to its first mispredicted side, exactly those
-    of a step-by-step search.  Returns ``points`` and ``at`` after them.
+    inner point that is higher in the bracket's ``column`` (``_stepped``).
+    The steps are first taken on positions alone: the first step's side is
+    read from ``at``, the later ones are predicted from the vertex of the
+    parabola through the kept end and both inner points
+    (``_predicted_sides``).  After the solve the same steps are replayed on
+    ``points`` and ``at``, and each bracket stops at its first closed step
+    or at its first step whose side ``at`` does not confirm: it takes
+    exactly the steps of a step-by-step search.  Returns ``points`` and
+    ``at`` after them.
     """
     k = np.arange(points.shape[1])
-    start = a, b, c, d = points
     level = at[:, k, column]
     left = level[2] >= level[3]
-    # Rows of ``spots`` and ``rows`` below: 0-3 the points as given, 4 + s
-    # the probe of step s.
-    sa, sb, sc, sd = np.arange(4)[:, None].repeat(k.size, axis=1)
-    sources, sides, probes, alive = [(sa, sb, sc, sd)], [], [], []
+    spots, taken = points, []  # each step's side, probe and open brackets
     for s in range(depth):
-        if s == 1:
-            peak = _vertex(
-                np.where(left, start[0], start[1]), start[2], start[3],
-                np.where(left, level[0], level[1]), level[2], level[3],
-            )
+        a, b, c, d = spots
+        if s == 1:  # the end the first step kept: a where it kept c's side, else b
+            end = np.where(left, 0, 1)
+            peak = _vertex(points[end, k], *points[2:], level[end, k], *level[2:])
         if s:
             left = _predicted_sides(peak, c, d)
         open_ = b - a > tol
         if not open_.any():
             break
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        w = _INVPHI * (b - a)
-        probe = np.where(left, b - w, a + w)
-        c, d = np.where(left, probe, d), np.where(left, c, probe)
-        sa, sb = np.where(left, sa, sc), np.where(left, sd, sb)
-        sc, sd = np.where(left, 4 + s, sd), np.where(left, sc, 4 + s)
-        sources.append((sa, sb, sc, sd))
-        sides.append(left)
-        probes.append(probe)
-        alive.append(open_)
+        # The new inner point, at the golden ratio inside the kept (a, d) or (c, b).
+        probe = np.where(left, d - _INVPHI * (d - a), c + _INVPHI * (b - c))
+        spots = _stepped(left, spots, probe)
+        taken.append((left, probe, open_))
 
-    alive, probes = np.array(alive), np.array(probes)
+    sides, probes, alive = map(np.array, zip(*taken))
     solved = np.full((*alive.shape, len(INTENSITY_KEYS)), np.nan)
     solved[alive] = _probe(chains, probes[alive])  # step-major
-    spots, rows = np.concatenate([points, probes]), np.concatenate([at, solved])
-    sources, sides = np.array(sources), np.array(sides)
-    # The real side of each later step, from the inner points the step before left.
-    inner = rows[sources[1:-1, 2:], k, column]
-    confirmed = np.concatenate([sides[:1], inner[:, 0] >= inner[:, 1]]) == sides
-    kept = sources[np.logical_and.accumulate(alive & confirmed).sum(axis=0), :, k].T
-    return spots[kept, k], rows[kept, k]
+    going = np.ones(k.size, dtype=bool)
+    # Each side is checked here, once, against the probed values of its inner points.
+    for left, probe, row, open_ in zip(sides, probes, solved, alive):
+        going &= open_ & (left == (at[2, k, column] >= at[3, k, column]))
+        if not going.any():
+            break
+        points = np.where(going, _stepped(left, points, probe), points)
+        at = np.where(going[:, None], _stepped(left[:, None], at, row), at)
+    return points, at
 
 
 def _refine_maxima(
@@ -201,10 +203,13 @@ def _refine_maxima(
     steps ahead (``_golden_steps``), with stack the points that the solver
     records and checks at once (``scattering._stack_points``, 136 at
     N = 30); many brackets take one step a call.
-    Each probe is its own LU solve, so the predictions set only the number
-    of calls: locations and heights are those of a step-by-step search, bit
-    for bit.  A call whose speculative probes raise a SolverError is taken
-    again one step deep, so only a probe that search makes can raise.
+    A call takes its steps on positions with predicted sides, solves their
+    probes, and replays them on the probed values up to each bracket's
+    first wrongly predicted side.  Each probe is its own LU solve, so the
+    predictions set only the number of calls: locations and heights are
+    those of a step-by-step search, bit for bit.  A call whose speculative
+    probes raise a SolverError is taken again one step deep, so only a
+    probe that search makes can raise.
     Returns locations, heights and the row of all intensities there
     (``INTENSITY_KEYS`` order), from the winning probe or the scan; a height
     is never below its grid sample, and ties in height resolve toward

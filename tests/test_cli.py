@@ -330,8 +330,13 @@ GRID_COMMANDS = {
          "detuning window of 5 points needs min < max"),
         (["--delta-min", "0", "--delta-max", "1.7976931348623157e308", "--delta-points", "4"],
          "detuning window must be finite, within +-4.49e+307"),
+        # Negative values that argparse alone would take for options reach the window check.
+        (["--delta-min", "-inf", "--delta-max", "1"], "detuning window must be finite"),
+        (["--delta-min", "-1.7976931348623157e308", "--delta-max", "0", "--delta-points", "4"],
+         "detuning window must be finite, within +-4.49e+307"),
     ],
-    ids=["nan", "inf", "negative-points", "empty-window", "beyond-the-grid-limit"],
+    ids=["nan", "inf", "negative-points", "empty-window", "beyond-the-grid-limit",
+         "negative-inf", "below-the-grid-limit"],
 )
 def test_grid_override_is_validated(command, flags, message, two_emitter_config,
                                     tmp_path, capsys):
@@ -342,6 +347,28 @@ def test_grid_override_is_validated(command, flags, message, two_emitter_config,
     assert err.startswith("config error: ")
     assert message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", GRID_COMMANDS.values(), ids=GRID_COMMANDS.keys())
+def test_negative_detunings_in_exponent_form_parse(command, two_emitter_config, tmp_path):
+    # argparse takes only -1 and -.5 for negative numbers; -1e2 and -5e-1
+    # must not read as unknown options, in either spelling.
+    spellings = {
+        "plain": ["--delta-min", "-100", "--delta-max", "-0.5"],
+        "exponent": ["--delta-min", "-1e2", "--delta-max", "-5e-1"],
+        "joined": ["--delta-min=-1e2", "--delta-max=-5e-1"],
+    }
+    written = {}
+    for name, flags in spellings.items():
+        out = tmp_path / name / "out.csv"
+        argv = [*command, "--config", str(two_emitter_config), "--out", str(out),
+                *flags, "--delta-points", "9"]
+        assert main(argv) == 0, name
+        written[name] = sorted(
+            (path.name, path.read_bytes())
+            for path in out.parent.iterdir() if not path.name.endswith(".manifest.json")
+        )
+    assert written["exponent"] == written["plain"] == written["joined"]
 
 
 def _injected_fault(*args, **kwargs):

@@ -476,6 +476,56 @@ def test_refined_peaks_do_not_depend_on_the_predictor(monkeypatch, case, predict
     assert (len(calls) == 0) == (case in ("no-seeds", "at-64-ulps"))
 
 
+class FirstCall(Exception):
+    """Ends a refinement at its first ``_golden_steps`` call, holding its arguments."""
+
+
+@pytest.mark.parametrize("after", ["wrong", "right"])
+@pytest.mark.parametrize("right", [0, 1, 3])
+def test_a_deep_call_takes_the_steps_of_one_step_calls(monkeypatch, right, after):
+    # The brackets of the chiral N = 30 spectrum after their vertex probes.
+    # In the deep call every other bracket's first ``right`` predicted sides
+    # are right, the next is wrong and the ones after it are ``after`` on the
+    # path it took; the other brackets' are all right.  Each bracket takes
+    # exactly the steps, bit for bit, of as many one-step calls as its
+    # sides were right, plus one, and not the step after them.
+    config = chiral_config(30)
+    result = scan(config, ddi_matrix(config), np.linspace(-300.0, 300.0, 2001))
+    steps = spectra._golden_steps
+
+    def first(*args):
+        raise FirstCall(*args)
+
+    monkeypatch.setattr(spectra, "_golden_steps", first)
+    with pytest.raises(FirstCall) as call:
+        find_peaks(result, *CHANNELS, refine=True)
+    chains, points, at, column, tol, _ = call.value.args
+    k = np.arange(points.shape[1])
+    assert k.size == 37 and np.all(points[1] - points[0] > tol)
+
+    misled, predicted = k % 2 == 0, []
+
+    def sides(peak, lower, upper):
+        lower, upper = (spectra._probe(chains, x)[k, column] for x in (lower, upper))
+        predicted.append(lower >= upper)
+        wrong = len(predicted) == right + 1 or (len(predicted) > right and after == "wrong")
+        return predicted[-1] ^ (misled & wrong)
+
+    monkeypatch.setattr(spectra, "_predicted_sides", sides)
+    depth = right + 4
+    deep = steps(chains, points, at, column, tol, depth)
+    assert len(predicted) == depth - 1
+
+    plain = [(points, at)]
+    for _ in range(depth):
+        plain.append(steps(chains, *plain[-1], column, tol, 1))
+    for got, short, full in zip(deep, plain[right + 1], plain[depth]):
+        assert got.shape == short.shape
+        assert got[:, misled].tobytes() == short[:, misled].tobytes()
+        assert got[:, ~misled].tobytes() == full[:, ~misled].tobytes()
+    assert not np.array_equal(deep[0][:, misled], plain[right + 2][0][:, misled])
+
+
 def test_only_probes_of_the_plain_search_raise(monkeypatch):
     # Every point off the step-by-step search's path raises here, and every
     # prediction is wrong, so each call's speculative probes raise: the
