@@ -87,10 +87,9 @@ def cmd_spectrum(args: argparse.Namespace, config: SystemConfig) -> tuple[dict, 
     result = scan(config, ddi, config.detuning.to_array())
     peaks = find_peaks(result, *PEAK_CHANNELS, refine=args.refine_peaks)
     out = Path(args.out)
-    table = np.column_stack([result.delta, *(result.intensities[key] for key in INTENSITY_KEYS)])
     header = [_UNITS_HEADER, "delta," + ",".join(INTENSITY_KEYS)]
     return dataclasses.asdict(config.detuning) | {"refine_peaks": args.refine_peaks}, {
-        out: _csv(header, table),
+        out: _csv(header, result.table()),
         out.with_suffix(".peaks.json"): _json([dataclasses.asdict(p) for p in peaks]),
     }
 

@@ -158,6 +158,11 @@ class TransportSolution:
     residual: np.ndarray
     source: tuple[SystemConfig, DdiMatrix] | None = None
 
+    def table(self) -> np.ndarray:
+        """Rows (P, 6) of the detuning and then the intensities in
+        ``INTENSITY_KEYS`` order: the spectrum CSV's columns."""
+        return np.column_stack([self.delta, *(self.intensities[key] for key in INTENSITY_KEYS)])
+
 
 def solve_spectrum_point_batch(
     config: SystemConfig, ddi: DdiMatrix, deltas: Sequence[float] | np.ndarray

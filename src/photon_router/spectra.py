@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .ddi import DdiMatrix, _by_offset, _toeplitz
-from .params import SystemConfig, validate
+from .params import DETUNING_LIMIT, SystemConfig, validate
 from .scattering import (
     INTENSITY_KEYS,
     SolverError,
@@ -74,12 +74,15 @@ class SeparationSweep:
 
 
 def _checked_grid(grid: Sequence[float] | np.ndarray) -> np.ndarray:
-    """The detuning grid as a float array, which must be 1-D, non-empty and
-    strictly monotone, in either direction."""
+    """The detuning grid as a float array, which must be 1-D, non-empty,
+    within +-``DETUNING_LIMIT`` (as the CLI's window, so that no refinement
+    step overflows) and strictly monotone, in either direction."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         shape = "empty" if grid.size == 0 else f"{grid.ndim}-D"
         raise ValueError(f"{shape} grid: a grid must be a non-empty 1-D array")
+    if not np.all(abs(grid) <= DETUNING_LIMIT):
+        raise ValueError(f"grid detunings must be within +-DETUNING_LIMIT ({DETUNING_LIMIT:.3g})")
     steps = np.diff(grid)
     if not (np.all(steps > 0) or np.all(steps < 0)):
         raise ValueError("grid must be strictly monotone")
@@ -109,10 +112,9 @@ def _plateau_maxima(deltas: np.ndarray, values: np.ndarray) -> list[int]:
 
 
 def _probe(chains: _Chains, deltas: np.ndarray) -> np.ndarray:
-    """One row of intensities (columns in ``INTENSITY_KEYS`` order) per
-    detuning, from one batched LU solve of ``chains``."""
-    solution = _solve_chains(chains, deltas, modal=False)
-    return np.column_stack([solution.intensities[key] for key in INTENSITY_KEYS])
+    """The rows (P, 6) of ``TransportSolution.table`` at the detunings
+    (P,), from one batched LU solve of ``chains``."""
+    return _solve_chains(chains, deltas, modal=False).table()
 
 
 def _vertex(x0, x1, x2, y0, y1, y2) -> np.ndarray:
@@ -139,33 +141,32 @@ def _stepped(left: np.ndarray, quad: np.ndarray, probe: np.ndarray) -> np.ndarra
 
 
 def _golden_steps(
-    chains: _Chains, points: np.ndarray, at: np.ndarray, column: np.ndarray,
-    tol: np.ndarray, depth: int,
-) -> tuple[np.ndarray, np.ndarray]:
+    chains: _Chains, brackets: np.ndarray, column: np.ndarray, tol: np.ndarray, depth: int
+) -> np.ndarray:
     """Advance every open bracket by up to ``depth`` golden-section steps,
     from one batched solve of all of their probes.
 
-    ``points`` (4, K) holds each bracket's ends a, b and inner points c, d,
-    ``at`` (4, K, 5) the intensities there; a step keeps the side of the
-    inner point that is higher in the bracket's ``column`` (``_stepped``).
-    The steps are first taken on positions alone: the first step's side is
-    read from ``at``, the later ones are predicted from the vertex of the
+    ``brackets`` (4, K, 6) holds the rows (``_probe``) of each bracket's
+    ends a, b and inner points c, d; a step keeps the side of the inner
+    point that is higher in the bracket's ``column`` (``_stepped``).  The
+    steps are first taken on the detunings alone: the first step's side is
+    read from the rows, the later ones are predicted from the vertex of the
     parabola through the kept end and both inner points
     (``_predicted_sides``).  After the solve the same steps are replayed on
-    ``points`` and ``at``, and each bracket stops at its first closed step
-    or at its first step whose side ``at`` does not confirm: it takes
-    exactly the steps of a step-by-step search.  Returns ``points`` and
-    ``at`` after them.
+    the rows, each with its probed row, and each bracket stops at its first
+    closed step or at its first step whose side its rows do not confirm: it
+    takes exactly the steps of a step-by-step search.  Returns the brackets
+    (4, K, 6) after them.
     """
-    k = np.arange(points.shape[1])
-    level = at[:, k, column]
+    k = np.arange(brackets.shape[1])
+    x, level = brackets[..., 0], brackets[:, k, column]
     left = level[2] >= level[3]
-    spots, taken = points, []  # each step's side, probe and open brackets
+    spots, taken = x, []  # each step's side, probe and open brackets
     for s in range(depth):
         a, b, c, d = spots
         if s == 1:  # the end the first step kept: a where it kept c's side, else b
             end = np.where(left, 0, 1)
-            peak = _vertex(points[end, k], *points[2:], level[end, k], *level[2:])
+            peak = _vertex(x[end, k], *x[2:], level[end, k], *level[2:])
         if s:
             left = _predicted_sides(peak, c, d)
         open_ = b - a > tol
@@ -177,22 +178,21 @@ def _golden_steps(
         taken.append((left, probe, open_))
 
     sides, probes, alive = map(np.array, zip(*taken))
-    solved = np.full((*alive.shape, len(INTENSITY_KEYS)), np.nan)
+    solved = np.full((*alive.shape, brackets.shape[2]), np.nan)
     solved[alive] = _probe(chains, probes[alive])  # step-major
     going = np.ones(k.size, dtype=bool)
-    # Each side is checked here, once, against the probed values of its inner points.
-    for left, probe, row, open_ in zip(sides, probes, solved, alive):
-        going &= open_ & (left == (at[2, k, column] >= at[3, k, column]))
+    # Each side is checked here, once, against the probed rows of its inner points.
+    for left, row, open_ in zip(sides, solved, alive):
+        going &= open_ & (left == (brackets[2, k, column] >= brackets[3, k, column]))
         if not going.any():
             break
-        points = np.where(going, _stepped(left, points, probe), points)
-        at = np.where(going[:, None], _stepped(left[:, None], at, row), at)
-    return points, at
+        brackets = np.where(going[:, None], _stepped(left[:, None], brackets, row), brackets)
+    return brackets
 
 
 def _refine_maxima(
     chains: _Chains, result: TransportSolution, seeds: list[tuple[str, int]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Polish interior grid maxima, given as (channel, index), off-grid.
 
     Each maximum is bracketed by its grid neighbours, tried at the vertex of
@@ -203,24 +203,24 @@ def _refine_maxima(
     steps ahead (``_golden_steps``), with stack the points that the solver
     records and checks at once (``scattering._stack_points``, 136 at
     N = 30); many brackets take one step a call.
-    A call takes its steps on positions with predicted sides, solves their
-    probes, and replays them on the probed values up to each bracket's
-    first wrongly predicted side.  Each probe is its own LU solve, so the
+    A call takes its steps on detunings with predicted sides, solves their
+    probes, and replays them on the probed rows up to each bracket's first
+    wrongly predicted side.  Each probe is its own LU solve, so the
     predictions set only the number of calls: locations and heights are
     those of a step-by-step search, bit for bit.  A call whose speculative
     probes raise a SolverError is taken again one step deep, so only a
     probe that search makes can raise.
-    Returns locations, heights and the row of all intensities there
-    (``INTENSITY_KEYS`` order), from the winning probe or the scan; a height
-    is never below its grid sample, and ties in height resolve toward
-    smaller detuning.
+    Returns the winning row (K, 6) of each maximum, as ``result.table()``'s:
+    its detuning and intensities, from the winning probe or the scan; a
+    height is never below its grid sample, and ties in height resolve
+    toward smaller detuning.
     """
     x = result.delta
     up = 1 if x[-1] > x[0] else -1  # neighbours in ascending detuning
     k = np.arange(len(seeds))
-    column = np.array([INTENSITY_KEYS.index(channel) for channel, _ in seeds], dtype=int)
+    column = np.array([1 + INTENSITY_KEYS.index(channel) for channel, _ in seeds], dtype=int)
     i = np.array([index for _, index in seeds], dtype=int)
-    rows = np.column_stack([result.intensities[key] for key in INTENSITY_KEYS])
+    rows = result.table()
     y_lo, y_mid, y_hi = rows[i - up, column], rows[i, column], rows[i + up, column]
     lo, hi = x[i - up], x[i + up]
 
@@ -231,32 +231,30 @@ def _refine_maxima(
     vertex = x[i] + 0.5 * h * (y_lo - y_hi) / np.where(bowed, curvature, -1.0)
     vertex = np.minimum(np.maximum(vertex, lo), hi)
 
-    # Rows 0-3: bracket ends a/b, inner points c/d; ``at`` the intensities there.
+    # Brackets: the rows of ends a/b and inner points c/d.
     inner = [hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)]
-    points = np.array([lo, hi, *inner])
     first = _probe(chains, np.concatenate([vertex[bowed], *inner]))
-    at_vertex = np.full_like(rows[i], -np.inf)
-    at_vertex[bowed] = first[: bowed.sum()]
-    at_inner = first[bowed.sum() :].reshape(2, k.size, len(INTENSITY_KEYS))
-    at = np.concatenate([rows[[i - up, i + up]], at_inner])
+    at_vertex = np.full_like(rows[i], -np.inf)  # never wins unless probed
+    at_vertex[bowed], at_inner = np.split(first, [bowed.sum()])
+    brackets = np.concatenate([rows[[i - up, i + up]], at_inner.reshape(2, *rows[i].shape)])
     # Below 64 ulps rounding could stall the search: its points would coincide.
     tol = np.maximum(PEAK_REFINE_TOL, 64.0 * np.spacing(np.maximum(abs(lo), abs(hi))))
-    while opened := np.count_nonzero(points[1] - points[0] > tol):
+    while opened := np.count_nonzero(brackets[1, :, 0] - brackets[0, :, 0] > tol):
         depth = max(1, _stack_points(chains.n) // opened)
         try:
-            points, at = _golden_steps(chains, points, at, column, tol, depth)
+            brackets = _golden_steps(chains, brackets, column, tol, depth)
         except SolverError:
             if depth == 1:
                 raise
             # Take the step alone: only a probe the plain search makes may raise.
-            points, at = _golden_steps(chains, points, at, column, tol, 1)
+            brackets = _golden_steps(chains, brackets, column, tol, 1)
 
-    location, best = x[i], rows[i]
-    for spot, row in ((vertex, at_vertex), (points[2], at[2]), (points[3], at[3])):
+    best = rows[i]
+    for row in (at_vertex, brackets[2], brackets[3]):
         value, height = row[k, column], best[k, column]
-        wins = (value > height) | ((value == height) & (spot < location))
-        location, best = np.where(wins, spot, location), np.where(wins[:, None], row, best)
-    return location, best[k, column], best
+        wins = (value > height) | ((value == height) & (row[:, 0] < best[:, 0]))
+        best = np.where(wins[:, None], row, best)
+    return best
 
 
 def find_peaks(result: TransportSolution, *channels: str, refine: bool = False) -> list[Peak]:
@@ -284,7 +282,9 @@ def find_peaks(result: TransportSolution, *channels: str, refine: bool = False) 
         for i in _plateau_maxima(result.delta, result.intensities[channel])
     ]
     if refine:
-        locations, heights, _ = _refine_maxima(_chain(*result.source), result, seeds)
+        rows = _refine_maxima(_chain(*result.source), result, seeds)
+        locations = rows[:, 0]
+        heights = [row[1 + INTENSITY_KEYS.index(key)] for (key, _), row in zip(seeds, rows)]
     else:
         locations = [result.delta[i] for _, i in seeds]
         heights = [result.intensities[channel][i] for channel, i in seeds]
@@ -379,17 +379,15 @@ def scale_emitters(
         result = _solve_chains(chains, grid, modal=True)
         i = int(np.argmax(result.intensities["Tt"]))
         if 0 < i < grid.size - 1:
-            location, _, rows = _refine_maxima(chains, result, [("Tt", i)])
-            delta_star, row = float(location[0]), rows[0]
+            (row,) = _refine_maxima(chains, result, [("Tt", i)])
         else:
-            delta_star = float(grid[i])
-            row = [result.intensities[key][i] for key in INTENSITY_KEYS]
-        at_peak = dict(zip(INTENSITY_KEYS, map(float, row)))
+            row = result.table()[i]
+        at_peak = dict(zip(("delta", *INTENSITY_KEYS), map(float, row)))
         records.append(
             ScalingRecord(
                 n=int(cfg.n_emitters),
                 tt_max=at_peak["Tt"],
-                delta_star=delta_star,
+                delta_star=at_peak["delta"],
                 t_min=min(float(np.min(result.intensities["T"])), at_peak["T"]),
                 t_bar_min=at_peak["T"],
                 loss_at_peak=at_peak["loss"],

@@ -18,6 +18,7 @@ from photon_router import (
     solve_spectrum_point_batch,
     sweep_separation,
 )
+from photon_router.params import DETUNING_LIMIT
 from photon_router.scattering import INTENSITY_KEYS
 
 from conftest import (
@@ -90,13 +91,14 @@ def advancing_steps(monkeypatch, limit=100):
     bracket and leaves the closed ones alone, for at most ``limit`` calls."""
     steps, calls = spectra._golden_steps, []
 
-    def checked(chains, points, at, column, tol, depth):
+    def checked(chains, brackets, column, tol, depth):
         calls.append(depth)
         assert len(calls) <= limit, "refinement does not converge"
-        width, opened = points[1] - points[0], points[1] - points[0] > tol
-        after = steps(chains, points, at, column, tol, depth)
-        assert np.all((after[0][1] - after[0][0] < width)[opened])
-        assert np.array_equal(after[0][:, ~opened], points[:, ~opened])
+        width = brackets[1, :, 0] - brackets[0, :, 0]
+        opened = width > tol
+        after = steps(chains, brackets, column, tol, depth)
+        assert np.all((after[1, :, 0] - after[0, :, 0] < width)[opened])
+        assert np.array_equal(after[:, ~opened], brackets[:, ~opened])
         return after
 
     monkeypatch.setattr(spectra, "_golden_steps", checked)
@@ -145,6 +147,54 @@ class TestScan:
         up = scan(config, ddi, np.linspace(-5.0, 5.0, 11))
         down = scan(config, ddi, np.linspace(5.0, -5.0, 11))
         assert np.array_equal(up.intensities["Tt"], down.intensities["Tt"][::-1])
+
+    @pytest.mark.parametrize(
+        "entry", ["scan", "find_peaks", "sweep_separation", "scale_emitters"]
+    )
+    def test_grid_beyond_the_detuning_limit_is_rejected_before_any_solve(
+        self, monkeypatch, entry
+    ):
+        # Refining this grid's Tt peak once overflowed in the bracket
+        # arithmetic (RuntimeWarnings, errors under pyproject) and raised a
+        # SolverError at delta = nan: a library grid, like the CLI's window,
+        # must lie within +-DETUNING_LIMIT.
+        config = chiral_config(3)
+        ddi = ddi_matrix(config)
+        grid = np.array([-1e308, 0.0, 1e308])
+        samples = dict.fromkeys(INTENSITY_KEYS, np.array([0.0, 0.5, 0.0]))
+        calls = counted_solves(monkeypatch)
+        run = {
+            "scan": lambda: scan(config, ddi, grid),
+            "find_peaks": lambda: find_peaks(
+                dataclasses.replace(spectrum(grid, samples), source=(config, ddi)),
+                "T", "Tt", refine=True,
+            ),
+            "sweep_separation": lambda: sweep_separation(config, (30.0, 35.0), 2, grid),
+            "scale_emitters": lambda: scale_emitters(config, [1, 3], grid),
+        }[entry]
+        with pytest.raises(ValueError, match=r"within \+-DETUNING_LIMIT \(4\.49e\+307\)"):
+            run()
+        assert calls == []
+
+    @pytest.mark.parametrize("inner", [0.0, -5.0, 3e307])
+    def test_grids_at_the_detuning_limit_refine(self, inner):
+        # The bracket arithmetic stays finite at the limit itself.
+        config = chiral_config(3)
+        ddi = ddi_matrix(config)
+        result = scan(config, ddi, [-DETUNING_LIMIT, inner, DETUNING_LIMIT])
+        peaks = find_peaks(result, "T", "Tt", refine=True)
+        assert peaks == reference_peaks(config, ddi, result, ["T", "Tt"])
+        assert len(peaks) == (inner != 3e307)
+
+    @pytest.mark.parametrize("solve", [scan, solve_spectrum_point_batch], ids=["scan", "lu"])
+    def test_table_rows_are_the_detuning_and_the_intensities(self, solve):
+        config = chiral_config(3)
+        result = solve(config, ddi_matrix(config), np.linspace(-80.0, 80.0, 41))
+        table = result.table()
+        assert table.shape == (41, 1 + len(INTENSITY_KEYS))
+        columns = [result.delta, *(result.intensities[key] for key in INTENSITY_KEYS)]
+        for got, want in zip(table.T, columns):
+            assert got.tobytes() == want.tobytes()
 
     def test_failed_point_raises(self):
         from photon_router import SystemConfig, validate
@@ -376,8 +426,7 @@ class TestFindPeaks:
             for system, expected in zip(systems, batch_recorder.systems):
                 for got, want in zip(system, expected):
                     assert np.array_equal(got, want)
-            for column, key in zip(rows.T, INTENSITY_KEYS):
-                assert np.array_equal(column, batch.intensities[key])
+            assert np.array_equal(rows, batch.table())
 
     @pytest.mark.parametrize("solve", [scan, solve_spectrum_point_batch], ids=["scan", "lu"])
     def test_refinement_solves_the_chain_its_result_records(self, monkeypatch, solve):
@@ -499,9 +548,9 @@ def test_a_deep_call_takes_the_steps_of_one_step_calls(monkeypatch, right, after
     monkeypatch.setattr(spectra, "_golden_steps", first)
     with pytest.raises(FirstCall) as call:
         find_peaks(result, *CHANNELS, refine=True)
-    chains, points, at, column, tol, _ = call.value.args
-    k = np.arange(points.shape[1])
-    assert k.size == 37 and np.all(points[1] - points[0] > tol)
+    chains, brackets, column, tol, _ = call.value.args
+    k = np.arange(brackets.shape[1])
+    assert k.size == 37 and np.all(brackets[1, :, 0] - brackets[0, :, 0] > tol)
 
     misled, predicted = k % 2 == 0, []
 
@@ -513,17 +562,17 @@ def test_a_deep_call_takes_the_steps_of_one_step_calls(monkeypatch, right, after
 
     monkeypatch.setattr(spectra, "_predicted_sides", sides)
     depth = right + 4
-    deep = steps(chains, points, at, column, tol, depth)
+    deep = steps(chains, brackets, column, tol, depth)
     assert len(predicted) == depth - 1
 
-    plain = [(points, at)]
+    plain = [brackets]
     for _ in range(depth):
-        plain.append(steps(chains, *plain[-1], column, tol, 1))
-    for got, short, full in zip(deep, plain[right + 1], plain[depth]):
-        assert got.shape == short.shape
-        assert got[:, misled].tobytes() == short[:, misled].tobytes()
-        assert got[:, ~misled].tobytes() == full[:, ~misled].tobytes()
-    assert not np.array_equal(deep[0][:, misled], plain[right + 2][0][:, misled])
+        plain.append(steps(chains, plain[-1], column, tol, 1))
+    short, full = plain[right + 1], plain[depth]
+    assert deep.shape == short.shape == brackets.shape
+    assert deep[:, misled].tobytes() == short[:, misled].tobytes()
+    assert deep[:, ~misled].tobytes() == full[:, ~misled].tobytes()
+    assert not np.array_equal(deep[:, misled, 0], plain[right + 2][:, misled, 0])
 
 
 def test_only_probes_of_the_plain_search_raise(monkeypatch):
