@@ -50,7 +50,9 @@ M(delta) x = D (-i G_r) (D* x) + D* (-i G_l) (D x) + J x + diag(M_jj) x at
 its own phases, the LU's matrix unformed.  A starts from
 V ((V^-1 b) / (lambda - delta)), and refinement sweeps through the same
 modes correct it (see ``_swept``), O(N^2) each; the reference N = 100
-chain takes three.  Its ||M||_inf is taken from below, so its backward
+chain takes three.  Each product by an (N, N) matrix is one row-major GEMM
+over a chain's points in the stack, whose rows keep each point's bits its
+own (see ``_rows``).  A point's ||M||_inf is taken from below, so its backward
 error is bounded from above.  ``scan`` and ``sweep_separation`` use the
 modes; the LU re-solves
 
@@ -319,6 +321,25 @@ def _product(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return (matrices @ vectors[..., None])[..., 0]
 
 
+def _rows(matrices: np.ndarray, vectors: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    """M x per point of a stack, as rows (P, N), for ``vectors`` x (P, N) and
+    M the shared ``matrices`` (N, N) or the point's ``chain`` entry of
+    ``matrices`` (C, N, N).
+
+    One row-major GEMM x @ M.T per chain, over its run of rows (stacks run
+    chain-major).  A row's bits then depend on its vector and matrix only, not
+    on how many rows share the GEMM or where it sits among them (OpenBLAS
+    0.3.31, N = 2 to 300), which ``M @ x.T`` does not give.  numpy sends a
+    one-row product to GEMV, whose bits differ, so a lone row is padded to two."""
+    out = np.empty_like(vectors)
+    ends = [*np.flatnonzero(chain[1:] != chain[:-1]) + 1, len(chain)]
+    for start, stop in zip([0, *ends], ends):
+        matrix = matrices if matrices.ndim == 2 else matrices[chain[start]]
+        rows = vectors[start:stop] if stop - start > 1 else vectors[[start, start]]
+        out[start:stop] = (rows @ matrix.T)[: stop - start]
+    return out
+
+
 def _swept(
     chains: _Chains, chain: np.ndarray, phases: np.ndarray, rhs: np.ndarray,
     gap: np.ndarray, norm: np.ndarray, on_diagonal: np.ndarray,
@@ -328,10 +349,11 @@ def _swept(
     from their chains' carrier-phase modes.
 
     M(delta) x is the LU's matrix applied as the module docstring writes it,
-    D at each point's own ``phases``, plus ``on_diagonal`` x: three (N, N) @
-    (N, 1) products per point, nothing (P, N, N).  x starts at
+    D at each point's own ``phases``, plus ``on_diagonal`` x.  x starts at
     V ((V^-1 b) / (lambda - delta)) (``gap``), then sweeps
-    x <- x + V ((V^-1 (b - M(delta) x)) / (lambda - delta)).
+    x <- x + V ((V^-1 (b - M(delta) x)) / (lambda - delta)): five products by
+    (N, N) matrices a sweep (-i G_r, -i G_l, J, V^-1, V), each one GEMM per
+    chain of the stack (see ``_rows``), nothing (P, N, N).
     A point's sweeps end once its backward error (``norm`` as the check
     takes it) is at most eps, or a sweep fails to halve it: from a backward
     error of 1, after at most log2(1 / eps) = 52.  A sweep that does not
@@ -340,19 +362,20 @@ def _swept(
     N eps, the rounding level of its N-term products; a 1e-10 backward error
     would not give 1e-10 intensities."""
     _, vecs, inverse = chains.modes
+    conjugates, rhs_max = phases.conj(), np.abs(rhs).max(axis=1)
 
     def image(points, x):  # M(delta) x
-        d, exchange = phases[points], _per_point(chains.exchange, chain[points])
-        right, left = _product(chains.rightward, d.conj() * x), _product(chains.leftward, d * x)
-        return d * right + d.conj() * left + _product(exchange, x) + on_diagonal[points] * x
+        d, d_conj, c = phases[points], conjugates[points], chain[points]
+        right, left = _rows(chains.rightward, d_conj * x, c), _rows(chains.leftward, d * x, c)
+        return d * right + d_conj * left + _rows(chains.exchange, x, c) + on_diagonal[points] * x
 
     def step(points, residual):  # V ((V^-1 r) / (lambda - delta))
-        y = _product(_per_point(inverse, chain[points]), residual) / gap[points]
-        return _product(_per_point(vecs, chain[points]), y)
+        c = chain[points]
+        return _rows(vecs, _rows(inverse, residual, c) / gap[points], c)
 
     def backward(points, x, mx):
-        defect, rhs_max = np.abs(mx - rhs[points]).max(axis=1), np.abs(rhs[points]).max(axis=1)
-        return defect, _backward_error(defect, norm[points], np.abs(x).max(axis=1), rhs_max)
+        defect = np.abs(mx - rhs[points]).max(axis=1)
+        return defect, _backward_error(defect, norm[points], np.abs(x).max(axis=1), rhs_max[points])
 
     eps = np.finfo(float).eps
     points = np.arange(len(chain))

@@ -24,6 +24,7 @@ from photon_router.scattering import (
     _chain,
     _Chains,
     _modes,
+    _rows,
     _solve_chains,
 )
 
@@ -710,6 +711,20 @@ def test_delta_dependent_reference_grid_is_solved_from_one_decomposition():
         assert np.max(np.abs(modal.intensities[key] - lu.intensities[key])) < 1e-12
 
 
+def test_delta_dependent_points_scanned_alone_keep_their_bits():
+    # A point scanned alone sweeps as a stack of one row, padded to two, and
+    # has the bits it has in the 251-point grid, whose stacks hold 40 points.
+    config = symmetric_config(100, gamma=EMISSION, delta_dependent_phases=True)
+    ddi = ddi_matrix(config)
+    grid = np.linspace(-100.0, 100.0, 251)
+    whole = scan(config, ddi, grid)
+    for i in range(0, grid.size, 25):
+        alone = scan(config, ddi, grid[i : i + 1])
+        for key in ("a", *AMPLITUDES, "residual"):
+            assert np.array_equal(getattr(alone, key), getattr(whole, key)[i : i + 1])
+        assert np.array_equal(alone.table(), whole.table()[i : i + 1])
+
+
 def test_drift_beyond_the_sweeps_is_solved_by_the_lu_alone():
     # Gamma0 = 5e6 MHz turns each step's phase by 0.2-0.6 rad over this grid:
     # far from the carrier phases, so no sweep converges and every point is
@@ -753,6 +768,26 @@ def test_modal_stacks_are_solved_independently(piece):
         for key in INTENSITY_KEYS:
             joined = np.concatenate([p.intensities[key] for p in parts])
             assert np.array_equal(whole.intensities[key], joined)
+
+
+@pytest.mark.parametrize("n", [2, 30, 100, 300])
+def test_row_products_do_not_depend_on_the_rows_beside_them(n):
+    # Every row of a block of a stack has the bits of that row of the whole
+    # stack's products, whatever the block's size and offset, a lone row
+    # included: per-chain and shared matrices alike, over a two-chain stack.
+    rng = np.random.default_rng(n)
+    matrices = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    vectors = rng.standard_normal((300, n)) + 1j * rng.standard_normal((300, n))
+    chain = np.repeat([0, 1], [200, 100])
+    for given, owner in ((matrices, chain), (matrices[1], np.ones_like(chain))):
+        whole = _rows(given, vectors, chain)
+        expected = np.einsum("pjk,pk->pj", matrices[owner], vectors)
+        assert np.allclose(whole, expected, rtol=0.0, atol=1e-10)
+        for size in [*range(1, 71), 136, 256]:
+            for start in (0, 1, 37, 199, 300 - size):  # 199: across the chains
+                block = slice(start, start + size)
+                if start + size <= 300:
+                    assert np.array_equal(_rows(given, vectors[block], chain[block]), whole[block])
 
 
 def isolated_pair_chain(phases=False):

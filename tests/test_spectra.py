@@ -692,10 +692,11 @@ class TestSweepSeparation:
             (3, 41, 4, {"gamma_dl": 2.0, "gamma_ul": 1.5}),  # symmetric: one call
             # Symmetric with delta-dependent phases: one LU stack over all spacings.
             (3, 41, 4, {"gamma_dl": 2.0, "gamma_ul": 1.5, "delta_dependent_phases": True}),
+            (12, 1, 7, {"delta_dependent_phases": True}),  # one point: one row per spacing
         ],
         ids=[
             "n2-carrier", "n2-delta-phases", "n12-carrier", "n12-delta-phases", "n3-symmetric",
-            "n3-symmetric-delta-phases",
+            "n3-symmetric-delta-phases", "n12-delta-phases-one-point",
         ],
     )
     def test_bits_equal_one_scan_per_spacing(self, n, points, l_points, overrides):
