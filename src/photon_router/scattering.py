@@ -50,10 +50,11 @@ M(delta) x = D (-i G_r) (D* x) + D* (-i G_l) (D x) + J x + diag(M_jj) x at
 its own phases, the LU's matrix unformed.  A starts from
 V ((V^-1 b) / (lambda - delta)), and refinement sweeps through the same
 modes correct it (see ``_swept``), O(N^2) each; the reference N = 100
-chain takes three.  Each product by an (N, N) matrix is one row-major GEMM
-over a chain's points in the stack, whose rows keep each point's bits its
-own (see ``_rows``).  A point's ||M||_inf is taken from below, so its backward
-error is bounded from above.  ``scan`` and ``sweep_separation`` use the
+chain takes three.  Each product by an (N, N) matrix is a row-major GEMM,
+over the stack for -i G_r and -i G_l and over each chain's points in it for
+J, V and V^-1, whose rows keep each point's bits its own (see ``_rows``).
+A point's ||M||_inf is taken from below, so its backward error is bounded
+from above.  ``scan`` and ``sweep_separation`` use the
 modes; the LU re-solves
 
 - every point of a chain whose decomposition, V^-1 b or V^-1 raises
@@ -321,22 +322,33 @@ def _product(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return (matrices @ vectors[..., None])[..., 0]
 
 
-def _rows(matrices: np.ndarray, vectors: np.ndarray, chain: np.ndarray) -> np.ndarray:
+def _rows(
+    matrices: np.ndarray, vectors: np.ndarray, chain: np.ndarray | None = None
+) -> np.ndarray:
     """M x per point of a stack, as rows (P, N), for ``vectors`` x (P, N) and
-    M the shared ``matrices`` (N, N) or the point's ``chain`` entry of
+    M the shared ``matrices`` (N, N), or each point's ``chain`` entry of
     ``matrices`` (C, N, N).
 
-    One row-major GEMM x @ M.T per chain, over its run of rows (stacks run
-    chain-major).  A row's bits then depend on its vector and matrix only, not
-    on how many rows share the GEMM or where it sits among them (OpenBLAS
-    0.3.31, N = 2 to 300), which ``M @ x.T`` does not give.  numpy sends a
-    one-row product to GEMV, whose bits differ, so a lone row is padded to two."""
+    Row-major GEMMs x @ M.T: one over the stack for a shared M or a stack in
+    one chain, else one per chain's run of rows (stacks run chain-major), the
+    runs of one length in one stacked matmul.  A row's bits then depend on
+    its vector and matrix only, not on how many rows share the GEMM or where
+    it sits among them, wherever the BLAS sums every row count in one order
+    (README's CLI section says where OpenBLAS does); ``M @ x.T`` does not.
+    numpy sends a one-row product to GEMV, whose bits differ, so a run of
+    one row is taken twice."""
+    if chain is None or chain[0] == chain[-1]:
+        matrix = matrices if chain is None else matrices[chain[0]]
+        rows = vectors if len(vectors) > 1 else vectors[[0, 0]]
+        return (rows @ matrix.T)[: len(vectors)]
     out = np.empty_like(vectors)
-    ends = [*np.flatnonzero(chain[1:] != chain[:-1]) + 1, len(chain)]
-    for start, stop in zip([0, *ends], ends):
-        matrix = matrices if matrices.ndim == 2 else matrices[chain[start]]
-        rows = vectors[start:stop] if stop - start > 1 else vectors[[start, start]]
-        out[start:stop] = (rows @ matrix.T)[: stop - start]
+    starts = np.flatnonzero(np.r_[True, chain[1:] != chain[:-1]])
+    lengths = np.diff(np.r_[starts, len(chain)])
+    for length in np.unique(lengths):
+        first = starts[lengths == length]
+        rows = first[:, None] + np.arange(max(length, 2)) % length  # (R, L), a lone row twice
+        products = vectors[rows] @ _per_point(matrices, chain[first]).swapaxes(-1, -2)
+        out[rows[:, :length]] = products[:, :length]
     return out
 
 
@@ -352,8 +364,8 @@ def _swept(
     D at each point's own ``phases``, plus ``on_diagonal`` x.  x starts at
     V ((V^-1 b) / (lambda - delta)) (``gap``), then sweeps
     x <- x + V ((V^-1 (b - M(delta) x)) / (lambda - delta)): five products by
-    (N, N) matrices a sweep (-i G_r, -i G_l, J, V^-1, V), each one GEMM per
-    chain of the stack (see ``_rows``), nothing (P, N, N).
+    (N, N) matrices a sweep, -i G_r and -i G_l one GEMM each over the stack,
+    J, V^-1 and V one per chain of it (see ``_rows``), nothing (P, N, N).
     A point's sweeps end once its backward error (``norm`` as the check
     takes it) is at most eps, or a sweep fails to halve it: from a backward
     error of 1, after at most log2(1 / eps) = 52.  A sweep that does not
@@ -366,7 +378,7 @@ def _swept(
 
     def image(points, x):  # M(delta) x
         d, d_conj, c = phases[points], conjugates[points], chain[points]
-        right, left = _rows(chains.rightward, d_conj * x, c), _rows(chains.leftward, d * x, c)
+        right, left = _rows(chains.rightward, d_conj * x), _rows(chains.leftward, d * x)
         return d * right + d_conj * left + _rows(chains.exchange, x, c) + on_diagonal[points] * x
 
     def step(points, residual):  # V ((V^-1 r) / (lambda - delta))

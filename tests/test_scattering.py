@@ -711,20 +711,6 @@ def test_delta_dependent_reference_grid_is_solved_from_one_decomposition():
         assert np.max(np.abs(modal.intensities[key] - lu.intensities[key])) < 1e-12
 
 
-def test_delta_dependent_points_scanned_alone_keep_their_bits():
-    # A point scanned alone sweeps as a stack of one row, padded to two, and
-    # has the bits it has in the 251-point grid, whose stacks hold 40 points.
-    config = symmetric_config(100, gamma=EMISSION, delta_dependent_phases=True)
-    ddi = ddi_matrix(config)
-    grid = np.linspace(-100.0, 100.0, 251)
-    whole = scan(config, ddi, grid)
-    for i in range(0, grid.size, 25):
-        alone = scan(config, ddi, grid[i : i + 1])
-        for key in ("a", *AMPLITUDES, "residual"):
-            assert np.array_equal(getattr(alone, key), getattr(whole, key)[i : i + 1])
-        assert np.array_equal(alone.table(), whole.table()[i : i + 1])
-
-
 def test_drift_beyond_the_sweeps_is_solved_by_the_lu_alone():
     # Gamma0 = 5e6 MHz turns each step's phase by 0.2-0.6 rad over this grid:
     # far from the carrier phases, so no sweep converges and every point is
@@ -751,15 +737,16 @@ def test_drift_beyond_the_sweeps_is_solved_by_the_lu_alone():
 MODAL_STACK_30 = STACK_ELEMENTS // (4 * 30)
 
 
-@pytest.mark.parametrize("piece", [MODAL_STACK_30, STACK_ELEMENTS // 30**2, 250])
+@pytest.mark.parametrize("piece", [1, MODAL_STACK_30, STACK_ELEMENTS // 30**2, 250])
 def test_modal_stacks_are_solved_independently(piece):
     # A grid of several modal stacks has the bits of scanning each piece of
     # it alone, whatever the piece size: what makes the stack size free.
-    # Each point takes its own sweeps, so this holds with them too.
+    # Each point takes its own sweeps, so this holds with them too; a point
+    # scanned alone sweeps as one row, over every 17th point of the grid.
     for phases in (False, True):
         config = chiral_config(30, delta_dependent_phases=phases)
         ddi = ddi_matrix(config)
-        grid = np.linspace(-300.0, 300.0, 5 * MODAL_STACK_30 + 17)
+        grid = np.linspace(-300.0, 300.0, 5 * MODAL_STACK_30 + 17)[:: 17 if piece == 1 else 1]
         whole = scan(config, ddi, grid)
         parts = [scan(config, ddi, grid[k : k + piece]) for k in range(0, grid.size, piece)]
         for key in ("a", *AMPLITUDES, "residual"):
@@ -774,20 +761,26 @@ def test_modal_stacks_are_solved_independently(piece):
 def test_row_products_do_not_depend_on_the_rows_beside_them(n):
     # Every row of a block of a stack has the bits of that row of the whole
     # stack's products, whatever the block's size and offset, a lone row
-    # included: per-chain and shared matrices alike, over a two-chain stack.
+    # included: for a shared matrix, and for per-chain matrices over two long
+    # runs of rows or many short ones, whose runs of one length share a
+    # stacked matmul.
     rng = np.random.default_rng(n)
-    matrices = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    matrices = rng.standard_normal((12, n, n)) + 1j * rng.standard_normal((12, n, n))
     vectors = rng.standard_normal((300, n)) + 1j * rng.standard_normal((300, n))
-    chain = np.repeat([0, 1], [200, 100])
-    for given, owner in ((matrices, chain), (matrices[1], np.ones_like(chain))):
-        whole = _rows(given, vectors, chain)
-        expected = np.einsum("pjk,pk->pj", matrices[owner], vectors)
+    long = np.repeat([0, 1], [200, 100])
+    short = np.repeat(np.arange(12), [1, 2, 1, 3, 1, 1, 2, 5, 1, 1, 4, 1])
+    products = [(lambda x, c: _rows(matrices[1], x), np.ones(300, dtype=int))]
+    products += [(lambda x, c: _rows(matrices, x, c), chain) for chain in (long, short)]
+    for product, chain in products:
+        p = len(chain)
+        whole = product(vectors[:p], chain)
+        expected = np.einsum("pjk,pk->pj", matrices[chain], vectors[:p])
         assert np.allclose(whole, expected, rtol=0.0, atol=1e-10)
         for size in [*range(1, 71), 136, 256]:
-            for start in (0, 1, 37, 199, 300 - size):  # 199: across the chains
+            for start in (0, 1, 3, 37, 199, p - size):  # 199: across the long runs
                 block = slice(start, start + size)
-                if start + size <= 300:
-                    assert np.array_equal(_rows(given, vectors[block], chain[block]), whole[block])
+                if 0 <= start <= p - size:
+                    assert np.array_equal(product(vectors[block], chain[block]), whole[block])
 
 
 def isolated_pair_chain(phases=False):
