@@ -41,25 +41,26 @@ Two solvers fill the stacks.  The LU writes each point's M(delta) into one
 buffer that each chain keeps (M0 copied at carrier phases, or C built at
 the point's own phases, then the diagonal) and factorises it: O(N^3) per
 point.  The modal solver starts from the carrier M0: one eigendecomposition
-M0 = V Lambda V^-1 per chain (the chain's collective modes), made by its
-first modal solve and kept.  At carrier phases M(delta) = M0 - delta I, so
-with w = V^-1 b each point is A = V (w / (lambda - delta)), O(N^2), its
-backward error taken from |M0 A - delta A - b|.  With delta-dependent
-phases each point applies
+M0 = V Lambda V^-1 per chain (the chain's collective modes), V^-1 from one
+solve of V against I, made by its first modal solve and kept, with
+w = V^-1 b at the carrier phases.  At carrier phases M(delta) = M0 - delta I,
+so each point is A = V (w / (lambda - delta)), O(N^2), its backward error
+taken from |M0 A - delta A - b|.  With delta-dependent phases each point
+applies
 M(delta) x = D (-i G_r) (D* x) + D* (-i G_l) (D x) + J x + diag(M_jj) x at
 its own phases, the LU's matrix unformed.  A starts from
 V ((V^-1 b) / (lambda - delta)), and refinement sweeps through the same
 modes correct it (see ``_swept``), O(N^2) each; the reference N = 100
-chain takes three.  Each product by an (N, N) matrix is a row-major GEMM,
-over the stack for -i G_r and -i G_l and over each chain's points in it for
-J, V and V^-1, whose rows keep each point's bits its own (see ``_rows``).
-A point's ||M||_inf is taken from below, so its backward error is bounded
-from above.  ``scan`` and ``sweep_separation`` use the
-modes; the LU re-solves
+chain takes three.  Every modal product by an (N, N) matrix, at either
+phase model, is a row-major GEMM, over the stack for -i G_r and -i G_l and
+over each chain's points in it for M0, J, V and V^-1, whose rows keep each
+point's bits its own (see ``_rows``); the LU's defect takes one product per
+point, as each LU point has its own matrix.  A point's ||M||_inf is taken
+from below, so its backward error is bounded from above.  ``scan`` and
+``sweep_separation`` use the modes; the LU re-solves
 
-- every point of a chain whose decomposition, V^-1 b or V^-1 raises
-  LinAlgError or is not finite (identical emitters without DDI form one
-  Jordan block);
+- every point of a chain whose decomposition or V^-1 raises LinAlgError or
+  is not finite (identical emitters without DDI form one Jordan block);
 - every point within ``RESIDUAL_LIMIT`` * ||M(delta)||_inf of a mode, where
   the modes would return a finite answer to a singular system;
 - every delta-dependent point whose sweeps stop above N eps;
@@ -236,12 +237,11 @@ class _Chains:
 
     @cached_property
     def modes(self) -> tuple[np.ndarray, ...]:
-        """Each chain's lambda and V (see ``_modes``) of the carrier M0, and
-        w = V^-1 b (C, N, 1), or V^-1 with delta-dependent phases."""
+        """Each chain's lambda, V and V^-1 (see ``_modes``) of the carrier M0,
+        and w = V^-1 b (C, N) at its carrier phases."""
         phases, m0, _ = self.carrier
-        if self.drifts:
-            return _modes(m0, np.broadcast_to(np.eye(self.n), m0.shape))
-        return _modes(m0, -(self.v_dr * phases)[..., None])
+        lam, vecs, inverse = _modes(m0)
+        return lam, vecs, inverse, _rows(inverse, -(self.v_dr * phases), np.arange(len(m0)))
 
     @cached_property
     def buffer(self) -> np.ndarray:
@@ -283,24 +283,24 @@ def _per_point(values: np.ndarray, chain: np.ndarray) -> np.ndarray:
     return values[chain[0]] if chain[0] == chain[-1] else values.take(chain, axis=0)
 
 
-def _modes(m0: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _modes(m0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each chain's eigenvalues lambda (C, N), eigenvectors V (C, N, N) and
-    V^-1 rhs (C, N, K), for M0 (C, N, N) and rhs (C, N, K).  A chain whose
-    decomposition raises LinAlgError or is not finite gets NaN, so every one
-    of its points fails the modal check and goes to the LU."""
+    V^-1 (C, N, N), for M0 (C, N, N).  A chain whose decomposition raises
+    LinAlgError or is not finite gets NaN, so every one of its points fails
+    the modal check and goes to the LU."""
     try:
         lam, vecs = np.linalg.eig(m0)
-        solved = np.linalg.solve(vecs, rhs)
+        inverse = np.linalg.solve(vecs, np.broadcast_to(np.eye(m0.shape[-1]), m0.shape))
     except np.linalg.LinAlgError:
         if len(m0) == 1:
             nan = np.full_like(m0, np.nan)
-            return nan[:, 0], nan, np.full(rhs.shape, np.nan, dtype=complex)
-        parts = [_modes(m0[c : c + 1], rhs[c : c + 1]) for c in range(len(m0))]
+            return nan[:, 0], nan, nan.copy()
+        parts = [_modes(m0[c : c + 1]) for c in range(len(m0))]
         return tuple(np.concatenate(part) for part in zip(*parts))
     finite = np.isfinite(lam).all(1) & np.isfinite(vecs).all((1, 2))
-    finite &= np.isfinite(solved).all((1, 2))
-    lam[~finite], vecs[~finite], solved[~finite] = np.nan, np.nan, np.nan
-    return lam, vecs, solved
+    finite &= np.isfinite(inverse).all((1, 2))
+    lam[~finite], vecs[~finite], inverse[~finite] = np.nan, np.nan, np.nan
+    return lam, vecs, inverse
 
 
 def _backward_error(defect, norm, x_max, rhs_max) -> np.ndarray:
@@ -317,11 +317,6 @@ def _port_sum(rates: np.ndarray, waves: np.ndarray):
     return np.cumsum(rates * waves, axis=1)[:, -1] if rates.any() else 0.0
 
 
-def _product(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """(N, N) @ (N, 1) per point: ``matrices`` (P, N, N) or (N, N), ``vectors`` (P, N)."""
-    return (matrices @ vectors[..., None])[..., 0]
-
-
 def _rows(
     matrices: np.ndarray, vectors: np.ndarray, chain: np.ndarray | None = None
 ) -> np.ndarray:
@@ -330,26 +325,27 @@ def _rows(
     ``matrices`` (C, N, N).
 
     Row-major GEMMs x @ M.T: one over the stack for a shared M or a stack in
-    one chain, else one per chain's run of rows (stacks run chain-major), the
-    runs of one length in one stacked matmul.  A row's bits then depend on
-    its vector and matrix only, not on how many rows share the GEMM or where
-    it sits among them, wherever the BLAS sums every row count in one order
-    (README's CLI section says where OpenBLAS does); ``M @ x.T`` does not.
-    numpy sends a one-row product to GEMV, whose bits differ, so a run of
-    one row is taken twice."""
+    one chain, else one stacked matmul over the chains from its first to its
+    last (stacks run chain-major), each chain's run of rows placed in a
+    zero-padded block as deep as the longest run, a chain the stack skips
+    an empty run.  A row's bits then depend on its vector and matrix only,
+    not on how many rows share the GEMM or where it sits among them,
+    wherever the BLAS sums every row count in one order (README's CLI
+    section says where OpenBLAS does); ``M @ x.T`` does not.  numpy sends a
+    one-row product to GEMV, whose bits differ, so every GEMM has at least
+    two rows."""
     if chain is None or chain[0] == chain[-1]:
         matrix = matrices if chain is None else matrices[chain[0]]
         rows = vectors if len(vectors) > 1 else vectors[[0, 0]]
         return (rows @ matrix.T)[: len(vectors)]
-    out = np.empty_like(vectors)
-    starts = np.flatnonzero(np.r_[True, chain[1:] != chain[:-1]])
-    lengths = np.diff(np.r_[starts, len(chain)])
-    for length in np.unique(lengths):
-        first = starts[lengths == length]
-        rows = first[:, None] + np.arange(max(length, 2)) % length  # (R, L), a lone row twice
-        products = vectors[rows] @ _per_point(matrices, chain[first]).swapaxes(-1, -2)
-        out[rows[:, :length]] = products[:, :length]
-    return out
+    run = chain - chain[0]
+    row = np.arange(len(chain)) - np.searchsorted(chain, chain)  # within its run
+    depth = max(row.max() + 1, 2)
+    block = np.zeros((run[-1] + 1, depth, vectors.shape[1]), vectors.dtype)
+    block[run, row] = vectors
+    products = block @ matrices[chain[0] : chain[-1] + 1].swapaxes(-1, -2)
+    # take: over 10x faster than products[run, row] on short rows (2048 at N = 2)
+    return products.reshape(-1, vectors.shape[1]).take(run * depth + row, axis=0)
 
 
 def _swept(
@@ -365,7 +361,7 @@ def _swept(
     V ((V^-1 b) / (lambda - delta)) (``gap``), then sweeps
     x <- x + V ((V^-1 (b - M(delta) x)) / (lambda - delta)): five products by
     (N, N) matrices a sweep, -i G_r and -i G_l one GEMM each over the stack,
-    J, V^-1 and V one per chain of it (see ``_rows``), nothing (P, N, N).
+    J, V^-1 and V each point by its chain's (see ``_rows``), nothing (P, N, N).
     A point's sweeps end once its backward error (``norm`` as the check
     takes it) is at most eps, or a sweep fails to halve it: from a backward
     error of 1, after at most log2(1 / eps) = 52.  A sweep that does not
@@ -373,7 +369,7 @@ def _swept(
     not depend on the other points.  It has converged if it ends at most
     N eps, the rounding level of its N-term products; a 1e-10 backward error
     would not give 1e-10 intensities."""
-    _, vecs, inverse = chains.modes
+    _, vecs, inverse, _ = chains.modes
     conjugates, rhs_max = phases.conj(), np.abs(rhs).max(axis=1)
 
     def image(points, x):  # M(delta) x
@@ -427,7 +423,7 @@ def _solve_chains(
     if modal or not chains.drifts:
         phases, m0, row_sums = chains.carrier
     if modal:
-        lam, vecs, w = chains.modes
+        lam, vecs, _, w = chains.modes
 
     a = np.empty((flat.size, n), dtype=complex)
     t, r, tt, rt = np.empty((4, flat.size), dtype=complex)
@@ -508,8 +504,8 @@ def _solve_chains(
                 else:
                     # A = V (w / (lambda - delta)): a point's bits depend on its
                     # detuning and chain only.
-                    x = _product(_per_point(vecs, chain), _per_point(w, chain)[..., 0] / gap)
-                    mx = _product(_per_point(m0, chain), x)
+                    x = _rows(vecs, _per_point(w, chain) / gap, chain)
+                    mx = _rows(m0, x, chain)
                     defect = np.abs(mx - detuning * x - rhs).max(axis=1)
                     converged = True
             solved, balanced = record(stack, x, defect, norm, stack_phases)
@@ -539,7 +535,7 @@ def _solve_chains(
                         singular[part + i] = True
                         break
             x[k] = solution
-            defect[k] = np.abs(_product(matrices, solution) - rhs[k]).max(axis=1)
+            defect[k] = np.abs((matrices @ solution[..., None])[..., 0] - rhs[k]).max(axis=1)
         accepted, balanced = record(points, x, defect, norm, lu_phases)
         # The one acceptance check: the LU's verdict stands.
         failed = np.flatnonzero(~(accepted & balanced))
