@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .cells import WIDTH, cell_rows, lines
 from .ddi import ddi_matrix
 from .params import ConfigError, DetuningGrid, SystemConfig, load_config, validate
 from .scattering import INTENSITY_KEYS, SolverError
@@ -37,32 +38,40 @@ PEAK_CHANNELS = ("T", "R", "Tt", "Rt")
 
 _UNITS_HEADER = "# units: detuning and rates in Gamma0, lengths in nm"
 
-#: One CSV value: the same bytes as "{:.17g}".format.
-_CELL = "%.17g"
-
 
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
 
 
-def _csv(header: list[str], cells: np.ndarray, body: str | None = None) -> str:
-    """Header lines, then the ``body`` template with its ``_CELL``s filled by
-    ``cells`` in C order, each formatted once from a Python float; by default
-    one row per row of a 2-D ``cells``."""
-    if body is None:
-        body = (",".join([_CELL] * cells.shape[1]) + "\n") * cells.shape[0]
-    return "\n".join(header) + "\n" + body % tuple(cells.ravel().tolist())
+def _row_blocks(rows: int, cells_per_row: int):
+    """Slices of whole rows, about numpy's ufunc buffer (np.getbufsize()) of
+    cells each, so the formatter's temporaries stay small and are reused."""
+    step = max(1, np.getbufsize() // cells_per_row)
+    return (slice(start, start + step) for start in range(0, rows, step))
+
+
+def _csv(header: list[str], cells: np.ndarray) -> str:
+    """Header lines, then one line per row of a 2-D ``cells``: the same
+    bytes as "{:.17g}".format per value and one ",".join per row."""
+    blocks = (lines(cell_rows(cells[rows])) for rows in _row_blocks(*cells.shape))
+    return "".join(["\n".join(header) + "\n", *blocks])
 
 
 def _sweep_csv(sweep: SeparationSweep) -> str:
     """Long format: spacing-major rows delta,L_nm,Tt,T.  Each detuning and
-    spacing is formatted once, into the template; only Tt and T are cells."""
-    deltas = [_CELL % delta for delta in sweep.deltas.tolist()]
-    tails = [f",{_CELL % spacing},{_CELL},{_CELL}\n" for spacing in sweep.spacings.tolist()]
-    body = "".join(tail.join(deltas) + tail for tail in tails)
-    cells = np.stack([sweep.routed, sweep.transmitted], axis=-1)
-    return _csv([_UNITS_HEADER, "delta,L_nm,Tt,T"], cells, body)
+    spacing is formatted once and its cell row repeated."""
+    deltas, spacings = cell_rows(sweep.deltas[:, None]), cell_rows(sweep.spacings[:, None, None])
+    values = np.stack([sweep.routed, sweep.transmitted], axis=-1)
+    text = [_UNITS_HEADER + "\ndelta,L_nm,Tt,T\n"]
+    for rows in _row_blocks(len(values), values[0].size):
+        shape = (*values[rows].shape[:2], 1, WIDTH)
+        table = np.concatenate([
+            np.broadcast_to(deltas, shape), np.broadcast_to(spacings[rows], shape),
+            cell_rows(values[rows]),
+        ], axis=2)
+        text.append(lines(table.reshape(-1, 4, WIDTH)))
+    return "".join(text)
 
 
 def _json(payload) -> str:

@@ -303,6 +303,13 @@ def _modes(m0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lam, vecs, inverse
 
 
+def _row_max(values: np.ndarray) -> np.ndarray:
+    """Maxima over the last axis of a (P, N) or (N,) array.  numpy reduces a
+    C-ordered array's rows one at a time, slowly for short rows; an
+    F-ordered copy is reduced a column at a time, to the same maxima."""
+    return np.asfortranarray(values).max(axis=-1)
+
+
 def _backward_error(defect, norm, x_max, rhs_max) -> np.ndarray:
     """Normwise backward error |M x - b|_inf / (||M||_inf |x|_inf + |b|_inf)
     per point, given |x|_inf; a zero scale means b = 0 and x = 0, so the
@@ -370,7 +377,7 @@ def _swept(
     N eps, the rounding level of its N-term products; a 1e-10 backward error
     would not give 1e-10 intensities."""
     _, vecs, inverse, _ = chains.modes
-    conjugates, rhs_max = phases.conj(), np.abs(rhs).max(axis=1)
+    conjugates, rhs_max = phases.conj(), _row_max(np.abs(rhs))
 
     def image(points, x):  # M(delta) x
         d, d_conj, c = phases[points], conjugates[points], chain[points]
@@ -382,8 +389,8 @@ def _swept(
         return _rows(vecs, _rows(inverse, residual, c) / gap[points], c)
 
     def backward(points, x, mx):
-        defect = np.abs(mx - rhs[points]).max(axis=1)
-        return defect, _backward_error(defect, norm[points], np.abs(x).max(axis=1), rhs_max[points])
+        defect = _row_max(np.abs(mx - rhs[points]))
+        return defect, _backward_error(defect, norm[points], _row_max(np.abs(x)), rhs_max[points])
 
     eps = np.finfo(float).eps
     points = np.arange(len(chain))
@@ -434,8 +441,8 @@ def _solve_chains(
         """Store the points' amplitudes, output ports, intensities and
         backward error; return which are solved (backward error at most
         ``RESIDUAL_LIMIT``, finite norm) and which flux-balanced."""
-        magnitude, rhs_max = np.abs(x), np.abs(v_dr * phases).max(axis=-1)
-        residual[points] = _backward_error(defect, norm, magnitude.max(axis=1), rhs_max)
+        magnitude, rhs_max = np.abs(x), _row_max(np.abs(v_dr * phases))
+        residual[points] = _backward_error(defect, norm, _row_max(magnitude), rhs_max)
         weight = np.square(magnitude, out=magnitude)
         a[points] = x
         forward = phases.conj() * x
@@ -463,7 +470,7 @@ def _solve_chains(
     def diagonal_norm(points, sums):
         """M_jj (K, N) at ``points`` and ||M||_inf = max_j (sum_k |C_jk| + |M_jj|) (K,)."""
         on_diagonal = -flat[points, None] - chains.width
-        return on_diagonal, (sums + np.abs(on_diagonal)).max(axis=1)
+        return on_diagonal, _row_max(sums + np.abs(on_diagonal))
 
     def lu_systems(points, d):
         """M(delta) (K, N, N) at ``points`` in the chains' LU buffer, from C at
@@ -506,10 +513,10 @@ def _solve_chains(
                     # detuning and chain only.
                     x = _rows(vecs, _per_point(w, chain) / gap, chain)
                     mx = _rows(m0, x, chain)
-                    defect = np.abs(mx - detuning * x - rhs).max(axis=1)
+                    defect = _row_max(np.abs(mx - detuning * x - rhs))
                     converged = True
             solved, balanced = record(stack, x, defect, norm, stack_phases)
-            near = (np.abs(gap) <= RESIDUAL_LIMIT * norm[:, None]).any(axis=1)
+            near = _row_max(np.abs(gap) <= RESIDUAL_LIMIT * norm[:, None])  # any
             points = start + np.flatnonzero(near | ~(solved & balanced & converged))
             if not points.size:
                 continue
@@ -535,7 +542,7 @@ def _solve_chains(
                         singular[part + i] = True
                         break
             x[k] = solution
-            defect[k] = np.abs((matrices @ solution[..., None])[..., 0] - rhs[k]).max(axis=1)
+            defect[k] = _row_max(np.abs((matrices @ solution[..., None])[..., 0] - rhs[k]))
         accepted, balanced = record(points, x, defect, norm, lu_phases)
         # The one acceptance check: the LU's verdict stands.
         failed = np.flatnonzero(~(accepted & balanced))

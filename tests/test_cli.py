@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import photon_router.cli as cli
-from photon_router import SeparationSweep, SystemConfig, sweep_separation, validate
+from photon_router import SeparationSweep, SystemConfig, cells, sweep_separation, validate
 from photon_router.cli import main
 from photon_router.params import EMITTER_LIMIT, POINTS_LIMIT
 from photon_router.spectra import SWEEP_POINTS_LIMIT
@@ -539,6 +539,52 @@ def test_sweep_over_several_solver_calls_writes_per_value_format(two_emitter_con
     sweep = sweep_separation(config, (5.0, 100.0), 25, np.linspace(-40.0, 40.0, 201))
     header = [cli._UNITS_HEADER, "delta,L_nm,Tt,T"]
     assert out.read_text() == per_value_csv(header, long_format_columns(sweep))
+
+
+def half_way_cases(rng, per_k: int) -> np.ndarray:
+    """Floats j / 2**(k + 1), j odd, with 18 significant digits: k + 1
+    decimals, the last a 5, and 17 - k digits before the point (or k - 17
+    zeros after it).  "%.17g" rounds each from exactly half-way."""
+    cases = []
+    for k in range(1, 25):
+        lo = 10.0 ** (16 - k)
+        hi = min(10.0 ** (17 - k), 2.0 ** (52 - k))
+        j = rng.integers(math.ceil(lo * 2 ** (k + 1)), math.floor(hi * 2 ** (k + 1)), per_k)
+        cases.append(np.ldexp((j | 1).astype(float), -(k + 1)))
+    return np.concatenate(cases)
+
+
+def formatter_cases(rng) -> np.ndarray:
+    """Just over a million floats, each with both signs: the fast path's
+    powers of ten and their neighbours, half-way cases, values spread over
+    the fast path and just outside it, and arbitrary bit patterns."""
+    powers = np.concatenate([10.0 ** np.arange(cells.LOW - 2, cells.HIGH + 3), cells.BOUNDS])
+    cases = [
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308, np.inf, np.nan],
+        half_way_cases(rng, 5_000),
+        10.0 ** rng.uniform(cells.LOW - 2, cells.HIGH + 2, 200_000),
+        rng.random(130_000),
+        rng.integers(0, 2**63, 50_000, dtype=np.int64).view(np.float64),
+        rng.integers(1, 2**52, 1_000, dtype=np.int64).view(np.float64),  # subnormals
+    ]
+    values = np.concatenate([np.asarray(case, dtype=float) for case in cases])
+    return np.concatenate([values, -values])
+
+
+def test_formatter_matches_percent_format_on_a_million_values():
+    from decimal import Decimal
+
+    ties = [Decimal(value).as_tuple().digits for value in half_way_cases(np.random.default_rng(1), 50)]
+    assert all(len(digits) == 18 and digits[-1] == 5 for digits in ties)
+    values = formatter_cases(np.random.default_rng(27))
+    assert values.size >= 10**6
+    for block in np.array_split(values, 20):
+        got = cli._csv(["#"], block[:, None])
+        want = "#\n" + "".join(["%.17g\n" % value for value in block.tolist()])
+        if got != want:
+            pairs = zip(want.splitlines(), got.splitlines())
+            assert [pair for pair in pairs if pair[0] != pair[1]][:5] == []
 
 
 def test_data_artifacts_repeat_byte_for_byte_in_one_process(two_emitter_config, tmp_path):
