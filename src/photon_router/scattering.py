@@ -66,14 +66,18 @@ from below, so its backward error is bounded from above.  ``scan`` and
 - every delta-dependent point whose sweeps stop above N eps;
 - every point whose modal result the check rejects,
 
-and the LU's verdict stands.  ``solve_spectrum_point_batch`` and the
-peak-refinement probes use the LU alone, and never build the modes.  The
-LU solves each point on its own, so a probe's bits do not depend on the
-other points of its call: refinement may probe several golden-section
-steps ahead in one call.  Probes solved from the scan's kept modes differ
-from the LU in the last bits, which flips golden-section comparisons and
-moves refined maxima: the N = 1..30 scaling benchmark's seed-0 gate then
-failed (deviation 6.654e-09, bound 1e-10).
+and the LU's verdict stands.  ``solve_spectrum_point_batch`` uses the LU
+alone, and never builds the modes.  The LU solves each point on its own,
+so a point's bits do not depend on the other points of its call.
+Peak refinement probes carrier-phase chains from the modes too.  Modal
+intensities differ from the LU's in the last bits, and unchecked, that
+flips golden-section comparisons and moves refined maxima: the N = 1..30
+scaling benchmark's seed-0 gate then failed (deviation 6.654e-09, bound
+1e-10).  So each modal intensity I carries a bound on |I - I_LU|, from
+the adjoint estimate and sensitivity of ``_intensity_errors`` and
+``MODAL_ERROR_FLOOR``: refinement takes a comparison from the modes only
+where the gap exceeds the two bounds, and has the LU re-solve the points
+of every other, and every row it returns.
 """
 
 from __future__ import annotations
@@ -100,6 +104,17 @@ FLUX_TOLERANCE = 1e-5
 #: worst measured was 1.2e-14 * s (N = 100 symmetric lossless, at its
 #: collective modes); validated up to N = 100 only.
 FLUX_IDENTITY_LIMIT = 1e-10
+
+#: |I + e - I_LU| <= MODAL_ERROR_FLOOR * (1 + s) for a modal intensity I, its
+#: estimate e and sensitivity s (``_intensity_errors``) and the LU's I_LU,
+#: so peak refinement bounds |I - I_LU| by |e| + MODAL_ERROR_FLOOR * (1 + s).
+#: The worst measured was 1.4e-16 * (1 + s) (N = 300 symmetric lossless),
+#: over every peak-refinement probe, each solved from the modes, of the
+#: four benchmark workloads at seeds 0 and 3, scripts/reproduce.py and the
+#: reference chiral and symmetric N = 100 and 300 spectra, lossy and
+#: lossless; validated up to N = 300 only.  Without s it would have had to
+#: cover 6.0e-10, the LU's own error near the narrow modes of lossless chains.
+MODAL_ERROR_FLOOR = 2e-15
 
 #: Complex elements per stacked N x N solve; bounds a batch's memory.
 STACK_ELEMENTS = 2**14
@@ -408,6 +423,40 @@ def _swept(
         defect[kept], error[kept] = trial_defect[better], trial_error[better]
         points = points[better & halved]
     return x, defect, error <= chains.n * eps
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # not finite: no estimate
+def _intensity_errors(
+    chains: _Chains, result: TransportSolution, channel: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Estimates e (P,) of I_LU - I, and sensitivities s (P,), for each
+    point's intensity I in ``channel`` (P,), an index into
+    ``INTENSITY_KEYS``, of a carrier-phase solve ``result`` of one chain.
+
+    Both come from the adjoint-weighted residual (Pierce and Giles, SIAM
+    Review 42 (2000) 247).  A port amplitude is p = p0 + c_k^T A, so an
+    amplitude A with defect r = b - (M0 - delta) A is off by g^T r, with
+    g = M(delta)^-T c_k = V^-T ((V^T c_k) / (lambda - delta)) from the modes.
+    e = |p + g^T r|^2 - |p|^2, and s = 2 |p| ||g||_1 (||M||_inf |A|_inf +
+    |b|_inf), what I changes by per unit of backward error: that bounds the
+    LU's own error and the rounding of r alike.  ||M||_inf is taken from
+    above, as max_j sum_k |C_jk| + |delta| + max_j Gamma_j / 2.  The loss
+    has no estimate, nor has a point where the modes are not finite (a
+    defective chain) or delta is a mode: e and s are not finite there."""
+    (phases,), (m0,), (sums,) = chains.carrier
+    lam, vecs, inverse, _ = (part[0] for part in chains.modes)
+    a, delta = result.a, result.delta[:, None]
+    residual = -(chains.v_dr * phases) - (_rows(m0, a) - delta * a)
+    forward, backward = -1j * phases.conj(), -1j * phases
+    ports = np.array([chains.v_dr * forward, chains.v_dl * backward, chains.v_ur * forward,
+                      chains.v_ul * backward, np.full(chains.n, np.nan)]) @ vecs  # c_k^T V
+    adjoint = (ports[channel] / (lam - delta)) @ inverse  # g^T (P, N)
+    amplitudes = np.array([result.t, result.r, result.tt, result.rt, result.t])  # loss: any
+    port = amplitudes[channel, np.arange(len(a))]
+    change = abs(port + (adjoint * residual).sum(axis=1)) ** 2 - abs(port) ** 2
+    norm = sums.max() + abs(delta[:, 0]) + abs(chains.width).max()
+    scale = norm * _row_max(abs(a)) + chains.v_dr.max()
+    return change, 2.0 * abs(port) * abs(adjoint).sum(axis=1) * scale
 
 
 @np.errstate(over="ignore", invalid="ignore")  # out-of-range values fail their point

@@ -14,10 +14,12 @@ from .ddi import DdiMatrix, _by_offset, _toeplitz
 from .params import DETUNING_LIMIT, SystemConfig, validate
 from .scattering import (
     INTENSITY_KEYS,
+    MODAL_ERROR_FLOOR,
     SolverError,
     TransportSolution,
     _chain,
     _Chains,
+    _intensity_errors,
     _lu_points,
     _solve_chains,
     _stack_points,
@@ -111,10 +113,78 @@ def _plateau_maxima(deltas: np.ndarray, values: np.ndarray) -> list[int]:
     return np.where(deltas[first] < deltas[last], first, last)[1:-1][higher].tolist()
 
 
-def _probe(chains: _Chains, deltas: np.ndarray) -> np.ndarray:
-    """The rows (P, 6) of ``TransportSolution.table`` at the detunings
-    (P,), from one batched LU solve of ``chains``."""
-    return _solve_chains(chains, deltas, modal=False).table()
+def _probe(chains: _Chains, deltas: np.ndarray, column: np.ndarray | None = None) -> np.ndarray:
+    """The rows (P, 6) of ``TransportSolution.table`` at the detunings (P,),
+    each followed by a bound on |I - I_LU| of its intensity in ``column``
+    (P,), from one batched solve of ``chains``.  Probes given a column, at
+    carrier phases, that fill more than one LU stack (fewer cost the LU
+    about as much) are solved from the modes, with bounds
+    |e| + ``MODAL_ERROR_FLOOR`` (1 + s) (``_intensity_errors``); all others
+    by the LU, with bounds 0."""
+    modal = column is not None and not chains.drifts and len(deltas) > _lu_points(chains.n)
+    result = _solve_chains(chains, deltas, modal)
+    if modal:
+        error, sensitivity = _intensity_errors(chains, result, column - 1)
+        bound = abs(error) + MODAL_ERROR_FLOOR * (1.0 + sensitivity)
+    else:
+        bound = np.zeros(result.delta.size)
+    return np.column_stack([result.table(), bound])
+
+
+def _sure(gap: np.ndarray, margin: np.ndarray) -> np.ndarray:
+    """Whether comparisons of two probed rows, their values ``gap`` apart,
+    are sure to have the LU's outcome: both rows are the LU's (``margin``,
+    the sum of their bounds, is 0), or the gap exceeds the margin.  An
+    exact modal tie, or a margin that is NaN or inf, is never sure."""
+    return (abs(gap) > margin) | (margin == 0.0)
+
+
+def _compared(brackets: np.ndarray, column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each bracket's comparison of its inner points, c >= d in its
+    ``column``, and whether that is ``_sure``."""
+    c, d = brackets[2:, np.arange(column.size), column]
+    return c >= d, _sure(c - d, brackets[2, :, -1] + brackets[3, :, -1])
+
+
+def _settled(
+    chains: _Chains, brackets: np.ndarray, column: np.ndarray, tol: np.ndarray
+) -> np.ndarray:
+    """``brackets`` with both inner points of every open bracket whose
+    comparison is not sure (``_compared``) re-solved by the LU, in one call:
+    the next golden-section step of every bracket then has the LU's side."""
+    unsure = (brackets[1, :, 0] - brackets[0, :, 0] > tol) & ~_compared(brackets, column)[1]
+    if unsure.any():
+        brackets = brackets.copy()
+        brackets[2:, unsure] = _by_the_lu(chains, brackets[2:, unsure])
+    return brackets
+
+
+def _by_the_lu(chains: _Chains, rows: np.ndarray) -> np.ndarray:
+    """``rows`` (..., 7), with every row that the modes solved (a bound not
+    0) re-solved by the LU in place, all in one call."""
+    modal = rows[..., -1] != 0.0
+    if modal.any():
+        rows[modal] = _probe(chains, rows[modal, 0])
+    return rows
+
+
+def _winners(
+    best: np.ndarray, candidates: np.ndarray, column: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each of ``candidates`` (C, K, 7) in turn replaces ``best`` (K, 7)
+    where its value in ``column`` is higher, or equal at a smaller
+    detuning.  Returns the winning rows, the index of each winner among the
+    candidates (-1 for ``best``), and whether all of each maximum's
+    comparisons were ``_sure``."""
+    k = np.arange(column.size)
+    won, sure = np.full(k.size, -1), np.ones(k.size, dtype=bool)
+    for index, row in enumerate(candidates):
+        value, height = row[k, column], best[k, column]
+        sure &= _sure(value - height, row[:, -1] + best[:, -1])
+        wins = (value > height) | ((value == height) & (row[:, 0] < best[:, 0]))
+        best = np.where(wins[:, None], row, best)
+        won = np.where(wins, index, won)
+    return best, won, sure
 
 
 def _vertex(x0, x1, x2, y0, y1, y2) -> np.ndarray:
@@ -146,17 +216,19 @@ def _golden_steps(
     """Advance every open bracket by up to ``depth`` golden-section steps,
     from one batched solve of all of their probes.
 
-    ``brackets`` (4, K, 6) holds the rows (``_probe``) of each bracket's
-    ends a, b and inner points c, d; a step keeps the side of the inner
-    point that is higher in the bracket's ``column`` (``_stepped``).  The
-    steps are first taken on the detunings alone: the first step's side is
-    read from the rows, the later ones are predicted from the vertex of the
-    parabola through the kept end and both inner points
-    (``_predicted_sides``).  After the solve the same steps are replayed on
-    the rows, each with its probed row, and each bracket stops at its first
-    closed step or at its first step whose side its rows do not confirm: it
-    takes exactly the steps of a step-by-step search.  Returns the brackets
-    (4, K, 6) after them.
+    ``brackets`` (4, K, 7) holds the rows (``_probe``) of each bracket's
+    ends a, b and inner points c, d, with their bounds; a step keeps the
+    side of the inner point that is higher in the bracket's ``column``
+    (``_stepped``), and every open bracket's first side is sure
+    (``_settled``).  The steps are first taken on the detunings alone: the
+    first step's side is read from the rows, the later ones are predicted
+    from the vertex of the parabola through the kept end and both inner
+    points (``_predicted_sides``).  After the solve the same steps are
+    replayed on the rows, each with its probed row, and each bracket stops
+    at its first closed step, at its first step whose side is not sure, or
+    at its first step whose side its rows do not confirm: it takes exactly
+    the steps of a step-by-step search.  Returns the brackets (4, K, 7)
+    after them, ``_settled``.
     """
     k = np.arange(brackets.shape[1])
     x, level = brackets[..., 0], brackets[:, k, column]
@@ -179,15 +251,17 @@ def _golden_steps(
 
     sides, probes, alive = map(np.array, zip(*taken))
     solved = np.full((*alive.shape, brackets.shape[2]), np.nan)
-    solved[alive] = _probe(chains, probes[alive])  # step-major
+    # Step-major, each probe compared in its bracket's column.
+    solved[alive] = _probe(chains, probes[alive], np.broadcast_to(column, alive.shape)[alive])
     going = np.ones(k.size, dtype=bool)
     # Each side is checked here, once, against the probed rows of its inner points.
     for left, row, open_ in zip(sides, solved, alive):
-        going &= open_ & (left == (brackets[2, k, column] >= brackets[3, k, column]))
+        higher, sure = _compared(brackets, column)
+        going &= open_ & sure & (left == higher)
         if not going.any():
             break
         brackets = np.where(going[:, None], _stepped(left[:, None], brackets, row), brackets)
-    return brackets
+    return _settled(chains, brackets, column, tol)
 
 
 def _refine_maxima(
@@ -205,11 +279,19 @@ def _refine_maxima(
     N = 30); many brackets take one step a call.
     A call takes its steps on detunings with predicted sides, solves their
     probes, and replays them on the probed rows up to each bracket's first
-    wrongly predicted side.  Each probe is its own LU solve, so the
-    predictions set only the number of calls: locations and heights are
-    those of a step-by-step search, bit for bit.  A call whose speculative
-    probes raise a SolverError is taken again one step deep, so only a
-    probe that search makes can raise.
+    wrongly predicted side, or its first comparison that the probes' bounds
+    leave unsure (``_compared``).  Probes are solved from the chain's modes
+    at carrier phases where they fill more than one LU stack (a call of
+    fewer costs the LU about as much), else by the LU, and each point on
+    its own.  The LU re-solves the inner points of every bracket left on an
+    unsure comparison, in one call per call (``_settled``).  The winner
+    loop decides by the same rule (``_winners``), and one last LU call
+    re-solves each winner, and every candidate of a maximum with an unsure
+    comparison, before the loop runs again on them.  So every comparison
+    has the LU's outcome and the predictions set only the number of calls:
+    locations and heights are those of a step-by-step search by the LU, bit
+    for bit.  A call whose speculative probes raise a SolverError is taken
+    again one step deep, so only a probe that search makes can raise.
     Returns the winning row (K, 6) of each maximum, as ``result.table()``'s:
     its detuning and intensities, from the winning probe or the scan; a
     height is never below its grid sample, and ties in height resolve
@@ -233,12 +315,14 @@ def _refine_maxima(
 
     # Brackets: the rows of ends a/b and inner points c/d.
     inner = [hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)]
-    first = _probe(chains, np.concatenate([vertex[bowed], *inner]))
-    at_vertex = np.full_like(rows[i], -np.inf)  # never wins unless probed
-    at_vertex[bowed], at_inner = np.split(first, [bowed.sum()])
-    brackets = np.concatenate([rows[[i - up, i + up]], at_inner.reshape(2, *rows[i].shape)])
+    first = _probe(chains, np.concatenate([vertex[bowed], *inner]),
+                   np.concatenate([column[bowed], column, column]))
+    brackets = np.full((4, k.size, first.shape[1]), np.nan)  # the ends' bounds: never compared
+    brackets[:2, :, :-1] = rows[[i - up, i + up]]
+    brackets[2:] = first[bowed.sum() :].reshape(2, *brackets.shape[1:])
     # Below 64 ulps rounding could stall the search: its points would coincide.
     tol = np.maximum(PEAK_REFINE_TOL, 64.0 * np.spacing(np.maximum(abs(lo), abs(hi))))
+    brackets = _settled(chains, brackets, column, tol)  # as every call leaves them
     while opened := np.count_nonzero(brackets[1, :, 0] - brackets[0, :, 0] > tol):
         depth = max(1, _stack_points(chains.n) // opened)
         try:
@@ -249,12 +333,18 @@ def _refine_maxima(
             # Take the step alone: only a probe the plain search makes may raise.
             brackets = _golden_steps(chains, brackets, column, tol, 1)
 
-    best = rows[i]
-    for row in (at_vertex, brackets[2], brackets[3]):
-        value, height = row[k, column], best[k, column]
-        wins = (value > height) | ((value == height) & (row[:, 0] < best[:, 0]))
-        best = np.where(wins[:, None], row, best)
-    return best
+    # Each maximum's winner among its grid sample, vertex and inner points.
+    # Where all of its comparisons were sure, only the winner must be the
+    # LU's; elsewhere every candidate is.  All are re-solved in one call.
+    at_vertex = np.full((k.size, first.shape[1]), -np.inf)  # never wins unless probed
+    at_vertex[:, -1] = 0.0
+    at_vertex[bowed] = first[: bowed.sum()]
+    sample = np.column_stack([rows[i], np.zeros(k.size)])
+    candidates = np.stack([at_vertex, brackets[2], brackets[3]])
+    _, won, sure = _winners(sample, candidates, column)
+    resolved = ~sure | (np.arange(len(candidates))[:, None] == won)
+    candidates[resolved] = _by_the_lu(chains, candidates[resolved])
+    return _winners(sample, candidates, column)[0][:, :-1]
 
 
 def find_peaks(result: TransportSolution, *channels: str, refine: bool = False) -> list[Peak]:
@@ -304,9 +394,10 @@ def sweep_separation(
 ) -> SeparationSweep:
     """Re-solve the full spectrum for each inter-emitter separation.
 
-    Every spacing is validated, and its couplings built, before any
-    solve, so a ConfigError at any spacing comes before a SolverError at an
-    earlier one.  Whole spacings then share solver calls of at most
+    Every spacing is validated (from the two ends of the range), and its
+    couplings built, before any solve, so a ConfigError at any spacing
+    comes before a SolverError at an earlier one.  Whole spacings then
+    share solver calls of at most
     max(P, the points of one LU stack) (P detunings), which bounds the
     M0 and modes a call's chains hold, in spacing-major order, each point
     with its spacing's phases and couplings; the modal stacks inside a call
@@ -334,7 +425,12 @@ def sweep_separation(
 
     spacings = np.linspace(l_min, l_max, l_points)
     configs = [dataclasses.replace(config, spacing=float(spacing)) for spacing in spacings]
-    by_offset = [_by_offset(validate(cfg)) for cfg in configs]  # in order; J in O(N) each
+    # Validity is monotone in the spacing, once it is positive and below
+    # lambda_qd: theta, r_step and the delta-dependent step phase grow
+    # linearly with it.  So the two ends validate every spacing.
+    for end in (configs[0], configs[-1]):
+        validate(end)
+    by_offset = [_by_offset(cfg) for cfg in configs]  # in order; J in O(N) each
     per_call = max(grid.size, _lu_points(config.n_emitters)) // grid.size
 
     routed = np.empty((l_points, grid.size))

@@ -19,10 +19,12 @@ from photon_router.scattering import (
     FLUX_IDENTITY_LIMIT,
     FLUX_TOLERANCE,
     INTENSITY_KEYS,
+    MODAL_ERROR_FLOOR,
     RESIDUAL_LIMIT,
     STACK_ELEMENTS,
     _chain,
     _Chains,
+    _intensity_errors,
     _modes,
     _rows,
     _solve_chains,
@@ -851,10 +853,35 @@ def test_lu_stacks_of_a_refinement_share_one_buffer(phases):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.linalg, "solve", recorder)
         find_peaks(result, "T", "Tt", refine=True)
-    stacks = [matrices for matrices, _, _ in recorder.systems]
-    assert len(stacks) > 10 and max(len(m) for m in stacks) == LU_STACK_30
+    # LU stacks solve one right-hand side a point; V^-1 solves V against I.
+    stacks = [matrices for matrices, rhs, _ in recorder.systems if rhs.shape[-1] == 1]
+    assert len(stacks) > 5 and max(len(m) for m in stacks) == LU_STACK_30
     assert len({id(m.base) for m in stacks}) == 1
     assert all(np.shares_memory(m, stacks[0]) for m in stacks)
+
+
+def test_intensity_estimates_track_the_lu_at_the_routing_peaks():
+    # The chiral N = 300 carrier-phase scan at its 40 highest-Tt points.
+    # Wherever a modal intensity is off the LU's by more than 1e-13, the
+    # adjoint estimate of that error is within a factor of 2 of it, and
+    # every corrected intensity is within a tenth of the floor (scaled by
+    # 1 + s) of the LU's.
+    config = chiral_config(300)
+    ddi = ddi_matrix(config)
+    result = scan(config, ddi, np.linspace(-300.0, 300.0, 401))
+    top = np.sort(np.argsort(result.intensities["Tt"])[-40:])
+    chains = _chain(config, ddi)
+    modal = _solve_chains(chains, result.delta[top], modal=True)
+    assert modal.table().tobytes() == result.table()[top].tobytes()
+    lu = solve_spectrum_point_batch(config, ddi, result.delta[top])
+    for key in ("T", "Tt"):
+        channel = np.full(top.size, INTENSITY_KEYS.index(key))
+        error, sensitivity = _intensity_errors(chains, modal, channel)
+        off = lu.intensities[key] - modal.intensities[key]
+        large = abs(off) > 1e-13
+        assert large.sum() >= 10
+        assert np.all((error[large] / off[large] >= 0.5) & (error[large] / off[large] <= 2.0))
+        assert np.all(abs(off - error) <= 0.1 * MODAL_ERROR_FLOOR * (1.0 + sensitivity))
 
 
 def reference_chains(spacings):

@@ -24,7 +24,6 @@ from photon_router.scattering import INTENSITY_KEYS
 from conftest import (
     COUPLING,
     EMISSION,
-    RecordingSolve,
     chiral_config,
     random_chains,
     replace,
@@ -74,12 +73,14 @@ def crowded_scan():
     return scan(config, ddi_matrix(config), np.linspace(-300.0, 300.0, 2001))
 
 
-def counted_solves(monkeypatch):
-    """Record the detunings of every solver call of the spectra module."""
+def counted_solves(monkeypatch, solver=None):
+    """Record the detunings of every solver call of the spectra module, or
+    only of those by one ``solver``, "modes" or "lu"."""
     solve, calls = spectra._solve_chains, []
 
     def counting(chains, deltas, modal):
-        calls.append(np.array(deltas))
+        if solver in (None, "modes" if modal else "lu"):
+            calls.append(np.array(deltas))
         return solve(chains, deltas, modal)
 
     monkeypatch.setattr(spectra, "_solve_chains", counting)
@@ -369,10 +370,11 @@ class TestFindPeaks:
 
     def test_more_brackets_than_one_stack_step_once_a_call(self, monkeypatch):
         # 61 peaks at N = 100, where one point stack holds 40 points: no call
-        # probes ahead, so each golden-section step is one call of every
-        # open bracket, after the first call's vertices and inner points.
+        # probes ahead, so each golden-section step is one modal call of
+        # every open bracket, after the first call's vertices and inner
+        # points.  The LU calls between them re-solve unsure comparisons.
         result = crowded_scan()
-        calls = counted_solves(monkeypatch)
+        calls = counted_solves(monkeypatch, "modes")
         depths = advancing_steps(monkeypatch)
         peaks = find_peaks(result, *CHANNELS, refine=True)
         assert len(peaks) == 61 > spectra._stack_points(100) and set(depths) == {1}
@@ -380,53 +382,68 @@ class TestFindPeaks:
 
     def test_brackets_probe_ahead_by_the_point_stack(self, monkeypatch):
         # 37 peaks at N = 30, where one point stack holds 136 points: every
-        # call probes each open bracket three steps ahead.
+        # call probes each open bracket three steps ahead while all 37 are
+        # open, and further once fewer are.
         config = chiral_config(30)
         result = scan(config, ddi_matrix(config), np.linspace(-300.0, 300.0, 2001))
         calls = counted_solves(monkeypatch)
         depths = advancing_steps(monkeypatch)
         peaks = find_peaks(result, *CHANNELS, refine=True)
-        assert len(peaks) == 37 and set(depths) == {spectra._stack_points(30) // 37} == {3}
-        assert len(calls) < 20
+        assert len(peaks) == 37 and depths[0] == spectra._stack_points(30) // 37 == 3
+        assert depths == sorted(depths) and len(calls) < 20
 
-    def test_refinement_builds_its_chain_once_and_probes_by_the_lu(self, monkeypatch):
-        # Every probe solves the one chain built for the refinement, and its
-        # LU systems (the same C, the same diagonal writes), solutions and
-        # intensities are those of the LU batch at its detunings, bit for bit.
+    def test_refinement_builds_one_chain_and_returns_the_lus_rows(self, monkeypatch):
+        # Every solve of the refinement is of the one chain built for it.
+        # Every row it returns is the scan's grid sample or the LU batch's
+        # row at its detuning, bit for bit.  Every comparison that the
+        # modes decided had a gap above the sum of its rows' bounds, and the
+        # LU orders its two points the same way.
         config = chiral_config(30)
         ddi = ddi_matrix(config)
         result = scan(config, ddi, np.linspace(-300.0, 300.0, 201))
-        recorder, built, probes = RecordingSolve(), [], []
-        chain, probe = spectra._chain, spectra._probe
+        built, solved, returned, decided = [], [], [], []
+        chain, solve = spectra._chain, spectra._solve_chains
+        refine, compared = spectra._refine_maxima, spectra._compared
 
         def building(*args):
             built.append(chain(*args))
             return built[-1]
 
-        def probing(chains, deltas):
-            first = len(recorder.systems)
-            rows = probe(chains, deltas)  # the refinement writes into the first
-            probes.append((np.array(deltas), chains, rows.copy(), recorder.systems[first:]))
-            return rows
+        def solving(chains, deltas, modal):
+            solved.append(chains)
+            return solve(chains, deltas, modal)
 
-        monkeypatch.setattr(spectra, "_chain", building)
-        monkeypatch.setattr(spectra, "_probe", probing)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(np.linalg, "solve", recorder)
-            peaks = find_peaks(result, *CHANNELS, refine=True)
-        assert len(peaks) > 1 and len(built) == 1
-        assert sum(len(systems) for *_, systems in probes) == len(recorder.systems)
-        for deltas, chains, rows, systems in probes:
-            assert chains is built[0]
-            batch_recorder = RecordingSolve()
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(np.linalg, "solve", batch_recorder)
-                batch = solve_spectrum_point_batch(config, ddi, deltas)
-            assert len(systems) == len(batch_recorder.systems)
-            for system, expected in zip(systems, batch_recorder.systems):
-                for got, want in zip(system, expected):
-                    assert np.array_equal(got, want)
-            assert np.array_equal(rows, batch.table())
+        def refining(*args):
+            returned.append(refine(*args))
+            return returned[-1]
+
+        def comparing(brackets, column):
+            higher, sure = compared(brackets, column)
+            c, d = brackets[2:, np.arange(column.size), column]
+            margin = brackets[2, :, -1] + brackets[3, :, -1]
+            by_modes = sure & (margin > 0.0)
+            assert np.all(abs(c - d)[by_modes] > margin[by_modes])
+            decided.append((brackets[2:, by_modes, 0], column[by_modes], higher[by_modes]))
+            return higher, sure
+
+        for name, stand_in in (("_chain", building), ("_solve_chains", solving),
+                               ("_refine_maxima", refining), ("_compared", comparing)):
+            monkeypatch.setattr(spectra, name, stand_in)
+        peaks = find_peaks(result, *CHANNELS, refine=True)
+        assert len(peaks) > 1 and len(built) == 1 and all(c is built[0] for c in solved)
+        assert peaks == reference_peaks(config, ddi, result, CHANNELS)
+
+        (rows,) = returned
+        on_grid = np.isin(rows[:, 0], result.delta)
+        samples = result.table()[np.searchsorted(result.delta, rows[on_grid, 0])]
+        assert rows[on_grid].tobytes() == samples.tobytes()
+        batch = solve_spectrum_point_batch(config, ddi, rows[~on_grid, 0])
+        assert (~on_grid).sum() > 1 and rows[~on_grid].tobytes() == batch.table().tobytes()
+
+        inner, column, higher = (np.concatenate(part, axis=-1) for part in zip(*decided))
+        k = np.arange(higher.size)
+        lu = solve_spectrum_point_batch(config, ddi, inner.ravel()).table().reshape(2, k.size, 6)
+        assert k.size > 100 and np.array_equal(lu[0, k, column] >= lu[1, k, column], higher)
 
     @pytest.mark.parametrize("solve", [scan, solve_spectrum_point_batch], ids=["scan", "lu"])
     def test_refinement_solves_the_chain_its_result_records(self, monkeypatch, solve):
@@ -630,6 +647,58 @@ def test_a_failing_probe_of_a_one_step_call_raises(monkeypatch):
     assert sum(failing in deltas for deltas in calls) == 1
 
 
+def test_exact_modal_ties_are_decided_by_the_lu(monkeypatch):
+    # With every probe solved from the modes, the single emitter of the
+    # chain-length scaling (seed-0 grid) meets exact ties of its modal Tt.
+    # No tie is decided from the modes: its inner points are re-solved by
+    # the LU, in calls before the winners' one, and the refined peak is the
+    # scalar reference's.
+    config = chiral_config(1)
+    ddi = ddi_matrix(config)
+    result = scan(config, ddi, np.linspace(-300.0, 300.0, 2001))
+    expected = reference_peaks(config, ddi, result, ["Tt"])
+    compared, ties = spectra._compared, []
+
+    def comparing(brackets, column):
+        c, d = brackets[2:, np.arange(column.size), column]
+        higher, sure = compared(brackets, column)
+        tie = (c == d) & (brackets[2, :, -1] + brackets[3, :, -1] > 0.0)
+        assert not sure[tie].any()
+        ties.append(tie.any())
+        return higher, sure
+
+    monkeypatch.setattr(spectra, "_lu_points", lambda n: 0)
+    monkeypatch.setattr(spectra, "_compared", comparing)
+    lu_calls = counted_solves(monkeypatch, "lu")
+    assert find_peaks(result, "Tt", refine=True) == expected
+    assert any(ties) and len(lu_calls) > 1
+
+
+def test_comparisons_without_bounds_are_decided_by_the_lu(monkeypatch):
+    # With every estimate NaN, no modal row has a finite bound: each
+    # comparison is decided from two LU rows (bounds 0), and the peaks are
+    # unchanged, the scalar reference's.
+    config = chiral_config(30)
+    ddi = ddi_matrix(config)
+    result = scan(config, ddi, np.linspace(-300.0, 300.0, 201))
+    expected = find_peaks(result, *CHANNELS, refine=True)
+    errors, compared, margins = spectra._intensity_errors, spectra._compared, []
+
+    def unbounded(chains, result, channel):
+        return tuple(np.full_like(part, np.nan) for part in errors(chains, result, channel))
+
+    def comparing(brackets, column):
+        higher, sure = compared(brackets, column)
+        margins.append(brackets[2:, sure, -1])
+        return higher, sure
+
+    monkeypatch.setattr(spectra, "_intensity_errors", unbounded)
+    monkeypatch.setattr(spectra, "_compared", comparing)
+    assert find_peaks(result, *CHANNELS, refine=True) == expected
+    assert expected == reference_peaks(config, ddi, result, CHANNELS)
+    assert sum(m.size for m in margins) > 100 and not np.concatenate(margins, axis=1).any()
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     chain=random_chains(),
@@ -764,6 +833,24 @@ class TestSweepSeparation:
         assert isinstance(first, SolverError)
         with pytest.raises(ConfigError, match="theta = 2 pi spacing / lambda_sp"):
             sweep_separation(config, (20.0, 100.0), 25, grid)
+
+    def test_spacings_up_to_the_theta_overflow_edge_validate(self):
+        # theta = 2 pi L / lambda_sp is finite up to an edge spacing near
+        # 50 nm here.  A range that ends there validates at every spacing in
+        # it, so the sweep checks its ends alone; one ulp beyond, it fails.
+        config = chiral_config(2, lambda_sp=1.748e-306)
+        lo, hi = 20.0, 100.0  # theta finite at lo, not at hi
+        while np.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            finite = np.isfinite(dataclasses.replace(config, spacing=mid).theta)
+            lo, hi = (mid, hi) if finite else (lo, mid)
+        for spacing in np.linspace(20.0, lo, 97):
+            replace(config, spacing=float(spacing))  # validates
+        grid = np.linspace(-1.0, 1.0, 3)
+        sweep = sweep_separation(config, (20.0, lo), 97, grid)
+        assert sweep.spacings[-1] == lo and np.all(np.isfinite(sweep.routed))
+        with pytest.raises(ConfigError, match="theta = 2 pi spacing / lambda_sp"):
+            sweep_separation(config, (20.0, hi), 97, grid)
 
     def test_half_wavelength_column_conserves_flux(self):
         config = chiral_config(2, gamma=0.0)
