@@ -26,7 +26,8 @@ M splits into its diagonal and the coupling block C = D (-i G_r) D* +
 D* (-i G_l) D + J, with D = diag(e^{i phi_j}) and G_r, G_l the guided
 couplings above (C_jj = 0).  What does not depend on delta is built once
 per chain, from its validated config and couplings, as a ``_Chains`` kept
-for every solve of it (a scan, each peak-refinement probe): the rates,
+for every solve of it (a scan, each probe of its peak refinement, which
+reuses the chain that the scan's result keeps): the rates,
 -i G_r, -i G_l and, once a solve needs them, M0 = C - diag(i Gamma/2) and
 C's absolute row sums at the carrier step phase theta, and the modes.
 Stacks bound their memory: a quarter of ``STACK_ELEMENTS`` elements per
@@ -43,8 +44,18 @@ the point's own phases, then the diagonal) and factorises it: O(N^3) per
 point.  The modal solver starts from the carrier M0: one eigendecomposition
 M0 = V Lambda V^-1 per chain (the chain's collective modes), V^-1 from one
 solve of V against I, made by its first modal solve and kept, with
-w = V^-1 b at the carrier phases.  At carrier phases M(delta) = M0 - delta I,
-so each point is A = V (w / (lambda - delta)), O(N^2), its backward error
+w = V^-1 b at the carrier phases.  A chain that is its own mirror image
+j -> N-1-j (leftward rates the rightward ones reversed, total rates and J
+unchanged by the reversal: every uniform symmetric chain) has an M0 that
+commutes with the reversal, whose modes are even or odd under it.  It is
+decomposed as two chains of about N/2, one eig and one solve against I
+per parity (Cantoni and Butler, Linear Algebra Appl. 13 (1976) 275; see
+``_parity_modes``): about a third of the full eig's time at N = 100 to
+1000.  The symmetry is read exactly off the inputs, not off M0, which
+its rounded phases make centrosymmetric only to rounding (131 eps max|M0|
+at N = 300); every modal point is still checked against M0 itself, or its
+own M(delta).  At carrier phases M(delta) = M0 - delta I, so each point
+is A = V (w / (lambda - delta)), O(N^2), its backward error
 taken from |M0 A - delta A - b|.  With delta-dependent phases each point
 applies
 M(delta) x = D (-i G_r) (D* x) + D* (-i G_l) (D x) + J x + diag(M_jj) x at
@@ -82,7 +93,7 @@ of every other, and every row it returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -164,7 +175,9 @@ class TransportSolution:
     ``a`` has shape (P, N) and every other array (P,), over the detunings
     ``delta``.  ``source`` is the caller's own (config, ddi) that ``scan`` or
     ``solve_spectrum_point_batch`` solved, for ``find_peaks`` to refine
-    from, and None on a result built otherwise.
+    from, and None on a result built otherwise; ``_solved`` keeps that
+    source with the ``_Chains`` built from it, which the refinement reuses,
+    its decomposition too, while ``source`` is still that source.
     """
 
     delta: np.ndarray
@@ -176,6 +189,7 @@ class TransportSolution:
     intensities: dict[str, np.ndarray]
     residual: np.ndarray
     source: tuple[SystemConfig, DdiMatrix] | None = None
+    _solved: tuple | None = field(default=None, repr=False, compare=False)
 
     def table(self) -> np.ndarray:
         """Rows (P, 6) of the detuning and then the intensities in
@@ -199,7 +213,7 @@ def solve_spectrum_point_batch(
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim > 1:
         raise ValueError(f"detunings must be a 1-D list, got shape {deltas.shape}")
-    return replace(_solve_chains(_chain(config, ddi), deltas, modal=False), source=(config, ddi))
+    return _recorded(config, ddi, deltas, modal=False)
 
 
 class _Chains:
@@ -253,10 +267,22 @@ class _Chains:
     @cached_property
     def modes(self) -> tuple[np.ndarray, ...]:
         """Each chain's lambda, V and V^-1 (see ``_modes``) of the carrier M0,
-        and w = V^-1 b (C, N) at its carrier phases."""
+        split by parity when the chains are ``mirrored``, and w = V^-1 b
+        (C, N) at its carrier phases."""
         phases, m0, _ = self.carrier
-        lam, vecs, inverse = _modes(m0)
+        lam, vecs, inverse = _modes(m0, self.mirrored)
         return lam, vecs, inverse, _rows(inverse, -(self.v_dr * phases), np.arange(len(m0)))
+
+    @property
+    def mirrored(self) -> bool:
+        """Whether the chains, of more than one emitter, are each their own
+        mirror image j -> N-1-j, read exactly off their inputs: leftward
+        rates the rightward ones reversed, total rates and each J unchanged
+        by the reversal.  M0 then commutes with the reversal but for its
+        rounded phases, and ``_parity_modes`` splits it by parity."""
+        same = [(self.v_dl, self.v_dr[::-1]), (self.v_ul, self.v_ur[::-1]),
+                (self.total, self.total[::-1]), (self.couplings, self.couplings[:, ::-1, ::-1])]
+        return self.n > 1 and all(np.array_equal(a, b) for a, b in same)
 
     @cached_property
     def buffer(self) -> np.ndarray:
@@ -282,6 +308,13 @@ def _chain(config: SystemConfig, ddi: DdiMatrix) -> _Chains:
     return _Chains([config], ddi.values[None])
 
 
+def _recorded(config: SystemConfig, ddi: DdiMatrix, deltas: np.ndarray, modal: bool):
+    """The TransportSolution of ``_solve_chains`` on the spectrum's chain,
+    recording its ``source`` and, in ``_solved``, the source with the chain."""
+    source, chains = (config, ddi), _chain(config, ddi)
+    return replace(_solve_chains(chains, deltas, modal), source=source, _solved=(source, chains))
+
+
 def _stack_points(n: int) -> int:
     """Points of one stack: a quarter of ``STACK_ELEMENTS`` elements per (P, N) array."""
     return max(1, STACK_ELEMENTS // (4 * n))
@@ -298,19 +331,55 @@ def _per_point(values: np.ndarray, chain: np.ndarray) -> np.ndarray:
     return values[chain[0]] if chain[0] == chain[-1] else values.take(chain, axis=0)
 
 
-def _modes(m0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _decomposed(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """lambda, V and V^-1 of each of ``blocks``: one eig, one solve against I."""
+    lam, vecs = np.linalg.eig(blocks)
+    return lam, vecs, np.linalg.solve(vecs, np.broadcast_to(np.eye(blocks.shape[-1]), blocks.shape))
+
+
+def _parity_modes(m0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_modes`` of mirror-symmetric chains, M0 (C, N, N), from two blocks
+    of its first H = N - K rows, K = N // 2, with A its top-left (K, K)
+    block and B J its top-right one, columns reversed (J the reversal): the
+    even modes [u; m; J u] of the (H, H) block A + B J, bordered at odd N
+    by M0's middle column and twice its middle row, and the odd modes
+    [u; 0; -J u] of A - B J.  V^-1 is the blocks' own, halved but for the
+    even block's middle column, and mirrored.  M0's last K rows are never
+    read.  At even N both blocks share one eig and one solve."""
+    c, n = m0.shape[:2]
+    k, h = n // 2, n - n // 2
+    top, across = m0[:, :k, :k], m0[:, :k, ::-1][:, :, :k]
+    even = np.empty((c, h, h), dtype=complex)
+    even[:, :k, :k] = top + across
+    even[:, :, k:], even[:, k:, :k] = m0[:, :h, k:h], 2.0 * m0[:, k:h, :k]  # odd N: the border
+    if n % 2:  # blocks of two sizes
+        halves = zip(_decomposed(even), _decomposed(top - across))
+    else:  # one stack of 2C blocks
+        halves = (np.split(part, 2) for part in _decomposed(np.concatenate([even, top - across])))
+    (lam_e, lam_o), (u_e, u_o), (inv_e, inv_o) = halves
+    vecs, inverse = np.zeros((2, c, n, n), dtype=complex)
+    vecs[:, :h, :h], vecs[:, :k, h:] = u_e, u_o
+    inverse[:, :h, :h], inverse[:, h:, :k] = inv_e, inv_o
+    inverse[:, :, :k] *= 0.5
+    parity = np.repeat([1.0, -1.0], [h, k])  # of the even, then the odd modes
+    vecs[:, h:] = parity * vecs[:, k - 1 :: -1]  # the last K rows mirror the first K
+    inverse[:, :, h:] = parity[:, None] * inverse[:, :, k - 1 :: -1]  # and columns
+    return np.concatenate([lam_e, lam_o], axis=1), vecs, inverse
+
+
+def _modes(m0: np.ndarray, mirrored: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each chain's eigenvalues lambda (C, N), eigenvectors V (C, N, N) and
-    V^-1 (C, N, N), for M0 (C, N, N).  A chain whose decomposition raises
-    LinAlgError or is not finite gets NaN, so every one of its points fails
-    the modal check and goes to the LU."""
+    V^-1 (C, N, N), for M0 (C, N, N): of M0 itself, or by parity for
+    ``mirrored`` chains (``_parity_modes``).  A chain whose decomposition
+    raises LinAlgError or is not finite gets NaN, so every one of its points
+    fails the modal check and goes to the LU."""
     try:
-        lam, vecs = np.linalg.eig(m0)
-        inverse = np.linalg.solve(vecs, np.broadcast_to(np.eye(m0.shape[-1]), m0.shape))
+        lam, vecs, inverse = (_parity_modes if mirrored else _decomposed)(m0)
     except np.linalg.LinAlgError:
         if len(m0) == 1:
             nan = np.full_like(m0, np.nan)
             return nan[:, 0], nan, nan.copy()
-        parts = [_modes(m0[c : c + 1]) for c in range(len(m0))]
+        parts = [_modes(m0[c : c + 1], mirrored) for c in range(len(m0))]
         return tuple(np.concatenate(part) for part in zip(*parts))
     finite = np.isfinite(lam).all(1) & np.isfinite(vecs).all((1, 2))
     finite &= np.isfinite(inverse).all((1, 2))

@@ -21,6 +21,7 @@ from .scattering import (
     _Chains,
     _intensity_errors,
     _lu_points,
+    _recorded,
     _solve_chains,
     _stack_points,
 )
@@ -98,8 +99,7 @@ def scan(
     TransportSolution, from the chain's modes (see ``scattering``), recording
     ``config`` and ``ddi`` as its ``source``; the first grid point that fails
     raises its SolverError."""
-    result = _solve_chains(_chain(config, ddi), _checked_grid(grid), modal=True)
-    return dataclasses.replace(result, source=(config, ddi))
+    return _recorded(config, ddi, _checked_grid(grid), modal=True)
 
 
 def _plateau_maxima(deltas: np.ndarray, values: np.ndarray) -> list[int]:
@@ -372,7 +372,10 @@ def find_peaks(result: TransportSolution, *channels: str, refine: bool = False) 
         for i in _plateau_maxima(result.delta, result.intensities[channel])
     ]
     if refine:
-        rows = _refine_maxima(_chain(*result.source), result, seeds)
+        source, chains = result._solved or (None, None)
+        if source is not result.source:  # replaced since the solve: refine the new one
+            chains = _chain(*result.source)
+        rows = _refine_maxima(chains, result, seeds)
         locations = rows[:, 0]
         heights = [row[1 + INTENSITY_KEYS.index(key)] for (key, _), row in zip(seeds, rows)]
     else:

@@ -696,8 +696,9 @@ def test_reference_grid_is_solved_from_one_decomposition():
 
 def test_delta_dependent_reference_grid_is_solved_from_one_decomposition():
     # The benchmark's N = 100 symmetric chain with delta-dependent phases:
-    # one solve, V^-1, and refinement sweeps from the carrier-phase modes; no
-    # point of the 251-point grid needs the LU, and all agree with it.
+    # one solve, the V^-1 of both parity halves (50 x 50 each: the chain is
+    # its own mirror image), and refinement sweeps from the carrier-phase
+    # modes; no point of the 251-point grid needs the LU, and all agree with it.
     config = symmetric_config(100, gamma=EMISSION, delta_dependent_phases=True)
     ddi = ddi_matrix(config)
     grid = np.linspace(-100.0, 100.0, 251)
@@ -706,7 +707,7 @@ def test_delta_dependent_reference_grid_is_solved_from_one_decomposition():
         patch.setattr(np.linalg, "solve", recorder)
         modal = scan(config, ddi, grid)
     ((vectors, identity, _),) = recorder.systems
-    assert vectors.shape == identity.shape == (1, 100, 100)
+    assert vectors.shape == identity.shape == (2, 50, 50)
     assert (modal.residual <= 100 * EPS).all()
     lu = solve_spectrum_point_batch(config, ddi, grid)
     for key in INTENSITY_KEYS:
@@ -1034,6 +1035,89 @@ def test_a_failing_decomposition_fails_its_chain_alone():
     for got, alone in zip(_modes(np.concatenate([m0, spoiled])), _modes(m0.copy())):
         assert np.array_equal(got[:1], alone)
         assert np.isnan(got[1]).all()
+
+
+def test_a_failing_parity_split_fails_its_chain_alone():
+    # The same for mirror-symmetric chains, whose halves are decomposed in
+    # one stack: an inf in M0's top rows, which the halves read, makes eig
+    # raise; each chain is then split on its own.
+    config = symmetric_config(30, gamma=EMISSION)
+    chains = _chain(config, ddi_matrix(config))
+    _, m0, _ = chains.carrier
+    spoiled = m0.copy()
+    spoiled[0, 3, 4] = np.inf
+    assert chains.mirrored
+    for got, alone in zip(_modes(np.concatenate([m0, spoiled]), True), _modes(m0.copy(), True)):
+        assert np.array_equal(got[:1], alone)
+        assert np.isnan(got[1]).all()
+
+
+def plain_modes(m0):
+    """lambda, V and V^-1 of M0 (C, N, N) from one full eig and solve."""
+    lam, vecs = np.linalg.eig(m0)
+    return lam, vecs, np.linalg.solve(vecs, np.broadcast_to(np.eye(m0.shape[-1]), m0.shape))
+
+
+def tilted(n):
+    """A symmetric coupling matrix that its reversal changes: one pair of
+    emitters near an end couples more strongly."""
+    exchange = ddi_matrix(symmetric_config(n)).values.copy()
+    exchange[0, 1] = exchange[1, 0] = 2.0 * exchange[0, 1]
+    return DdiMatrix(exchange)
+
+
+@pytest.mark.parametrize(
+    "config, ddi",
+    [
+        (chiral_config(30), None),
+        (symmetric_config(30, gamma=tuple(np.linspace(1.0, 7.0, 30))), None),
+        (symmetric_config(30), tilted(30)),
+        (symmetric_config(1, gamma=EMISSION), None),
+    ],
+    ids=["chiral", "graded-gamma", "tilted-ddi", "one-emitter"],
+)
+def test_chains_that_are_not_their_mirror_image_take_the_full_eig(config, ddi):
+    chains = _chain(config, ddi or ddi_matrix(config))
+    assert not chains.mirrored
+    _, m0, _ = chains.carrier
+    for got, plain in zip(chains.modes, plain_modes(m0)):
+        assert np.array_equal(got, plain)
+
+
+@pytest.mark.parametrize("gamma", [EMISSION, 0.0], ids=["lossy", "lossless"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 30, 31, 100, 101])
+def test_mirror_symmetric_chains_split_by_parity(n, gamma):
+    # Uniform symmetric chains are their own mirror image, so their modes
+    # come from the two parity halves (odd N: the even one bordered by the
+    # middle row).  They decompose the true M0: the eigenvector residual
+    # and V^-1 V - I within 10 N eps (relative to max |M0| max |V|, and
+    # absolute), and lambda within 10 N eps max |M0| of the full eig's.
+    config = symmetric_config(n, gamma=gamma)
+    chains = _chain(config, ddi_matrix(config))
+    assert chains.mirrored
+    _, (m0,), _ = chains.carrier
+    (lam,), (vecs,), (inverse,), _ = chains.modes
+    bound = 10 * n * EPS
+    scale = abs(m0).max()
+    assert abs(m0 @ vecs - vecs * lam).max() <= bound * scale * abs(vecs).max()
+    assert abs(inverse @ vecs - np.eye(n)).max() <= bound
+    full = np.sort_complex(np.linalg.eigvals(m0))
+    assert abs(np.sort_complex(lam) - full).max() <= bound * scale
+
+
+def test_mirror_symmetric_scan_tracks_the_lu_at_the_routing_peaks():
+    # The lossy symmetric N = 300 carrier-phase scan, from its parity
+    # halves, at its 40 highest-Tt points: every intensity within 1e-13 of
+    # the LU's.  M0's rounded phases are centrosymmetric only to about
+    # 131 eps max |M0| here; the check measures against M0 itself.
+    config = symmetric_config(300, gamma=EMISSION)
+    ddi = ddi_matrix(config)
+    result = scan(config, ddi, np.linspace(-300.0, 300.0, 401))
+    assert result._solved[1].mirrored
+    top = np.sort(np.argsort(result.intensities["Tt"])[-40:])
+    lu = solve_spectrum_point_batch(config, ddi, result.delta[top])
+    for key in INTENSITY_KEYS:
+        assert np.max(np.abs(result.intensities[key][top] - lu.intensities[key])) < 1e-13
 
 
 def test_delta_dependent_phase_is_a_tiny_correction():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import photon_router.scattering as scattering
 import photon_router.spectra as spectra
 from photon_router import (
     ConfigError,
@@ -71,6 +72,19 @@ def crowded_scan():
     than one of the solver's point stacks holds at N = 100 (40 points)."""
     config = symmetric_config(100, gamma=EMISSION)
     return scan(config, ddi_matrix(config), np.linspace(-300.0, 300.0, 2001))
+
+
+def counted_decompositions(monkeypatch):
+    """Record every eigendecomposition of carrier matrices, the modes of a
+    ``_Chains``, by its M0 stack."""
+    modes, calls = scattering._modes, []
+
+    def counting(m0, *args):
+        calls.append(m0)
+        return modes(m0, *args)
+
+    monkeypatch.setattr(scattering, "_modes", counting)
+    return calls
 
 
 def counted_solves(monkeypatch, solver=None):
@@ -393,21 +407,19 @@ class TestFindPeaks:
         assert depths == sorted(depths) and len(calls) < 20
 
     def test_refinement_builds_one_chain_and_returns_the_lus_rows(self, monkeypatch):
-        # Every solve of the refinement is of the one chain built for it.
-        # Every row it returns is the scan's grid sample or the LU batch's
-        # row at its detuning, bit for bit.  Every comparison that the
-        # modes decided had a gap above the sum of its rows' bounds, and the
-        # LU orders its two points the same way.
+        # The scan and its refinement solve one chain, the one the scan
+        # built, decomposed once by the scan.  Every row the refinement
+        # returns is the scan's grid sample or the LU batch's row at its
+        # detuning, bit for bit.  Every comparison that the modes decided
+        # had a gap above the sum of its rows' bounds, and the LU orders its
+        # two points the same way.
         config = chiral_config(30)
         ddi = ddi_matrix(config)
+        decomposed = counted_decompositions(monkeypatch)
         result = scan(config, ddi, np.linspace(-300.0, 300.0, 201))
-        built, solved, returned, decided = [], [], [], []
-        chain, solve = spectra._chain, spectra._solve_chains
-        refine, compared = spectra._refine_maxima, spectra._compared
-
-        def building(*args):
-            built.append(chain(*args))
-            return built[-1]
+        _, chains = result._solved
+        solved, returned, decided = [], [], []
+        solve, refine, compared = spectra._solve_chains, spectra._refine_maxima, spectra._compared
 
         def solving(chains, deltas, modal):
             solved.append(chains)
@@ -426,11 +438,11 @@ class TestFindPeaks:
             decided.append((brackets[2:, by_modes, 0], column[by_modes], higher[by_modes]))
             return higher, sure
 
-        for name, stand_in in (("_chain", building), ("_solve_chains", solving),
-                               ("_refine_maxima", refining), ("_compared", comparing)):
+        for name, stand_in in (("_solve_chains", solving), ("_refine_maxima", refining),
+                               ("_compared", comparing)):
             monkeypatch.setattr(spectra, name, stand_in)
         peaks = find_peaks(result, *CHANNELS, refine=True)
-        assert len(peaks) > 1 and len(built) == 1 and all(c is built[0] for c in solved)
+        assert len(peaks) > 1 and len(decomposed) == 1 and all(c is chains for c in solved)
         assert peaks == reference_peaks(config, ddi, result, CHANNELS)
 
         (rows,) = returned
@@ -447,33 +459,56 @@ class TestFindPeaks:
 
     @pytest.mark.parametrize("solve", [scan, solve_spectrum_point_batch], ids=["scan", "lu"])
     def test_refinement_solves_the_chain_its_result_records(self, monkeypatch, solve):
-        # The record holds the caller's own objects, and the refinement builds
-        # one chain from them: a lossless config passed beside this lossy
-        # scan once refined its Tt peaks to 0.970 and 0.9998, above every
-        # grid sample (at most 0.670).
+        # The record holds the caller's own objects and the chain built from
+        # them, which the refinement solves, building no other and
+        # decomposing it at most once in all: the scan does, the LU batch
+        # does not, and at N = 2 every probe fits one LU stack.  A lossless
+        # config passed beside this lossy scan once refined its Tt peaks to
+        # 0.970 and 0.9998, above every grid sample (at most 0.670): a result
+        # whose source is replaced refines the new source, on a chain of its own.
         config = chiral_config(2)
         ddi = ddi_matrix(config)
+        decomposed = counted_decompositions(monkeypatch)
         result = solve(config, ddi, np.linspace(-60.0, 60.0, 121))
-        assert result.source[0] is config and result.source[1] is ddi
-        built, chain = [], spectra._chain
+        source, chains = result._solved
+        assert source is result.source and source[0] is config and source[1] is ddi
+        solved, built = [], []
+        chain, solve_chains = spectra._chain, spectra._solve_chains
 
         def building(*args):
             built.append(args)
             return chain(*args)
 
+        def solving(chains, deltas, modal):
+            solved.append(chains)
+            return solve_chains(chains, deltas, modal)
+
         monkeypatch.setattr(spectra, "_chain", building)
+        monkeypatch.setattr(spectra, "_solve_chains", solving)
         peaks = find_peaks(result, "Tt", refine=True)
-        assert len(built) == 1 and all(a is b for a, b in zip(built[0], (config, ddi)))
+        assert not built and solved and all(c is chains for c in solved)
+        assert len(decomposed) == (solve is scan)
         assert [round(p.height, 3) for p in peaks] == [0.455, 0.670]
+
+        lossless = chiral_config(2, gamma=0.0)
+        solved.clear()
+        peaks = find_peaks(dataclasses.replace(result, source=(lossless, ddi)), "Tt", refine=True)
+        assert len(built) == 1 and all(a is b for a, b in zip(built[0], (lossless, ddi)))
+        assert solved and all(c is not chains and c.configs[0] is lossless for c in solved)
+        assert [round(p.height, 4) for p in peaks] == [0.9702, 0.9998]
 
     def test_delta_dependent_refinement_probes_by_the_lu_alone(self, monkeypatch):
         # The scan of a delta-dependent chain sweeps from its modes; every
-        # refinement probe is the LU's, and its chain builds neither the
+        # refinement probe is the LU's, of the scan's chain, which it
+        # decomposes no further.  Refining the scan's source anew (a new
+        # tuple of the same objects), the new chain builds neither the
         # carrier-phase block nor the modes.  The refined peaks are the
-        # scalar reference's, from the scan's samples.
+        # scalar reference's, from the scan's samples, both times.
         config = chiral_config(30, delta_dependent_phases=True)
         ddi = ddi_matrix(config)
         result = scan(config, ddi, np.linspace(-300.0, 300.0, 201))
+        _, kept = result._solved
+        decomposed = counted_decompositions(monkeypatch)
         solves, solve = [], spectra._solve_chains
 
         def solving(chains, deltas, modal):
@@ -483,9 +518,16 @@ class TestFindPeaks:
         monkeypatch.setattr(spectra, "_solve_chains", solving)
         peaks = find_peaks(result, *CHANNELS, refine=True)
         assert len(peaks) > 1 and solves and not any(modal for _, modal in solves)
-        for chains, _ in solves:
-            assert "carrier" not in vars(chains) and "modes" not in vars(chains)
+        assert all(chains is kept for chains, _ in solves) and not decomposed
         assert peaks == reference_peaks(config, ddi, result, CHANNELS)
+
+        solves.clear()
+        anew = dataclasses.replace(result, source=(config, ddi))
+        assert find_peaks(anew, *CHANNELS, refine=True) == peaks
+        assert solves and not any(modal for _, modal in solves)
+        for chains, _ in solves:
+            assert chains is not kept
+            assert "carrier" not in vars(chains) and "modes" not in vars(chains)
 
 
 def wrong_sides(config, ddi, channel):
