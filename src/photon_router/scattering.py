@@ -42,22 +42,22 @@ Two solvers fill the stacks.  The LU writes each point's M(delta) into one
 buffer that each chain keeps (M0 copied at carrier phases, or C built at
 the point's own phases, then the diagonal) and factorises it: O(N^3) per
 point.  The modal solver starts from the carrier M0: one eigendecomposition
-M0 = V Lambda V^-1 per chain (the chain's collective modes), V^-1 from one
-solve of V against I, made by its first modal solve and kept, with
-w = V^-1 b at the carrier phases.  A chain that is its own mirror image
+M0 = V Lambda V^-1 per chain (the chain's collective modes), V^-1 and
+w = V^-1 b at the carrier phases from one solve of V against [I | b], made
+by its first modal solve and kept.  A chain that is its own mirror image
 j -> N-1-j (leftward rates the rightward ones reversed, total rates and J
 unchanged by the reversal: every uniform symmetric chain) has an M0 that
 commutes with the reversal, whose modes are even or odd under it.  It is
-decomposed as two chains of about N/2, one eig and one solve against I
-per parity (Cantoni and Butler, Linear Algebra Appl. 13 (1976) 275; see
-``_parity_modes``): about a third of the full eig's time at N = 100 to
-1000.  The symmetry is read exactly off the inputs, not off M0, which
-its rounded phases make centrosymmetric only to rounding (131 eps max|M0|
-at N = 300); every modal point is still checked against M0 itself, or its
-own M(delta).  At carrier phases M(delta) = M0 - delta I, so each point
-is A = V (w / (lambda - delta)), O(N^2), its backward error
-taken from |M0 A - delta A - b|.  With delta-dependent phases each point
-applies
+decomposed as two chains of about N/2, one eig and one solve against
+[I | b] per parity, b split by parity (Cantoni and Butler, Linear Algebra
+Appl. 13 (1976) 275; see ``_parity_modes``): about a third of the full
+eig's time at N = 100 to 1000.  The symmetry is read exactly off the
+inputs, not off M0, which its rounded phases make centrosymmetric only to
+rounding (131 eps max|M0| at N = 300); every modal point is still checked
+against M0 itself, or its own M(delta).  At carrier phases
+M(delta) = M0 - delta I, so each point is A = V (w / (lambda - delta)),
+O(N^2), its backward error taken from |M0 A - delta A - b|.  With
+delta-dependent phases each point applies
 M(delta) x = D (-i G_r) (D* x) + D* (-i G_l) (D x) + J x + diag(M_jj) x at
 its own phases, the LU's matrix unformed.  A starts from
 V ((V^-1 b) / (lambda - delta)), and refinement sweeps through the same
@@ -88,7 +88,12 @@ scaling benchmark's seed-0 gate then failed (deviation 6.654e-09, bound
 the adjoint estimate and sensitivity of ``_intensity_errors`` and
 ``MODAL_ERROR_FLOOR``: refinement takes a comparison from the modes only
 where the gap exceeds the two bounds, and has the LU re-solve the points
-of every other, and every row it returns.
+of every other, and every row it returns.  The estimate takes no product
+by M0 of its own: it reads the defect rows M0 A - delta A - b that the
+modal check of the same solve formed, which a carrier-phase modal result
+keeps (``TransportSolution._defect``; at a point the LU re-solved, the
+rows of the LU's amplitudes, by one product per LU point), and c_k^T V,
+built once per chain (``_Chains.ports``).
 """
 
 from __future__ import annotations
@@ -178,6 +183,9 @@ class TransportSolution:
     from, and None on a result built otherwise; ``_solved`` keeps that
     source with the ``_Chains`` built from it, which the refinement reuses,
     its decomposition too, while ``source`` is still that source.
+    ``_defect`` holds each point's defect rows M0 A - delta A - b (P, N) of
+    a carrier-phase solve from the modes, for ``_intensity_errors``, and is
+    None otherwise.
     """
 
     delta: np.ndarray
@@ -190,6 +198,7 @@ class TransportSolution:
     residual: np.ndarray
     source: tuple[SystemConfig, DdiMatrix] | None = None
     _solved: tuple | None = field(default=None, repr=False, compare=False)
+    _defect: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def table(self) -> np.ndarray:
         """Rows (P, 6) of the detuning and then the intensities in
@@ -266,12 +275,20 @@ class _Chains:
 
     @cached_property
     def modes(self) -> tuple[np.ndarray, ...]:
-        """Each chain's lambda, V and V^-1 (see ``_modes``) of the carrier M0,
-        split by parity when the chains are ``mirrored``, and w = V^-1 b
-        (C, N) at its carrier phases."""
+        """Each chain's lambda, V, V^-1 and w = V^-1 b (C, N) at its carrier
+        phases (see ``_modes``) of the carrier M0, split by parity when the
+        chains are ``mirrored``."""
         phases, m0, _ = self.carrier
-        lam, vecs, inverse = _modes(m0, self.mirrored)
-        return lam, vecs, inverse, _rows(inverse, -(self.v_dr * phases), np.arange(len(m0)))
+        return _modes(m0, -(self.v_dr * phases), self.mirrored)
+
+    @cached_property
+    def ports(self) -> np.ndarray:
+        """c_k^T V (5, N) of the one chain, for each port amplitude
+        p = p0 + c_k^T A in ``INTENSITY_KEYS`` order, the loss's row NaN."""
+        (phases,), (vecs,) = self.carrier[0], self.modes[1]
+        forward, backward = -1j * phases.conj(), -1j * phases
+        return np.array([self.v_dr * forward, self.v_dl * backward, self.v_ur * forward,
+                         self.v_ul * backward, np.full(self.n, np.nan)]) @ vecs
 
     @property
     def mirrored(self) -> bool:
@@ -312,7 +329,8 @@ def _recorded(config: SystemConfig, ddi: DdiMatrix, deltas: np.ndarray, modal: b
     """The TransportSolution of ``_solve_chains`` on the spectrum's chain,
     recording its ``source`` and, in ``_solved``, the source with the chain."""
     source, chains = (config, ddi), _chain(config, ddi)
-    return replace(_solve_chains(chains, deltas, modal), source=source, _solved=(source, chains))
+    result = _solve_chains(chains, deltas, modal)
+    return replace(result, source=source, _solved=(source, chains), _defect=None)
 
 
 def _stack_points(n: int) -> int:
@@ -331,32 +349,43 @@ def _per_point(values: np.ndarray, chain: np.ndarray) -> np.ndarray:
     return values[chain[0]] if chain[0] == chain[-1] else values.take(chain, axis=0)
 
 
-def _decomposed(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """lambda, V and V^-1 of each of ``blocks``: one eig, one solve against I."""
+def _decomposed(blocks: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """lambda, V, V^-1 and w = V^-1 b of each of ``blocks``, for its ``rhs``
+    b: one eig, one solve of V against [I | b]."""
     lam, vecs = np.linalg.eig(blocks)
-    return lam, vecs, np.linalg.solve(vecs, np.broadcast_to(np.eye(blocks.shape[-1]), blocks.shape))
+    n = blocks.shape[-1]
+    identity = np.broadcast_to(np.eye(n), blocks.shape)
+    solved = np.linalg.solve(vecs, np.concatenate([identity, rhs[..., None]], axis=-1))
+    return lam, vecs, solved[..., :n], solved[..., n]
 
 
-def _parity_modes(m0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _parity_modes(m0: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, ...]:
     """``_modes`` of mirror-symmetric chains, M0 (C, N, N), from two blocks
     of its first H = N - K rows, K = N // 2, with A its top-left (K, K)
     block and B J its top-right one, columns reversed (J the reversal): the
     even modes [u; m; J u] of the (H, H) block A + B J, bordered at odd N
     by M0's middle column and twice its middle row, and the odd modes
     [u; 0; -J u] of A - B J.  V^-1 is the blocks' own, halved but for the
-    even block's middle column, and mirrored.  M0's last K rows are never
-    read.  At even N both blocks share one eig and one solve."""
+    even block's middle column, and mirrored.  So w = V^-1 b is each
+    block's solve against b's parts: the halved sums b_j + b_{N-1-j}, and
+    at odd N the middle b, for the even block; the halved differences for
+    the odd one.  M0's last K rows are never read.  At even N both blocks
+    share one eig and one solve."""
     c, n = m0.shape[:2]
     k, h = n // 2, n - n // 2
     top, across = m0[:, :k, :k], m0[:, :k, ::-1][:, :, :k]
     even = np.empty((c, h, h), dtype=complex)
     even[:, :k, :k] = top + across
     even[:, :, k:], even[:, k:, :k] = m0[:, :h, k:h], 2.0 * m0[:, k:h, :k]  # odd N: the border
+    mirror = rhs[:, ::-1][:, :k]
+    rhs_e = np.concatenate([0.5 * (rhs[:, :k] + mirror), rhs[:, k:h]], axis=1)
+    rhs_o = 0.5 * (rhs[:, :k] - mirror)
     if n % 2:  # blocks of two sizes
-        halves = zip(_decomposed(even), _decomposed(top - across))
+        halves = zip(_decomposed(even, rhs_e), _decomposed(top - across, rhs_o))
     else:  # one stack of 2C blocks
-        halves = (np.split(part, 2) for part in _decomposed(np.concatenate([even, top - across])))
-    (lam_e, lam_o), (u_e, u_o), (inv_e, inv_o) = halves
+        blocks, parts = np.concatenate([even, top - across]), np.concatenate([rhs_e, rhs_o])
+        halves = (np.split(part, 2) for part in _decomposed(blocks, parts))
+    (lam_e, lam_o), (u_e, u_o), (inv_e, inv_o), (w_e, w_o) = halves
     vecs, inverse = np.zeros((2, c, n, n), dtype=complex)
     vecs[:, :h, :h], vecs[:, :k, h:] = u_e, u_o
     inverse[:, :h, :h], inverse[:, h:, :k] = inv_e, inv_o
@@ -364,27 +393,28 @@ def _parity_modes(m0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     parity = np.repeat([1.0, -1.0], [h, k])  # of the even, then the odd modes
     vecs[:, h:] = parity * vecs[:, k - 1 :: -1]  # the last K rows mirror the first K
     inverse[:, :, h:] = parity[:, None] * inverse[:, :, k - 1 :: -1]  # and columns
-    return np.concatenate([lam_e, lam_o], axis=1), vecs, inverse
+    return np.concatenate([lam_e, lam_o], axis=1), vecs, inverse, np.concatenate([w_e, w_o], axis=1)
 
 
-def _modes(m0: np.ndarray, mirrored: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each chain's eigenvalues lambda (C, N), eigenvectors V (C, N, N) and
-    V^-1 (C, N, N), for M0 (C, N, N): of M0 itself, or by parity for
-    ``mirrored`` chains (``_parity_modes``).  A chain whose decomposition
-    raises LinAlgError or is not finite gets NaN, so every one of its points
-    fails the modal check and goes to the LU."""
+def _modes(m0: np.ndarray, rhs: np.ndarray, mirrored: bool = False) -> tuple[np.ndarray, ...]:
+    """Each chain's eigenvalues lambda (C, N), eigenvectors V (C, N, N),
+    V^-1 (C, N, N) and w = V^-1 b (C, N), for M0 (C, N, N) and ``rhs`` b
+    (C, N): of M0 itself, or by parity for ``mirrored`` chains
+    (``_parity_modes``).  A chain whose decomposition raises LinAlgError or
+    is not finite gets NaN, so every one of its points fails the modal
+    check and goes to the LU."""
     try:
-        lam, vecs, inverse = (_parity_modes if mirrored else _decomposed)(m0)
+        lam, vecs, inverse, w = (_parity_modes if mirrored else _decomposed)(m0, rhs)
     except np.linalg.LinAlgError:
         if len(m0) == 1:
             nan = np.full_like(m0, np.nan)
-            return nan[:, 0], nan, nan.copy()
-        parts = [_modes(m0[c : c + 1], mirrored) for c in range(len(m0))]
+            return nan[:, 0], nan, nan.copy(), nan[:, 0].copy()
+        parts = [_modes(m0[c : c + 1], rhs[c : c + 1], mirrored) for c in range(len(m0))]
         return tuple(np.concatenate(part) for part in zip(*parts))
     finite = np.isfinite(lam).all(1) & np.isfinite(vecs).all((1, 2))
-    finite &= np.isfinite(inverse).all((1, 2))
-    lam[~finite], vecs[~finite], inverse[~finite] = np.nan, np.nan, np.nan
-    return lam, vecs, inverse
+    finite &= np.isfinite(inverse).all((1, 2)) & np.isfinite(w).all(1)
+    lam[~finite], vecs[~finite], inverse[~finite], w[~finite] = np.nan, np.nan, np.nan, np.nan
+    return lam, vecs, inverse, w
 
 
 def _row_max(values: np.ndarray) -> np.ndarray:
@@ -402,10 +432,19 @@ def _backward_error(defect, norm, x_max, rhs_max) -> np.ndarray:
     return np.divide(defect, scale, out=defect.copy(), where=scale > 0.0)
 
 
-def _port_sum(rates: np.ndarray, waves: np.ndarray):
-    """sum_k rates_k waves_k per point as cumsum's last column, not np.sum (the
-    same additions, so the same bits); exactly 0 for a channel without rates."""
-    return np.cumsum(rates * waves, axis=1)[:, -1] if rates.any() else 0.0
+def _port_sum(rates: np.ndarray, waves: np.ndarray | None):
+    """sum_k rates_k waves_k per point (P,) of ``waves`` (P, N), exactly 0
+    (``waves`` unread) for a channel without rates.
+
+    The terms are formed F-ordered, and numpy then adds their columns one
+    after another: the additions of ``np.cumsum(...)[:, -1]``, so its bits,
+    in two thirds of its time at (136, 30).  numpy sums a contiguous row pairwise, in
+    another order, and one row is contiguous in either order, so a
+    one-point stack is padded to two rows, as ``_rows`` pads its GEMMs."""
+    if not rates.any():
+        return 0.0
+    rows = waves if len(waves) > 1 else waves[[0, 0]]
+    return np.multiply(rates, rows, order="F").sum(axis=1)[: len(waves)]
 
 
 def _rows(
@@ -500,29 +539,29 @@ def _intensity_errors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Estimates e (P,) of I_LU - I, and sensitivities s (P,), for each
     point's intensity I in ``channel`` (P,), an index into
-    ``INTENSITY_KEYS``, of a carrier-phase solve ``result`` of one chain.
+    ``INTENSITY_KEYS``, of a carrier-phase solve ``result`` of one chain
+    from its modes.
 
     Both come from the adjoint-weighted residual (Pierce and Giles, SIAM
     Review 42 (2000) 247).  A port amplitude is p = p0 + c_k^T A, so an
-    amplitude A with defect r = b - (M0 - delta) A is off by g^T r, with
-    g = M(delta)^-T c_k = V^-T ((V^T c_k) / (lambda - delta)) from the modes.
+    amplitude A with residual r = b - (M0 - delta) A is off by g^T r, with
+    g = M(delta)^-T c_k = V^-T ((V^T c_k) / (lambda - delta)) from the modes
+    (c_k^T V: ``_Chains.ports``).  r is the negated defect row that the
+    solve's check formed (``TransportSolution._defect``), the LU's own at
+    points it re-solved: no second product by M0.
     e = |p + g^T r|^2 - |p|^2, and s = 2 |p| ||g||_1 (||M||_inf |A|_inf +
     |b|_inf), what I changes by per unit of backward error: that bounds the
     LU's own error and the rounding of r alike.  ||M||_inf is taken from
     above, as max_j sum_k |C_jk| + |delta| + max_j Gamma_j / 2.  The loss
     has no estimate, nor has a point where the modes are not finite (a
     defective chain) or delta is a mode: e and s are not finite there."""
-    (phases,), (m0,), (sums,) = chains.carrier
-    lam, vecs, inverse, _ = (part[0] for part in chains.modes)
+    (sums,) = chains.carrier[2]
+    lam, _, inverse, _ = (part[0] for part in chains.modes)
     a, delta = result.a, result.delta[:, None]
-    residual = -(chains.v_dr * phases) - (_rows(m0, a) - delta * a)
-    forward, backward = -1j * phases.conj(), -1j * phases
-    ports = np.array([chains.v_dr * forward, chains.v_dl * backward, chains.v_ur * forward,
-                      chains.v_ul * backward, np.full(chains.n, np.nan)]) @ vecs  # c_k^T V
-    adjoint = (ports[channel] / (lam - delta)) @ inverse  # g^T (P, N)
+    adjoint = (chains.ports[channel] / (lam - delta)) @ inverse  # g^T (P, N)
     amplitudes = np.array([result.t, result.r, result.tt, result.rt, result.t])  # loss: any
     port = amplitudes[channel, np.arange(len(a))]
-    change = abs(port + (adjoint * residual).sum(axis=1)) ** 2 - abs(port) ** 2
+    change = abs(port - (adjoint * result._defect).sum(axis=1)) ** 2 - abs(port) ** 2
     norm = sums.max() + abs(delta[:, 0]) + abs(chains.width).max()
     scale = norm * _row_max(abs(a)) + chains.v_dr.max()
     return change, 2.0 * abs(port) * abs(adjoint).sum(axis=1) * scale
@@ -540,6 +579,7 @@ def _solve_chains(
     at its detuning.  ``modal`` solves points from the chains' modes first.
     """
     n, v_dr, v_dl, v_ur, v_ul = chains.n, chains.v_dr, chains.v_dl, chains.v_ur, chains.v_ul
+    backflow = v_dl.any() or v_ul.any()  # any leftward rates
     deltas = np.asarray(deltas, dtype=float)
     flat = np.tile(deltas, len(chains.couplings))
     chain_of = np.arange(len(chains.couplings)).repeat(deltas.size)
@@ -554,6 +594,7 @@ def _solve_chains(
     t, r, tt, rt = np.empty((4, flat.size), dtype=complex)
     residual = np.empty(flat.size)
     power = np.empty((len(INTENSITY_KEYS), flat.size))  # one row per intensity
+    defects = np.empty_like(a) if modal and not chains.drifts else None
 
     def record(points, x, defect, norm, phases):
         """Store the points' amplitudes, output ports, intensities and
@@ -564,7 +605,7 @@ def _solve_chains(
         weight = np.square(magnitude, out=magnitude)
         a[points] = x
         forward = phases.conj() * x
-        backward = (phases * x)[:, ::-1]  # from the last emitter
+        backward = (phases * x)[:, ::-1] if backflow else None  # from the last emitter
         ports = (1.0 - 1j * _port_sum(v_dr, forward), -1j * _port_sum(v_dl[::-1], backward),
                  -1j * _port_sum(v_ur, forward), -1j * _port_sum(v_ul[::-1], backward))
         intensities = port_intensities(*ports)
@@ -630,9 +671,9 @@ def _solve_chains(
                     # A = V (w / (lambda - delta)): a point's bits depend on its
                     # detuning and chain only.
                     x = _rows(vecs, _per_point(w, chain) / gap, chain)
-                    mx = _rows(m0, x, chain)
-                    defect = _row_max(np.abs(mx - detuning * x - rhs))
-                    converged = True
+                    rows = np.subtract(_rows(m0, x, chain), detuning * x, out=defects[stack])
+                    rows -= rhs
+                    defect, converged = _row_max(np.abs(rows)), True
             solved, balanced = record(stack, x, defect, norm, stack_phases)
             near = _row_max(np.abs(gap) <= RESIDUAL_LIMIT * norm[:, None])  # any
             points = start + np.flatnonzero(near | ~(solved & balanced & converged))
@@ -679,7 +720,9 @@ def _solve_chains(
             if not np.isfinite(loss):  # as soon as one intensity is
                 raise SolverError("non-finite solution of the transport system", delta)
             raise SolverError(f"flux balance violated (loss {loss:.3g})", delta)
+        if defects is not None:  # the LU's own, for ``_intensity_errors``
+            defects[points] = _rows(m0, x, chain_of[points]) - flat[points, None] * x - rhs
 
     intensities = dict(zip(INTENSITY_KEYS, power))
-    return TransportSolution(flat, a, t, r, tt, rt, intensities, residual)
+    return TransportSolution(flat, a, t, r, tt, rt, intensities, residual, _defect=defects)
 

@@ -273,10 +273,12 @@ def _refine_maxima(
     the parabola through its three samples (if that bows down), and narrowed
     by golden-section search to ``PEAK_REFINE_TOL``, or to 64 ulps of the
     bracket's detunings where those are coarser.  Every solver call probes
-    every open bracket, each up to depth = max(1, stack // open brackets)
-    steps ahead (``_golden_steps``), with stack the points that the solver
-    records and checks at once (``scattering._stack_points``, 136 at
-    N = 30); many brackets take one step a call.
+    every open bracket, each up to depth = max(1, 2 stack // open brackets)
+    steps ahead (``_golden_steps``): two of the point stacks that the
+    solver records and checks at once (``scattering._stack_points``, 136
+    at N = 30): 272 probes a call at N = 30, where the refined reference
+    spectrum takes 8 solver calls (13 when a call probed one stack).  Many
+    brackets take one step a call.
     A call takes its steps on detunings with predicted sides, solves their
     probes, and replays them on the probed rows up to each bracket's first
     wrongly predicted side, or its first comparison that the probes' bounds
@@ -324,7 +326,7 @@ def _refine_maxima(
     tol = np.maximum(PEAK_REFINE_TOL, 64.0 * np.spacing(np.maximum(abs(lo), abs(hi))))
     brackets = _settled(chains, brackets, column, tol)  # as every call leaves them
     while opened := np.count_nonzero(brackets[1, :, 0] - brackets[0, :, 0] > tol):
-        depth = max(1, _stack_points(chains.n) // opened)
+        depth = max(1, 2 * _stack_points(chains.n) // opened)
         try:
             brackets = _golden_steps(chains, brackets, column, tol, depth)
         except SolverError:

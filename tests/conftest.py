@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from photon_router import DdiMatrix, SystemConfig, scale_emitters, validate
+from photon_router import DdiMatrix, SystemConfig, ddi_matrix, scale_emitters, validate
 
 # Reference platform: coupling 11.03 Gamma0 per rightward channel,
 # spontaneous emission 6.86 Gamma0, 32.75 nm lattice on 655 nm / 211.8 nm
@@ -79,6 +79,21 @@ class RecordingSolve:
 
 def replace(config: SystemConfig, **changes) -> SystemConfig:
     return validate(dataclasses.replace(config, **changes))
+
+
+def isolated_pair(config: SystemConfig) -> tuple[SystemConfig, DdiMatrix]:
+    """``config``'s N = 30 chain with its last two emitters lossless and
+    decoupled from the guides and the other emitters, with J = 1 between
+    them: M(delta) is exactly singular at delta = -1 and +1."""
+    def rates(value):
+        return (value,) * 28 + (0.0, 0.0)
+
+    channels = ("gamma", "gamma_dr", "gamma_dl", "gamma_ur", "gamma_ul")
+    config = replace(config, **{name: rates(getattr(config, name)) for name in channels})
+    exchange = ddi_matrix(config).values.copy()
+    exchange[28:], exchange[:, 28:] = 0.0, 0.0
+    exchange[28, 29] = exchange[29, 28] = 1.0
+    return config, DdiMatrix(exchange)
 
 
 def rate_profiles(n: int, low: float):

@@ -26,6 +26,7 @@ from photon_router.scattering import (
     _Chains,
     _intensity_errors,
     _modes,
+    _port_sum,
     _rows,
     _solve_chains,
 )
@@ -36,6 +37,7 @@ from conftest import (
     EMISSION,
     RecordingSolve,
     chiral_config,
+    isolated_pair,
     random_chains,
     replace,
     symmetric_config,
@@ -47,6 +49,7 @@ from dense_oracle import (
     segment_amplitudes,
     solve_dense,
 )
+from refine_oracle import intensity_errors
 
 #: Segment of each output port: after the last emitter or before the first.
 PORTS = {"t": -1, "r": 0, "tt": -1, "rt": 0}
@@ -696,9 +699,10 @@ def test_reference_grid_is_solved_from_one_decomposition():
 
 def test_delta_dependent_reference_grid_is_solved_from_one_decomposition():
     # The benchmark's N = 100 symmetric chain with delta-dependent phases:
-    # one solve, the V^-1 of both parity halves (50 x 50 each: the chain is
-    # its own mirror image), and refinement sweeps from the carrier-phase
-    # modes; no point of the 251-point grid needs the LU, and all agree with it.
+    # one solve, V^-1 and w of both parity halves (50 x 50 each, against
+    # [I | b]: the chain is its own mirror image), and refinement sweeps from
+    # the carrier-phase modes; no point of the 251-point grid needs the LU,
+    # and all agree with it.
     config = symmetric_config(100, gamma=EMISSION, delta_dependent_phases=True)
     ddi = ddi_matrix(config)
     grid = np.linspace(-100.0, 100.0, 251)
@@ -706,8 +710,8 @@ def test_delta_dependent_reference_grid_is_solved_from_one_decomposition():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.linalg, "solve", recorder)
         modal = scan(config, ddi, grid)
-    ((vectors, identity, _),) = recorder.systems
-    assert vectors.shape == identity.shape == (2, 50, 50)
+    ((vectors, rhs, _),) = recorder.systems
+    assert vectors.shape == (2, 50, 50) and rhs.shape == (2, 50, 51)
     assert (modal.residual <= 100 * EPS).all()
     lu = solve_spectrum_point_batch(config, ddi, grid)
     for key in INTENSITY_KEYS:
@@ -788,21 +792,19 @@ def test_row_products_do_not_depend_on_the_rows_beside_them(n):
                     assert np.array_equal(product(vectors[block], chain[block]), whole[block])
 
 
-def isolated_pair_chain(phases=False):
-    """The reference N = 30 chain whose last two emitters are lossless and
-    decoupled from the guides and the other emitters, with J = 1 between
-    them: M(delta) is exactly singular at delta = -1 and +1."""
-    def rates(value):
-        return (value,) * 28 + (0.0, 0.0)
-
-    config = chiral_config(
-        30, gamma=rates(EMISSION), gamma_dr=rates(COUPLING), gamma_ur=rates(COUPLING),
-        delta_dependent_phases=phases,
-    )
-    exchange = ddi_matrix(config).values.copy()
-    exchange[28:], exchange[:, 28:] = 0.0, 0.0
-    exchange[28, 29] = exchange[29, 28] = 1.0
-    return config, DdiMatrix(exchange)
+@pytest.mark.parametrize("p", [1, 2, 3, 136])
+@pytest.mark.parametrize("n", [1, 2, 9, 30, 100])
+def test_port_sums_are_the_cumsums_last_column(n, p):
+    # The F-ordered sum makes cumsum's additions in its order, bit for bit,
+    # on a stack's waves and on their reversed view (the leftward ports), a
+    # one-point stack too; a channel without rates sums to exactly 0.
+    rng = np.random.default_rng(100 * p + n)
+    rates = rng.random(n)
+    waves = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
+    for x in (waves, waves[:, ::-1]):
+        expected = np.cumsum(rates * x, axis=1)[:, -1]
+        assert _port_sum(rates, x).tobytes() == expected.tobytes()
+    assert _port_sum(np.zeros(n), waves) == 0.0
 
 
 @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
@@ -812,7 +814,7 @@ def test_failure_past_the_first_modal_stack_names_its_detuning(solve, descending
     poles = np.flatnonzero(abs(grid) == 1.0)
     assert poles.min() >= MODAL_STACK_30  # both past the first modal stack
     for phases in (False, True):
-        config, ddi = isolated_pair_chain(phases)
+        config, ddi = isolated_pair(chiral_config(30, delta_dependent_phases=phases))
         # Off the poles, the scan is solved from the modes alone: one solve,
         # V^-1, at either phase model.
         recorder = RecordingSolve()
@@ -854,9 +856,9 @@ def test_lu_stacks_of_a_refinement_share_one_buffer(phases):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.linalg, "solve", recorder)
         find_peaks(result, "T", "Tt", refine=True)
-    # LU stacks solve one right-hand side a point; V^-1 solves V against I.
+    # LU stacks solve one right-hand side a point; V^-1 and w solve V against [I | b].
     stacks = [matrices for matrices, rhs, _ in recorder.systems if rhs.shape[-1] == 1]
-    assert len(stacks) > 5 and max(len(m) for m in stacks) == LU_STACK_30
+    assert len(stacks) > 3 and max(len(m) for m in stacks) == LU_STACK_30
     assert len({id(m.base) for m in stacks}) == 1
     assert all(np.shares_memory(m, stacks[0]) for m in stacks)
 
@@ -866,7 +868,8 @@ def test_intensity_estimates_track_the_lu_at_the_routing_peaks():
     # Wherever a modal intensity is off the LU's by more than 1e-13, the
     # adjoint estimate of that error is within a factor of 2 of it, and
     # every corrected intensity is within a tenth of the floor (scaled by
-    # 1 + s) of the LU's.
+    # 1 + s) of the LU's.  Estimate and sensitivity, from the solve's own
+    # defect rows, are the two-pass oracle's, bit for bit.
     config = chiral_config(300)
     ddi = ddi_matrix(config)
     result = scan(config, ddi, np.linspace(-300.0, 300.0, 401))
@@ -878,6 +881,8 @@ def test_intensity_estimates_track_the_lu_at_the_routing_peaks():
     for key in ("T", "Tt"):
         channel = np.full(top.size, INTENSITY_KEYS.index(key))
         error, sensitivity = _intensity_errors(chains, modal, channel)
+        oracle = intensity_errors(chains, modal, channel)
+        assert [error.tobytes(), sensitivity.tobytes()] == [x.tobytes() for x in oracle]
         off = lu.intensities[key] - modal.intensities[key]
         large = abs(off) > 1e-13
         assert large.sum() >= 10
@@ -1029,10 +1034,12 @@ def test_a_failing_decomposition_fails_its_chain_alone():
     # and chain 1 is all NaN, which sends its points to the LU.
     config = chiral_config(30)
     chains = _chain(config, ddi_matrix(config))
-    _, m0, _ = chains.carrier
+    phases, m0, _ = chains.carrier
+    rhs = -(chains.v_dr * phases)
     spoiled = m0.copy()
     spoiled[0, 3, 4] = np.inf
-    for got, alone in zip(_modes(np.concatenate([m0, spoiled])), _modes(m0.copy())):
+    both = _modes(np.concatenate([m0, spoiled]), np.concatenate([rhs, rhs]))
+    for got, alone in zip(both, _modes(m0.copy(), rhs)):
         assert np.array_equal(got[:1], alone)
         assert np.isnan(got[1]).all()
 
@@ -1043,19 +1050,23 @@ def test_a_failing_parity_split_fails_its_chain_alone():
     # raise; each chain is then split on its own.
     config = symmetric_config(30, gamma=EMISSION)
     chains = _chain(config, ddi_matrix(config))
-    _, m0, _ = chains.carrier
+    phases, m0, _ = chains.carrier
+    rhs = -(chains.v_dr * phases)
     spoiled = m0.copy()
     spoiled[0, 3, 4] = np.inf
     assert chains.mirrored
-    for got, alone in zip(_modes(np.concatenate([m0, spoiled]), True), _modes(m0.copy(), True)):
+    both = _modes(np.concatenate([m0, spoiled]), np.concatenate([rhs, rhs]), True)
+    for got, alone in zip(both, _modes(m0.copy(), rhs, True)):
         assert np.array_equal(got[:1], alone)
         assert np.isnan(got[1]).all()
 
 
-def plain_modes(m0):
-    """lambda, V and V^-1 of M0 (C, N, N) from one full eig and solve."""
+def plain_modes(m0, rhs):
+    """lambda, V, V^-1 and w = V^-1 b of M0 (C, N, N) and b (C, N) from one
+    full eig, a solve against I and one against b."""
     lam, vecs = np.linalg.eig(m0)
-    return lam, vecs, np.linalg.solve(vecs, np.broadcast_to(np.eye(m0.shape[-1]), m0.shape))
+    inverse = np.linalg.solve(vecs, np.broadcast_to(np.eye(m0.shape[-1]), m0.shape))
+    return lam, vecs, inverse, np.linalg.solve(vecs, rhs[..., None])[..., 0]
 
 
 def tilted(n):
@@ -1079,8 +1090,8 @@ def tilted(n):
 def test_chains_that_are_not_their_mirror_image_take_the_full_eig(config, ddi):
     chains = _chain(config, ddi or ddi_matrix(config))
     assert not chains.mirrored
-    _, m0, _ = chains.carrier
-    for got, plain in zip(chains.modes, plain_modes(m0)):
+    phases, m0, _ = chains.carrier
+    for got, plain in zip(chains.modes, plain_modes(m0, -(chains.v_dr * phases)), strict=True):
         assert np.array_equal(got, plain)
 
 
@@ -1092,15 +1103,18 @@ def test_mirror_symmetric_chains_split_by_parity(n, gamma):
     # middle row).  They decompose the true M0: the eigenvector residual
     # and V^-1 V - I within 10 N eps (relative to max |M0| max |V|, and
     # absolute), and lambda within 10 N eps max |M0| of the full eig's.
+    # w, solved from b's parity parts, has V w - b within 10 N eps
+    # max |V| max |w|.
     config = symmetric_config(n, gamma=gamma)
     chains = _chain(config, ddi_matrix(config))
     assert chains.mirrored
-    _, (m0,), _ = chains.carrier
-    (lam,), (vecs,), (inverse,), _ = chains.modes
+    (phases,), (m0,), _ = chains.carrier
+    (lam,), (vecs,), (inverse,), (w,) = chains.modes
     bound = 10 * n * EPS
     scale = abs(m0).max()
     assert abs(m0 @ vecs - vecs * lam).max() <= bound * scale * abs(vecs).max()
     assert abs(inverse @ vecs - np.eye(n)).max() <= bound
+    assert abs(vecs @ w + chains.v_dr * phases).max() <= bound * abs(vecs).max() * abs(w).max()
     full = np.sort_complex(np.linalg.eigvals(m0))
     assert abs(np.sort_complex(lam) - full).max() <= bound * scale
 

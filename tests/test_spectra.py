@@ -26,11 +26,12 @@ from conftest import (
     COUPLING,
     EMISSION,
     chiral_config,
+    isolated_pair,
     random_chains,
     replace,
     symmetric_config,
 )
-from refine_oracle import refine_maximum
+from refine_oracle import intensity_errors, refine_maximum
 
 CHANNELS = ("T", "R", "Tt", "Rt")
 
@@ -383,10 +384,12 @@ class TestFindPeaks:
         assert len(alone) == 7 and together <= max(alone)
 
     def test_more_brackets_than_one_stack_step_once_a_call(self, monkeypatch):
-        # 61 peaks at N = 100, where one point stack holds 40 points: no call
-        # probes ahead, so each golden-section step is one modal call of
-        # every open bracket, after the first call's vertices and inner
-        # points.  The LU calls between them re-solve unsure comparisons.
+        # 61 peaks at N = 100, where one point stack holds 40 points: the two
+        # stacks a call may probe hold fewer than two steps of every
+        # bracket, so no call probes ahead, and each golden-section step is
+        # one modal call of every open bracket, after the first call's
+        # vertices and inner points.  The LU calls between them re-solve
+        # unsure comparisons.
         result = crowded_scan()
         calls = counted_solves(monkeypatch, "modes")
         depths = advancing_steps(monkeypatch)
@@ -396,14 +399,14 @@ class TestFindPeaks:
 
     def test_brackets_probe_ahead_by_the_point_stack(self, monkeypatch):
         # 37 peaks at N = 30, where one point stack holds 136 points: every
-        # call probes each open bracket three steps ahead while all 37 are
-        # open, and further once fewer are.
+        # call probes two stacks ahead, each open bracket seven steps while
+        # all 37 are open, and further once fewer are.
         config = chiral_config(30)
         result = scan(config, ddi_matrix(config), np.linspace(-300.0, 300.0, 2001))
         calls = counted_solves(monkeypatch)
         depths = advancing_steps(monkeypatch)
         peaks = find_peaks(result, *CHANNELS, refine=True)
-        assert len(peaks) == 37 and depths[0] == spectra._stack_points(30) // 37 == 3
+        assert len(peaks) == 37 and depths[0] == 2 * spectra._stack_points(30) // 37 == 7
         assert depths == sorted(depths) and len(calls) < 20
 
     def test_refinement_builds_one_chain_and_returns_the_lus_rows(self, monkeypatch):
@@ -665,9 +668,10 @@ def test_only_probes_of_the_plain_search_raise(monkeypatch):
 
 
 def test_a_failing_probe_of_a_one_step_call_raises(monkeypatch):
-    # With more open brackets than one point stack holds each call takes one
-    # golden-section step (depth 1): every probe is the plain search's, so
-    # a SolverError from one propagates, and the step is not taken again.
+    # With more open brackets than half of two point stacks hold each call
+    # takes one golden-section step (depth 1): every probe is the plain
+    # search's, so a SolverError from one propagates, and the step is not
+    # taken again.
     result = crowded_scan()
     solve, calls, failing = spectra._solve_chains, [], None
 
@@ -680,7 +684,7 @@ def test_a_failing_probe_of_a_one_step_call_raises(monkeypatch):
     monkeypatch.setattr(spectra, "_solve_chains", solving)
     find_peaks(result, *CHANNELS, refine=True)
     first_step = calls[1]  # calls[0] probes the vertices and inner points
-    assert spectra._stack_points(100) // first_step.size == 0  # depth 1
+    assert 2 * spectra._stack_points(100) // first_step.size == 1  # depth 1
 
     failing, calls[:] = first_step[-1], []
     with pytest.raises(SolverError) as err:
@@ -739,6 +743,42 @@ def test_comparisons_without_bounds_are_decided_by_the_lu(monkeypatch):
     assert find_peaks(result, *CHANNELS, refine=True) == expected
     assert expected == reference_peaks(config, ddi, result, CHANNELS)
     assert sum(m.size for m in margins) > 100 and not np.concatenate(margins, axis=1).any()
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [
+        isolated_pair(chiral_config(30)),
+        isolated_pair(symmetric_config(30, gamma=EMISSION)),
+        (symmetric_config(30, gamma=EMISSION), None),
+    ],
+    ids=["chiral", "symmetric", "mirrored"],
+)
+def test_probe_bounds_are_the_two_pass_oracles(chain, monkeypatch):
+    # A modal probe's bound takes its residual from the solve's own check and
+    # c_k^T V from the chain; the oracle forms both again.  Their bits agree
+    # in every channel, at a point 1e-9 from the isolated pair's mode at
+    # delta = 1 too, which the LU re-solves (within RESIDUAL_LIMIT ||M||_inf
+    # of a mode).
+    config, ddi = chain
+    chains = scattering._chain(config, ddi or ddi_matrix(config))
+    deltas = np.append(np.linspace(-250.0, 250.0, 61), 1.0 + 1e-9 if ddi else [])
+    column = np.arange(deltas.size) % 4 + 1
+    modal_calls, solve, lu_points = counted_solves(monkeypatch, "modes"), np.linalg.solve, []
+
+    def solving(matrices, rhs):
+        if rhs.shape[-1] == 1:  # an LU stack, not V against [I | b]
+            lu_points.extend(-matrices[:, 0, 0].real)  # M_11 = -delta - i Gamma_1 / 2
+        return solve(matrices, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", solving)
+    rows = spectra._probe(chains, deltas, column)
+    assert len(modal_calls) == 1 and lu_points == ([deltas[-1]] if ddi else [])
+    result = scattering._solve_chains(chains, deltas, True)
+    assert result.table().tobytes() == rows[:, :-1].tobytes()
+    error, sensitivity = intensity_errors(chains, result, column - 1)
+    bound = abs(error) + scattering.MODAL_ERROR_FLOOR * (1.0 + sensitivity)
+    assert np.isfinite(bound).all() and bound.tobytes() == rows[:, -1].tobytes()
 
 
 @settings(max_examples=30, deadline=None)
