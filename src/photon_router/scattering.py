@@ -558,7 +558,7 @@ def _intensity_errors(
     (sums,) = chains.carrier[2]
     lam, _, inverse, _ = (part[0] for part in chains.modes)
     a, delta = result.a, result.delta[:, None]
-    adjoint = (chains.ports[channel] / (lam - delta)) @ inverse  # g^T (P, N)
+    adjoint = _rows(inverse.T, chains.ports[channel] / (lam - delta))  # g^T (P, N)
     amplitudes = np.array([result.t, result.r, result.tt, result.rt, result.t])  # loss: any
     port = amplitudes[channel, np.arange(len(a))]
     change = abs(port - (adjoint * result._defect).sum(axis=1)) ** 2 - abs(port) ** 2

@@ -195,19 +195,11 @@ def _vertex(x0, x1, x2, y0, y1, y2) -> np.ndarray:
         return 0.5 * (x0 + x1) - 0.5 * s1 * (x2 - x0) / ((y2 - y1) / (x2 - x1) - s1)
 
 
-def _predicted_sides(peak: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Whether each bracket keeps the side of its lower inner point (as a
+def _predicted_sides(peak: float, lower: float, upper: float) -> bool:
+    """Whether a bracket keeps the side of its lower inner point (as a
     golden-section step does where that point's value is no lower), predicted
     from where its maximum is expected, ``peak``: the inner point nearer it."""
     return abs(lower - peak) <= abs(upper - peak)
-
-
-def _stepped(left: np.ndarray, quad: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """Brackets ``quad`` = (a, b, c, d) after a golden-section step with new
-    inner point ``probe``: (a, d, probe, c) where it keeps the side of c
-    (``left``), else (c, b, d, probe)."""
-    a, b, c, d = quad
-    return np.where(left, [a, d, probe, c], [c, b, d, probe])
 
 
 def _golden_steps(
@@ -218,50 +210,66 @@ def _golden_steps(
 
     ``brackets`` (4, K, 7) holds the rows (``_probe``) of each bracket's
     ends a, b and inner points c, d, with their bounds; a step keeps the
-    side of the inner point that is higher in the bracket's ``column``
-    (``_stepped``), and every open bracket's first side is sure
-    (``_settled``).  The steps are first taken on the detunings alone: the
-    first step's side is read from the rows, the later ones are predicted
-    from the vertex of the parabola through the kept end and both inner
-    points (``_predicted_sides``).  After the solve the same steps are
-    replayed on the rows, each with its probed row, and each bracket stops
-    at its first closed step, at its first step whose side is not sure, or
-    at its first step whose side its rows do not confirm: it takes exactly
-    the steps of a step-by-step search.  Returns the brackets (4, K, 7)
-    after them, ``_settled``.
+    side of the inner point that is higher in the bracket's ``column``, and
+    every open bracket's first side is sure (``_settled``).  The steps are
+    first planned bracket by bracket, as a plain golden-section loop on the
+    detunings as Python floats, which round as numpy's do, up to the
+    bracket's first closed step: the first side is read from the rows, the
+    later ones are predicted from the vertex of the parabola through the
+    kept end and both inner points (``_predicted_sides``, once per bracket
+    and step).  Each step records its side, its probe, and the rows of a,
+    b, c and d before it, as indices into one table of the brackets' rows
+    followed by the probes.  All probes are solved in one call, in
+    step-major order.  One pass then gathers the inner rows of every planned
+    step and decides all of their comparisons in one ``_compared`` call;
+    each bracket keeps its leading run of steps whose side is sure and
+    confirmed by the rows, so it takes exactly the steps of a step-by-step
+    search.  Returns the brackets (4, K, 7) after them, gathered by index,
+    ``_settled``.
     """
     k = np.arange(brackets.shape[1])
     x, level = brackets[..., 0], brackets[:, k, column]
-    left = level[2] >= level[3]
-    spots, taken = x, []  # each step's side, probe and open brackets
-    for s in range(depth):
-        a, b, c, d = spots
-        if s == 1:  # the end the first step kept: a where it kept c's side, else b
-            end = np.where(left, 0, 1)
-            peak = _vertex(x[end, k], *x[2:], level[end, k], *level[2:])
-        if s:
-            left = _predicted_sides(peak, c, d)
-        open_ = b - a > tol
-        if not open_.any():
-            break
-        # The new inner point, at the golden ratio inside the kept (a, d) or (c, b).
-        probe = np.where(left, d - _INVPHI * (d - a), c + _INVPHI * (b - c))
-        spots = _stepped(left, spots, probe)
-        taken.append((left, probe, open_))
+    first = level[2] >= level[3]
+    if depth > 1:  # the end the first step keeps: a where it keeps c's side, else b
+        end = np.where(first, 0, 1)
+        peaks = _vertex(x[end, k], *x[2:], level[end, k], *level[2:]).tolist()
+    own = 4 * k.size  # the table's rows before the probes: row r of bracket j is r K + j
+    sides, probes, starts, rows = [], [], [], []  # each step's side and probe, each
+    # bracket's first step, and its rows of a, b, c and d before each step and after its last
+    for j, (spots, left, width) in enumerate(zip(x.T.tolist(), first.tolist(), tol.tolist())):
+        at = [j, k.size + j, 2 * k.size + j, 3 * k.size + j]
+        starts.append(len(probes))
+        for s in range(depth):
+            a, b, c, d = spots
+            if not b - a > width:
+                break
+            if s:
+                left = _predicted_sides(peaks[j], c, d)
+            rows += at
+            # The new inner point, at the golden ratio inside the kept (a, d) or (c, b).
+            if left:
+                probe = d - _INVPHI * (d - a)
+                spots, at = [a, d, probe, c], [at[0], at[3], own + len(probes), at[2]]
+            else:
+                probe = c + _INVPHI * (b - c)
+                spots, at = [c, b, d, probe], [at[2], at[1], at[3], own + len(probes)]
+            sides.append(left)
+            probes.append(probe)
+        rows += at
 
-    sides, probes, alive = map(np.array, zip(*taken))
-    solved = np.full((*alive.shape, brackets.shape[2]), np.nan)
-    # Step-major, each probe compared in its bracket's column.
-    solved[alive] = _probe(chains, probes[alive], np.broadcast_to(column, alive.shape)[alive])
-    going = np.ones(k.size, dtype=bool)
-    # Each side is checked here, once, against the probed rows of its inner points.
-    for left, row, open_ in zip(sides, solved, alive):
-        higher, sure = _compared(brackets, column)
-        going &= open_ & sure & (left == higher)
-        if not going.any():
-            break
-        brackets = np.where(going[:, None], _stepped(left[:, None], brackets, row), brackets)
-    return _settled(chains, brackets, column, tol)
+    # Bracket j planned steps start_j .. stop_j - 1, and its states begin at start_j + j.
+    start, stop = np.array(starts), np.array([*starts[1:], len(probes)])
+    step = np.arange((stop - start).max())[:, None]
+    alive = step < stop - start  # (S, K): step s of bracket j was planned
+    index, owner = (start + step)[alive], np.broadcast_to(k, alive.shape)[alive]  # step-major
+    table = np.concatenate([brackets.reshape(own, -1), np.empty((index.size, brackets.shape[2]))])
+    table[own + index] = _probe(chains, np.array(probes)[index], column[owner])
+    states = np.array(rows, dtype=int).reshape(-1, 4).T
+    higher, sure = _compared(table[states[:, index + owner]], column[owner])
+    right = np.zeros((alive.shape[0] + 1, k.size), dtype=bool)
+    right[:-1][alive] = sure & (higher == np.array(sides)[index])
+    # Each bracket's leading run of right steps, up to its first wrong or unplanned one.
+    return _settled(chains, table[states[:, start + k + right.argmin(axis=0)]], column, tol)
 
 
 def _refine_maxima(
@@ -279,17 +287,18 @@ def _refine_maxima(
     at N = 30): 272 probes a call at N = 30, where the refined reference
     spectrum takes 8 solver calls (13 when a call probed one stack).  Many
     brackets take one step a call.
-    A call takes its steps on detunings with predicted sides, solves their
-    probes, and replays them on the probed rows up to each bracket's first
-    wrongly predicted side, or its first comparison that the probes' bounds
-    leave unsure (``_compared``).  Probes are solved from the chain's modes
-    at carrier phases where they fill more than one LU stack (a call of
-    fewer costs the LU about as much), else by the LU, and each point on
-    its own.  The LU re-solves the inner points of every bracket left on an
-    unsure comparison, in one call per call (``_settled``).  The winner
-    loop decides by the same rule (``_winners``), and one last LU call
-    re-solves each winner, and every candidate of a maximum with an unsure
-    comparison, before the loop runs again on them.  So every comparison
+    A call plans each bracket's steps on its detunings with predicted
+    sides, solves all of their probes, and replays every planned step in
+    one pass, each bracket up to its first wrongly predicted side, or its
+    first comparison that the probes' bounds leave unsure (``_compared``).
+    Probes are solved from the chain's modes at carrier phases where they
+    fill more than one LU stack (a call of fewer costs the LU about as
+    much), else by the LU, and each point on its own.  The LU re-solves
+    the inner points of every bracket left on an unsure comparison, in one
+    call per call (``_settled``).  The winner loop decides by the same rule
+    (``_winners``), and one last LU call re-solves each winner, and every
+    candidate of a maximum with an unsure comparison, before the loop runs
+    again on them.  So every comparison
     has the LU's outcome and the predictions set only the number of calls:
     locations and heights are those of a step-by-step search by the LU, bit
     for bit.  A call whose speculative probes raise a SolverError is taken

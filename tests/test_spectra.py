@@ -535,12 +535,10 @@ class TestFindPeaks:
 
 def wrong_sides(config, ddi, channel):
     """A stand-in for ``spectra._predicted_sides`` that predicts every side
-    wrong, from solves at the inner points."""
+    wrong, from a solve at the bracket's inner points."""
     def predicted(peak, lower, upper):
-        lower, upper = (
-            solve_spectrum_point_batch(config, ddi, x).intensities[channel] for x in (lower, upper)
-        )
-        return ~(lower >= upper)
+        lower, upper = solve_spectrum_point_batch(config, ddi, [lower, upper]).intensities[channel]
+        return not lower >= upper
 
     return predicted
 
@@ -578,8 +576,8 @@ def test_refined_peaks_do_not_depend_on_the_predictor(monkeypatch, case, predict
 
     sides = {
         "wrong": wrong_sides(config, ddi, "Tt"),
-        "lower": lambda peak, lower, upper: np.ones(lower.shape, bool),
-        "upper": lambda peak, lower, upper: np.zeros(lower.shape, bool),
+        "lower": lambda peak, lower, upper: True,
+        "upper": lambda peak, lower, upper: False,
     }
     monkeypatch.setattr(spectra, "_predicted_sides", sides[predictor])
     calls = advancing_steps(monkeypatch)
@@ -617,15 +615,17 @@ def test_a_deep_call_takes_the_steps_of_one_step_calls(monkeypatch, right, after
     misled, predicted = k % 2 == 0, []
 
     def sides(peak, lower, upper):
-        lower, upper = (spectra._probe(chains, x)[k, column] for x in (lower, upper))
+        # Bracket by bracket, each predicting the sides of steps 1 .. depth - 1.
+        j, s = divmod(len(predicted), depth - 1)
+        lower, upper = spectra._probe(chains, np.array([lower, upper]))[:, column[j]]
         predicted.append(lower >= upper)
-        wrong = len(predicted) == right + 1 or (len(predicted) > right and after == "wrong")
-        return predicted[-1] ^ (misled & wrong)
+        wrong = s == right or (s > right and after == "wrong")
+        return predicted[-1] ^ (misled[j] & wrong)
 
     monkeypatch.setattr(spectra, "_predicted_sides", sides)
     depth = right + 4
     deep = steps(chains, brackets, column, tol, depth)
-    assert len(predicted) == depth - 1
+    assert len(predicted) == k.size * (depth - 1)
 
     plain = [brackets]
     for _ in range(depth):
@@ -635,6 +635,71 @@ def test_a_deep_call_takes_the_steps_of_one_step_calls(monkeypatch, right, after
     assert deep[:, misled].tobytes() == short[:, misled].tobytes()
     assert deep[:, ~misled].tobytes() == full[:, ~misled].tobytes()
     assert not np.array_equal(deep[:, misled, 0], plain[right + 2][:, misled, 0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 30])
+def test_a_deep_call_of_one_bracket_takes_the_steps_of_one_step_calls(monkeypatch, n):
+    # The chain-length scaling refines one Tt maximum per chain, first in one
+    # call as deep as two point stacks.  With a wrong side predicted at its
+    # first predicted step, midway or at its last, that call's bracket is,
+    # bit for bit, that of as many one-step calls as its sides were right,
+    # plus one.  The one-step calls solve their probe as the deep call does:
+    # by the LU at N = 1 and 2, from the modes at N = 30, where its probes
+    # fill more than one LU stack.  There the modes leave the comparisons of
+    # the last steps unsure, so the deep call reaches only the steps before.
+    config = chiral_config(n)
+
+    def first(*args):
+        raise FirstCall(*args)
+
+    steps = spectra._golden_steps
+    monkeypatch.setattr(spectra, "_golden_steps", first)
+    with pytest.raises(FirstCall) as call:
+        scale_emitters(config, [n], np.linspace(-300.0, 300.0, 2001))
+    chains, brackets, column, tol, depth = call.value.args
+    assert brackets.shape[1] == 1 and depth == 2 * spectra._stack_points(n)
+
+    def predicting(wrong):
+        """Right sides from the LU, but the one of step ``wrong``."""
+        predicted = []
+
+        def sides(peak, lower, upper):
+            lower, upper = spectra._probe(chains, np.array([lower, upper]))[:, column[0]]
+            predicted.append(lower >= upper)
+            return predicted[-1] ^ (len(predicted) == wrong)
+
+        monkeypatch.setattr(spectra, "_predicted_sides", sides)
+        return steps(chains, brackets, column, tol, depth), len(predicted)
+
+    deep, predictions = predicting(None)
+    closing = predictions + 1  # steps to close the bracket
+    modal = closing > spectra._lu_points(n)
+    assert modal == (n == 30)
+    if modal:
+        monkeypatch.setattr(spectra, "_lu_points", lambda n: 0)
+    settled, unsure = spectra._settled, []
+
+    def settling(chains, brackets, column, tol):
+        unsure.append(not spectra._compared(brackets, column)[1].all())
+        return settled(chains, brackets, column, tol)
+
+    monkeypatch.setattr(spectra, "_settled", settling)
+    plain = [brackets]
+    for _ in range(closing):
+        plain.append(steps(chains, plain[-1], column, tol, 1))
+    monkeypatch.setattr(spectra, "_settled", settled)
+    monkeypatch.setattr(spectra, "_lu_points", scattering._lu_points)
+    assert not np.any(plain[-1][1, :, 0] - plain[-1][0, :, 0] > tol)
+    reach = unsure.index(True) + 1 if True in unsure else closing
+    assert (reach < closing) == modal and reach > closing // 2
+    assert deep.tobytes() == plain[reach].tobytes()
+
+    last = min(reach, closing - 1)
+    for wrong in (1, last // 2, last):
+        deep, predictions = predicting(wrong)
+        assert predictions == closing - 1
+        assert deep.shape == brackets.shape and deep.tobytes() == plain[wrong].tobytes()
+        assert not np.array_equal(deep[:, :, 0], plain[wrong + 1][:, :, 0])
 
 
 def test_only_probes_of_the_plain_search_raise(monkeypatch):
@@ -779,6 +844,22 @@ def test_probe_bounds_are_the_two_pass_oracles(chain, monkeypatch):
     error, sensitivity = intensity_errors(chains, result, column - 1)
     bound = abs(error) + scattering.MODAL_ERROR_FLOOR * (1.0 + sensitivity)
     assert np.isfinite(bound).all() and bound.tobytes() == rows[:, -1].tobytes()
+
+
+def test_a_modal_probe_alone_has_its_bits_in_a_stack(monkeypatch):
+    # With every probe given a column solved from the modes, a probe solved
+    # alone has the row and bound of the same probe among 40 others: its
+    # bound's adjoint is a two-row GEMM, not GEMV, as ``_rows`` pads it.
+    config = chiral_config(30)
+    chains = scattering._chain(config, ddi_matrix(config))
+    deltas = np.linspace(-250.0, 250.0, 41)
+    column = np.arange(deltas.size) % 4 + 1
+    monkeypatch.setattr(spectra, "_lu_points", lambda n: 0)
+    modal_calls = counted_solves(monkeypatch, "modes")
+    together = spectra._probe(chains, deltas, column)
+    alone = [spectra._probe(chains, deltas[i : i + 1], column[i : i + 1]) for i in range(41)]
+    assert len(modal_calls) == 42 and np.all(together[:, -1] > 0.0)
+    assert together.tobytes() == np.concatenate(alone).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
