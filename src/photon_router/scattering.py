@@ -369,8 +369,8 @@ def _parity_modes(m0: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, ...]:
     even block's middle column, and mirrored.  So w = V^-1 b is each
     block's solve against b's parts: the halved sums b_j + b_{N-1-j}, and
     at odd N the middle b, for the even block; the halved differences for
-    the odd one.  M0's last K rows are never read.  At even N both blocks
-    share one eig and one solve."""
+    the odd one.  Each block takes its own eig and solve
+    (``_decomposed``).  M0's last K rows are never read."""
     c, n = m0.shape[:2]
     k, h = n // 2, n - n // 2
     top, across = m0[:, :k, :k], m0[:, :k, ::-1][:, :, :k]
@@ -380,11 +380,7 @@ def _parity_modes(m0: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, ...]:
     mirror = rhs[:, ::-1][:, :k]
     rhs_e = np.concatenate([0.5 * (rhs[:, :k] + mirror), rhs[:, k:h]], axis=1)
     rhs_o = 0.5 * (rhs[:, :k] - mirror)
-    if n % 2:  # blocks of two sizes
-        halves = zip(_decomposed(even, rhs_e), _decomposed(top - across, rhs_o))
-    else:  # one stack of 2C blocks
-        blocks, parts = np.concatenate([even, top - across]), np.concatenate([rhs_e, rhs_o])
-        halves = (np.split(part, 2) for part in _decomposed(blocks, parts))
+    halves = zip(_decomposed(even, rhs_e), _decomposed(top - across, rhs_o))
     (lam_e, lam_o), (u_e, u_o), (inv_e, inv_o), (w_e, w_o) = halves
     vecs, inverse = np.zeros((2, c, n, n), dtype=complex)
     vecs[:, :h, :h], vecs[:, :k, h:] = u_e, u_o

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ddi import DdiMatrix, _by_offset, _toeplitz
+from .ddi import DdiMatrix, _by_offset, _toeplitz, ddi_matrix
 from .params import DETUNING_LIMIT, SystemConfig, validate
 from .scattering import (
     INTENSITY_KEYS,
@@ -467,12 +467,13 @@ def scale_emitters(
 ) -> ScalingReport:
     """Routing figures of merit as a function of chain length.
 
-    Every chain length is validated, and its couplings built, before any
-    solve, so a ConfigError at any length comes before a SolverError at an
-    earlier one.  Each N's grid is then scanned, and its routed-intensity
-    maximum refined off-grid on the same chain; the refined sample joins the
-    transmission minimum, so t_bar_min >= t_min holds by construction.  The
-    first failing point of the first scan that has one raises its SolverError.
+    Every chain length is validated, and its ``ddi_matrix`` built, before
+    any solve, so a ConfigError at any length comes before a SolverError at
+    an earlier one.  Each N's grid is then scanned (``scan``), and its
+    routed-intensity maximum refined off-grid on the chain that the scan's
+    result keeps; the refined sample joins the transmission minimum, so
+    t_bar_min >= t_min holds by construction.  The first failing point of
+    the first scan that has one raises its SolverError.
     """
     n_list = list(n_list)
     if not n_list:
@@ -482,14 +483,13 @@ def scale_emitters(
 
     grid = _checked_grid(grid)
     configs = [dataclasses.replace(config, n_emitters=n) for n in n_list]
-    by_offset = [_by_offset(validate(cfg)) for cfg in configs]  # in order; J in O(N) each
+    ddis = [ddi_matrix(validate(cfg)) for cfg in configs]  # in order
     records = []
-    for cfg, couplings in zip(configs, by_offset):
-        chains = _chain(cfg, DdiMatrix(_toeplitz(couplings)))  # for the scan and the refinement
-        result = _solve_chains(chains, grid, modal=True)
+    for cfg, ddi in zip(configs, ddis):
+        result = scan(cfg, ddi, grid)
         i = int(np.argmax(result.intensities["Tt"]))
         if 0 < i < grid.size - 1:
-            (row,) = _refine_maxima(chains, result, [("Tt", i)])
+            (row,) = _refine_maxima(result._solved[1], result, [("Tt", i)])
         else:
             row = result.table()[i]
         at_peak = dict(zip(("delta", *INTENSITY_KEYS), map(float, row)))

@@ -589,6 +589,7 @@ class FirstCall(Exception):
     """Ends a refinement at its first ``_golden_steps`` call, holding its arguments."""
 
 
+@pytest.mark.blas_bits
 @pytest.mark.parametrize("after", ["wrong", "right"])
 @pytest.mark.parametrize("right", [0, 1, 3])
 def test_a_deep_call_takes_the_steps_of_one_step_calls(monkeypatch, right, after):
@@ -637,6 +638,7 @@ def test_a_deep_call_takes_the_steps_of_one_step_calls(monkeypatch, right, after
     assert not np.array_equal(deep[:, misled, 0], plain[right + 2][:, misled, 0])
 
 
+@pytest.mark.blas_bits
 @pytest.mark.parametrize("n", [1, 2, 30])
 def test_a_deep_call_of_one_bracket_takes_the_steps_of_one_step_calls(monkeypatch, n):
     # The chain-length scaling refines one Tt maximum per chain, first in one
@@ -846,6 +848,7 @@ def test_probe_bounds_are_the_two_pass_oracles(chain, monkeypatch):
     assert np.isfinite(bound).all() and bound.tobytes() == rows[:, -1].tobytes()
 
 
+@pytest.mark.blas_bits
 def test_a_modal_probe_alone_has_its_bits_in_a_stack(monkeypatch):
     # With every probe given a column solved from the modes, a probe solved
     # alone has the row and bound of the same probe among 40 others: its
@@ -914,6 +917,7 @@ class TestSweepSeparation:
         assert (good & (sweep.deltas < 0.0)).any()
         assert (good & (sweep.deltas > 0.0)).any()
 
+    @pytest.mark.blas_bits
     @pytest.mark.parametrize(
         "n, points, l_points, overrides",
         [
@@ -1062,10 +1066,11 @@ class TestScaleEmitters:
         assert record.loss_at_peak == at_peak["loss"]
 
     def test_each_chain_length_builds_its_chain_once(self, monkeypatch):
-        # The scan of each N and all of its refinement probes solve one chain.
+        # The scan of each N builds its chain, and all of its refinement
+        # probes solve that chain.
         config = chiral_config(2)
         built, solves = [], []
-        chain, solve = spectra._chain, spectra._solve_chains
+        chain, solve = scattering._chain, scattering._solve_chains
 
         def building(*args):
             built.append(chain(*args))
@@ -1075,8 +1080,9 @@ class TestScaleEmitters:
             solves.append((chains, modal))
             return solve(chains, deltas, modal)
 
-        monkeypatch.setattr(spectra, "_chain", building)
-        monkeypatch.setattr(spectra, "_solve_chains", solving)
+        monkeypatch.setattr(scattering, "_chain", building)
+        for module in (scattering, spectra):  # the scan's solve, the probes'
+            monkeypatch.setattr(module, "_solve_chains", solving)
         scale_emitters(config, [1, 2, 5], np.linspace(-60.0, 60.0, 121))
         assert [chains.n for chains in built] == [1, 2, 5]
         assert all(chains in built for chains, _ in solves)
