@@ -33,10 +33,14 @@ C's absolute row sums at the carrier step phase theta, and the modes.
 Stacks bound their memory: a quarter of ``STACK_ELEMENTS`` elements per
 (P, N) array, about ten of which a stack holds at once, and the LU solves
 its points in LU stacks of at most ``STACK_ELEMENTS`` matrix elements.
-Each point's backward error takes ||M||_inf = max_j (sum_k |C_jk| + |M_jj|),
-O(N) per point.  One check per stack (the modal points', then the LU's,
-after all its LU stacks) accepts each point, solved and flux-balanced, or
-raises the SolverError of the first that fails, in input order.
+Each point's backward error takes ||M||_inf = max_j (sum_k |C_jk| + |M_jj|):
+at carrier phases the max over the G distinct total rates Gamma_g of the
+largest row sum among their emitters plus |delta + i Gamma_g / 2|, O(G) per
+point and bit for bit the max over j, as correctly rounded addition is
+monotone (``_carrier_norm``); at delta-dependent phases O(N).  One check
+per stack (the modal points', then the LU's, after all its LU stacks)
+accepts each point, solved and flux-balanced, or raises the SolverError
+of the first that fails, in input order.
 
 Two solvers fill the stacks.  The LU writes each point's M(delta) into one
 buffer that each chain keeps (M0 copied at carrier phases, or C built at
@@ -73,7 +77,8 @@ from below, so its backward error is bounded from above.  ``scan`` and
 - every point of a chain whose decomposition or V^-1 raises LinAlgError or
   is not finite (identical emitters without DDI form one Jordan block);
 - every point within ``RESIDUAL_LIMIT`` * ||M(delta)||_inf of a mode, where
-  the modes would return a finite answer to a singular system;
+  the modes would return a finite answer to a singular system (tested over
+  the modes that lie that close to the real axis only, ``_near``);
 - every delta-dependent point whose sweeps stop above N eps;
 - every point whose modal result the check rejects,
 
@@ -90,10 +95,11 @@ the adjoint estimate and sensitivity of ``_intensity_errors`` and
 where the gap exceeds the two bounds, and has the LU re-solve the points
 of every other, and every row it returns.  The estimate takes no product
 by M0 of its own: it reads the defect rows M0 A - delta A - b that the
-modal check of the same solve formed, which a carrier-phase modal result
-keeps (``TransportSolution._defect``; at a point the LU re-solved, the
-rows of the LU's amplitudes, by one product per LU point), and c_k^T V,
-built once per chain (``_Chains.ports``).
+modal check of the same solve formed, which a carrier-phase modal solve
+asked for them keeps (``TransportSolution._defect``; at a point the LU
+re-solved, the rows of the LU's amplitudes, by one product per LU point),
+and c_k^T V, built once per chain (``_Chains.ports``).  Scans and sweeps
+do not ask: their checks write the rows into one stack's buffer.
 """
 
 from __future__ import annotations
@@ -163,9 +169,16 @@ def port_intensities(t, r, tt, rt) -> dict:
     """T, R, Tt, Rt = |t|^2, |r|^2, |tt|^2, |rt|^2 at the output ports and
     loss = 1 - T - R - Tt - Rt, the probability leaked to non-guided modes.
     Works element-wise on arrays of amplitudes."""
-    power = [abs(amplitude) ** 2 for amplitude in (t, r, tt, rt)]
-    loss = 1.0 - power[0] - power[1] - power[2] - power[3]
-    return dict(zip(INTENSITY_KEYS, (*power, loss)))
+    return dict(zip(INTENSITY_KEYS, _powers(np.array(np.broadcast_arrays(t, r, tt, rt)))))
+
+
+def _powers(ports: np.ndarray) -> np.ndarray:
+    """The intensities (5, ...) of ``port_intensities`` in ``INTENSITY_KEYS``
+    order, for port amplitudes (4, ...) stacked as t, r, tt, rt."""
+    power = np.empty((len(INTENSITY_KEYS), *ports.shape[1:]))
+    np.square(np.abs(ports), out=power[:4])
+    power[4] = 1.0 - power[0] - power[1] - power[2] - power[3]
+    return power
 
 
 @dataclass(frozen=True)
@@ -184,8 +197,8 @@ class TransportSolution:
     source with the ``_Chains`` built from it, which the refinement reuses,
     its decomposition too, while ``source`` is still that source.
     ``_defect`` holds each point's defect rows M0 A - delta A - b (P, N) of
-    a carrier-phase solve from the modes, for ``_intensity_errors``, and is
-    None otherwise.
+    a carrier-phase solve from the modes that asked for them, for
+    ``_intensity_errors``, and is None otherwise.
     """
 
     delta: np.ndarray
@@ -230,10 +243,10 @@ class _Chains:
     ``configs``, which share N and rates, and their couplings J (C, N, N):
     a separation sweep's spacings, or one spectrum's chain.  Built once,
     solved by ``_solve_chains`` over any number of detuning lists.  The
-    ``carrier`` M0, the ``modes``, what only the sweeps read (``exchange``,
-    ``spread``) and the ``buffer`` that every LU system is written into are
-    built when a solve first needs them, so the LU of delta-dependent phases
-    builds only the buffer."""
+    ``carrier`` M0 and its ``rate_sums``, the ``modes``, what only the sweeps
+    read (``exchange``, ``spread``) and the ``buffer`` that every LU system
+    is written into are built when a solve first needs them, so the LU of
+    delta-dependent phases builds only the buffer."""
 
     @np.errstate(over="ignore", invalid="ignore")  # out-of-range values fail their point
     def __init__(self, configs: Sequence[SystemConfig], couplings: np.ndarray):
@@ -272,6 +285,17 @@ class _Chains:
         m0, sums = self.coupling(phases := self.phases(self.theta), self.couplings)
         m0[:, np.arange(self.n), np.arange(self.n)] = -self.width
         return phases, m0, sums
+
+    @cached_property
+    def rate_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct diagonal widths i Gamma_g / 2 (G,) of the emitters'
+        total rates, and each chain's largest carrier row sum among the
+        emitters of each (C, G), NaN if one of theirs is: what
+        ``_carrier_norm`` takes ||M||_inf from."""
+        _, first, group = np.unique(self.total, return_index=True, return_inverse=True)
+        maxima = np.full((first.size, len(self.couplings)), -np.inf)
+        np.maximum.at(maxima, group, self.carrier[2].T)  # maximum propagates NaN
+        return self.width[first], np.ascontiguousarray(maxima.T)
 
     @cached_property
     def modes(self) -> tuple[np.ndarray, ...]:
@@ -330,7 +354,7 @@ def _recorded(config: SystemConfig, ddi: DdiMatrix, deltas: np.ndarray, modal: b
     recording its ``source`` and, in ``_solved``, the source with the chain."""
     source, chains = (config, ddi), _chain(config, ddi)
     result = _solve_chains(chains, deltas, modal)
-    return replace(result, source=source, _solved=(source, chains), _defect=None)
+    return replace(result, source=source, _solved=(source, chains))
 
 
 def _stack_points(n: int) -> int:
@@ -420,6 +444,32 @@ def _row_max(values: np.ndarray) -> np.ndarray:
     return np.asfortranarray(values).max(axis=-1)
 
 
+def _carrier_norm(deltas: np.ndarray, widths: np.ndarray, maxima: np.ndarray) -> np.ndarray:
+    """||M(delta)||_inf (K,) at carrier phases for detunings (K,), the
+    distinct widths i Gamma_g / 2 (G,) and each point's largest row sums
+    per width (K, G) or (G,) (``_Chains.rate_sums``): the max over g of
+    maxima_g + |delta + i Gamma_g / 2|.  Correctly rounded addition is
+    monotone, so max_j fl(s_j + h) = fl(max_j s_j + h), and this is bit for
+    bit max_j (sum_k |C_jk| + |M_jj|) over the emitters, NaN as soon as one
+    row sum is."""
+    return _row_max(maxima + np.abs(-deltas[:, None] - widths))
+
+
+def _near(gap: np.ndarray, norm: np.ndarray, damping: np.ndarray) -> np.ndarray:
+    """Whether each point lies within ``RESIDUAL_LIMIT`` * ||M(delta)||_inf
+    (``norm``, (P,)) of a mode, for lambda - delta (``gap``, (P, N)) and
+    |Im lambda| (``damping``, (N,)), the least over the stack's chains.
+
+    Only the modes with |Im lambda| <= ``RESIDUAL_LIMIT`` times the stack's
+    largest norm are tested: for real delta |lambda - delta| >= |Im lambda|,
+    also in floating point, as hypot never rounds below its larger argument,
+    so no other mode is near any point.  NaN modes and norms are never near."""
+    dark = np.flatnonzero(damping <= RESIDUAL_LIMIT * np.fmax.reduce(norm))
+    if not dark.size:  # the usual case, at half the cost of testing no modes
+        return np.zeros(len(norm), dtype=bool)
+    return (np.abs(gap[:, dark]) <= RESIDUAL_LIMIT * norm[:, None]).any(axis=1)
+
+
 def _backward_error(defect, norm, x_max, rhs_max) -> np.ndarray:
     """Normwise backward error |M x - b|_inf / (||M||_inf |x|_inf + |b|_inf)
     per point, given |x|_inf; a zero scale means b = 0 and x = 0, so the
@@ -444,11 +494,12 @@ def _port_sum(rates: np.ndarray, waves: np.ndarray | None):
 
 
 def _rows(
-    matrices: np.ndarray, vectors: np.ndarray, chain: np.ndarray | None = None
+    matrices: np.ndarray, vectors: np.ndarray, chain: np.ndarray | None = None, out=None
 ) -> np.ndarray:
     """M x per point of a stack, as rows (P, N), for ``vectors`` x (P, N) and
     M the shared ``matrices`` (N, N), or each point's ``chain`` entry of
-    ``matrices`` (C, N, N).
+    ``matrices`` (C, N, N), written into ``out`` (P, N), C-contiguous and
+    apart from ``vectors``, if given: the same BLAS calls, the same bits.
 
     Row-major GEMMs x @ M.T: one over the stack for a shared M or a stack in
     one chain, else one stacked matmul over the chains from its first to its
@@ -459,19 +510,25 @@ def _rows(
     wherever the BLAS sums every row count in one order (README's CLI
     section says where OpenBLAS does); ``M @ x.T`` does not.  numpy sends a
     one-row product to GEMV, whose bits differ, so every GEMM has at least
-    two rows."""
+    two rows: a lone row is padded to two, and copied into ``out``."""
     if chain is None or chain[0] == chain[-1]:
         matrix = matrices if chain is None else matrices[chain[0]]
-        rows = vectors if len(vectors) > 1 else vectors[[0, 0]]
-        return (rows @ matrix.T)[: len(vectors)]
+        if len(vectors) > 1:
+            return np.matmul(vectors, matrix.T, out=out)
+        row = (vectors[[0, 0]] @ matrix.T)[:1]
+        if out is None:
+            return row
+        out[...] = row
+        return out
     run = chain - chain[0]
     row = np.arange(len(chain)) - np.searchsorted(chain, chain)  # within its run
     depth = max(row.max() + 1, 2)
     block = np.zeros((run[-1] + 1, depth, vectors.shape[1]), vectors.dtype)
     block[run, row] = vectors
     products = block @ matrices[chain[0] : chain[-1] + 1].swapaxes(-1, -2)
-    # take: over 10x faster than products[run, row] on short rows (2048 at N = 2)
-    return products.reshape(-1, vectors.shape[1]).take(run * depth + row, axis=0)
+    # take: over 10x faster than products[run, row] on short rows (2048 at N = 2);
+    # "clip", as "raise" would buffer a given ``out``
+    return products.reshape(-1, vectors.shape[1]).take(run * depth + row, 0, out, "clip")
 
 
 def _swept(
@@ -494,7 +551,8 @@ def _swept(
     lower it is dropped.  Each point sweeps on its own, so its bits do
     not depend on the other points.  It has converged if it ends at most
     N eps, the rounding level of its N-term products; a 1e-10 backward error
-    would not give 1e-10 intensities."""
+    would not give 1e-10 intensities.  While every point of the stack still
+    sweeps, a sweep reads its arrays whole, not gathered."""
     _, vecs, inverse, _ = chains.modes
     conjugates, rhs_max = phases.conj(), _row_max(np.abs(rhs))
 
@@ -511,20 +569,24 @@ def _swept(
         defect = _row_max(np.abs(mx - rhs[points]))
         return defect, _backward_error(defect, norm[points], _row_max(np.abs(x)), rhs_max[points])
 
-    eps = np.finfo(float).eps
+    eps, every = np.finfo(float).eps, slice(None)
+    x = step(every, rhs)
+    mx = image(every, x)
+    defect, error = backward(every, x, mx)
     points = np.arange(len(chain))
-    x = step(points, rhs)
-    mx = image(points, x)
-    defect, error = backward(points, x, mx)
     while (points := points[error[points] > eps]).size:
-        trial = x[points] + step(points, rhs[points] - mx[points])
-        trial_mx = image(points, trial)
-        trial_defect, trial_error = backward(points, trial, trial_mx)
-        better = trial_error < error[points]
-        halved = trial_error <= 0.5 * error[points]
-        kept = points[better]
-        x[kept], mx[kept] = trial[better], trial_mx[better]
-        defect[kept], error[kept] = trial_defect[better], trial_error[better]
+        at = every if points.size == len(chain) else points  # a view, not a gather
+        trial = x[at] + step(at, rhs[at] - mx[at])
+        trial_mx = image(at, trial)
+        trial_defect, trial_error = backward(at, trial, trial_mx)
+        better = trial_error < error[at]
+        halved = trial_error <= 0.5 * error[at]
+        if at is every and better.all():
+            x, mx, defect, error = trial, trial_mx, trial_defect, trial_error
+        else:
+            kept = points[better]
+            x[kept], mx[kept] = trial[better], trial_mx[better]
+            defect[kept], error[kept] = trial_defect[better], trial_error[better]
         points = points[better & halved]
     return x, defect, error <= chains.n * eps
 
@@ -565,14 +627,16 @@ def _intensity_errors(
 
 @np.errstate(over="ignore", invalid="ignore")  # out-of-range values fail their point
 def _solve_chains(
-    chains: _Chains, deltas: Sequence[float] | np.ndarray, modal: bool
+    chains: _Chains, deltas: Sequence[float] | np.ndarray, modal: bool, keep_defect: bool = False
 ) -> TransportSolution:
     """The solver core: every chain of ``chains`` over one detuning list (P,).
 
     Points run chain-major, point c * P + p being chain c at ``deltas[p]``,
     and fail as in ``solve_spectrum_point_batch``, over that order; with
     delta-dependent phases each point takes its chain config's step phase
-    at its detuning.  ``modal`` solves points from the chains' modes first.
+    at its detuning.  ``modal`` solves points from the chains' modes first;
+    ``keep_defect`` keeps a carrier-phase modal solve's defect rows as the
+    result's ``_defect``.
     """
     n, v_dr, v_dl, v_ur, v_ul = chains.n, chains.v_dr, chains.v_dl, chains.v_ur, chains.v_ul
     backflow = v_dl.any() or v_ul.any()  # any leftward rates
@@ -581,35 +645,44 @@ def _solve_chains(
     chain_of = np.arange(len(chains.couplings)).repeat(deltas.size)
     if chains.drifts:  # chain-major, as the points run
         steps = np.concatenate([config.step_phase(deltas) for config in chains.configs])
-    if modal or not chains.drifts:
-        phases, m0, row_sums = chains.carrier
+    else:
+        phases, m0, _ = chains.carrier
+        widths, maxima = chains.rate_sums
     if modal:
         lam, vecs, _, w = chains.modes
+        damping = np.abs(lam.imag)
+    size, lu_size = _stack_points(n), _lu_points(n)
 
     a = np.empty((flat.size, n), dtype=complex)
-    t, r, tt, rt = np.empty((4, flat.size), dtype=complex)
+    fields = np.empty((4, flat.size), dtype=complex)  # t, r, tt, rt
     residual = np.empty(flat.size)
     power = np.empty((len(INTENSITY_KEYS), flat.size))  # one row per intensity
-    defects = np.empty_like(a) if modal and not chains.drifts else None
+    carrier_modal = modal and not chains.drifts
+    defects = np.empty_like(a) if carrier_modal and keep_defect else None
+    if carrier_modal and not keep_defect:  # one stack's defect rows, for its check
+        scratch = np.empty((min(size, flat.size), n), dtype=complex)
 
     def record(points, x, defect, norm, phases):
-        """Store the points' amplitudes, output ports, intensities and
-        backward error; return which are solved (backward error at most
-        ``RESIDUAL_LIMIT``, finite norm) and which flux-balanced."""
+        """Store the points' output ports, intensities and backward error (the
+        amplitudes ``x`` are the caller's to store); return which are solved
+        (backward error at most ``RESIDUAL_LIMIT``, finite norm) and which
+        flux-balanced.  The ports fill the rows of one block, and the
+        intensities follow from it in one pass."""
         magnitude, rhs_max = np.abs(x), _row_max(np.abs(v_dr * phases))
         residual[points] = _backward_error(defect, norm, _row_max(magnitude), rhs_max)
         weight = np.square(magnitude, out=magnitude)
-        a[points] = x
         forward = phases.conj() * x
         backward = (phases * x)[:, ::-1] if backflow else None  # from the last emitter
-        ports = (1.0 - 1j * _port_sum(v_dr, forward), -1j * _port_sum(v_dl[::-1], backward),
-                 -1j * _port_sum(v_ur, forward), -1j * _port_sum(v_ul[::-1], backward))
-        intensities = port_intensities(*ports)
-        for column, value in zip((t, r, tt, rt, *power), (*ports, *intensities.values())):
-            column[points] = value
+        ports = np.empty((4, len(x)), dtype=complex)
+        ports[0] = 1.0 - 1j * _port_sum(v_dr, forward)
+        ports[1] = -1j * _port_sum(v_dl[::-1], backward)
+        ports[2] = -1j * _port_sum(v_ur, forward)
+        ports[3] = -1j * _port_sum(v_ul[::-1], backward)
+        intensities = _powers(ports)
+        fields[:, points], power[:, points] = ports, intensities
         # Flux balance: loss >= -tol (which also fails a NaN or -inf loss),
         # and loss is the power the emitters radiate, to within a finite bound.
-        loss = intensities["loss"]
+        loss = intensities[-1]
         bound = FLUX_IDENTITY_LIMIT * (1.0 + weight @ chains.total)
         identity = (np.abs(loss - weight @ chains.gamma) <= bound) & np.isfinite(bound)
         balanced = (loss >= -FLUX_TOLERANCE) & identity
@@ -627,20 +700,23 @@ def _solve_chains(
         on_diagonal = -flat[points, None] - chains.width
         return on_diagonal, _row_max(sums + np.abs(on_diagonal))
 
+    def carrier_norm(points, chain):
+        """||M||_inf (K,) at carrier phases, from the per-rate row sums."""
+        return _carrier_norm(flat[points], widths, _per_point(maxima, chain))
+
     def lu_systems(points, d):
         """M(delta) (K, N, N) at ``points`` in the chains' LU buffer, from C at
         their phases ``d`` (K, N) or the carrier M0, and ||M||_inf (K,)."""
         chain, out = chain_of[points], chains.buffer[: points.size]
         if chains.drifts:
             matrices, sums = chains.coupling(d, _per_point(chains.couplings, chain), out)
+            on_diagonal, norm = diagonal_norm(points, sums)
         else:
             matrices = m0.take(chain, axis=0, out=out, mode="clip")  # "raise" would buffer
-            sums = _per_point(row_sums, chain)
-        on_diagonal, norm = diagonal_norm(points, sums)
+            on_diagonal, norm = -flat[points, None] - chains.width, carrier_norm(points, chain)
         matrices[:, np.arange(n), np.arange(n)] = on_diagonal
         return matrices, norm
 
-    size, lu_size = _stack_points(n), _lu_points(n)
     for start in range(0, flat.size, size):
         stack = slice(start, start + size)
         chain = chain_of[stack]
@@ -649,29 +725,33 @@ def _solve_chains(
         if modal:
             detuning = flat[stack, None]
             gap = _per_point(lam, chain) - detuning
-            sums = _per_point(row_sums, chain)
             stack_phases = point_phases(points)
-            if chains.drifts:
-                drift = steps[stack] - chains.theta[chain]  # Delta, per step
-                # |C_jk(delta)| >= |C_jk| - G_jk |j - k| |Delta| bounds ||M||_inf
-                # from below, and so the backward error from above.
-                sums = np.maximum(sums - np.abs(drift)[:, None] * chains.spread, 0.0)
-            on_diagonal, norm = diagonal_norm(points, sums)
             rhs = -(v_dr * stack_phases)
             with np.errstate(divide="ignore"):  # at a mode: inf, which fails the point
                 if chains.drifts:
+                    drift = steps[stack] - chains.theta[chain]  # Delta, per step
+                    # |C_jk(delta)| >= |C_jk| - G_jk |j - k| |Delta| bounds ||M||_inf
+                    # from below, and so the backward error from above.
+                    sums = _per_point(chains.carrier[2], chain)
+                    sums = np.maximum(sums - np.abs(drift)[:, None] * chains.spread, 0.0)
+                    on_diagonal, norm = diagonal_norm(stack, sums)
                     x, defect, converged = _swept(
                         chains, chain, stack_phases, rhs, gap, norm, on_diagonal
                     )
+                    a[stack] = x
                 else:
                     # A = V (w / (lambda - delta)): a point's bits depend on its
-                    # detuning and chain only.
-                    x = _rows(vecs, _per_point(w, chain) / gap, chain)
-                    rows = np.subtract(_rows(m0, x, chain), detuning * x, out=defects[stack])
+                    # detuning and chain only.  A and its defect rows
+                    # M0 A - delta A - b are written in place.
+                    norm = carrier_norm(stack, chain)
+                    x = _rows(vecs, _per_point(w, chain) / gap, chain, out=a[stack])
+                    rows = defects[stack] if keep_defect else scratch[: len(chain)]
+                    _rows(m0, x, chain, out=rows)
+                    rows -= detuning * x
                     rows -= rhs
                     defect, converged = _row_max(np.abs(rows)), True
             solved, balanced = record(stack, x, defect, norm, stack_phases)
-            near = _row_max(np.abs(gap) <= RESIDUAL_LIMIT * norm[:, None])  # any
+            near = _near(gap, norm, np.fmin.reduce(damping[chain[0] : chain[-1] + 1]))
             points = start + np.flatnonzero(near | ~(solved & balanced & converged))
             if not points.size:
                 continue
@@ -698,6 +778,7 @@ def _solve_chains(
                         break
             x[k] = solution
             defect[k] = _row_max(np.abs((matrices @ solution[..., None])[..., 0] - rhs[k]))
+        a[points] = x
         accepted, balanced = record(points, x, defect, norm, lu_phases)
         # The one acceptance check: the LU's verdict stands.
         failed = np.flatnonzero(~(accepted & balanced))
@@ -720,5 +801,5 @@ def _solve_chains(
             defects[points] = _rows(m0, x, chain_of[points]) - flat[points, None] * x - rhs
 
     intensities = dict(zip(INTENSITY_KEYS, power))
-    return TransportSolution(flat, a, t, r, tt, rt, intensities, residual, _defect=defects)
+    return TransportSolution(flat, a, *fields, intensities, residual, _defect=defects)
 

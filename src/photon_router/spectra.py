@@ -122,7 +122,7 @@ def _probe(chains: _Chains, deltas: np.ndarray, column: np.ndarray | None = None
     |e| + ``MODAL_ERROR_FLOOR`` (1 + s) (``_intensity_errors``); all others
     by the LU, with bounds 0."""
     modal = column is not None and not chains.drifts and len(deltas) > _lu_points(chains.n)
-    result = _solve_chains(chains, deltas, modal)
+    result = _solve_chains(chains, deltas, modal, keep_defect=modal)
     if modal:
         error, sensitivity = _intensity_errors(chains, result, column - 1)
         bound = abs(error) + MODAL_ERROR_FLOOR * (1.0 + sensitivity)

@@ -14,7 +14,7 @@ from photon_router import (
     solve_spectrum_point_batch,
     validate,
 )
-
+from photon_router import scattering
 from photon_router.scattering import (
     FLUX_IDENTITY_LIMIT,
     FLUX_TOLERANCE,
@@ -22,13 +22,17 @@ from photon_router.scattering import (
     MODAL_ERROR_FLOOR,
     RESIDUAL_LIMIT,
     STACK_ELEMENTS,
+    _carrier_norm,
     _chain,
     _Chains,
     _intensity_errors,
     _modes,
+    _near,
     _port_sum,
+    _row_max,
     _rows,
     _solve_chains,
+    _swept,
 )
 
 from closed_forms import single_chiral, single_symmetric, two_chiral
@@ -795,6 +799,186 @@ def test_row_products_do_not_depend_on_the_rows_beside_them(n):
                     assert np.array_equal(product(vectors[block], chain[block]), whole[block])
 
 
+@pytest.mark.blas_bits
+@pytest.mark.parametrize("n", [2, 30])
+def test_row_products_written_in_place_have_the_fresh_products_bits(n):
+    # A product written into a given buffer, a view of a larger array as the
+    # solver's are, is the fresh product bit for bit: for one chain, several
+    # chains, and a lone row, which is padded to two.
+    rng = np.random.default_rng(n)
+    matrices = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+    vectors = rng.standard_normal((60, n)) + 1j * rng.standard_normal((60, n))
+    several = np.repeat([0, 1, 3], [20, 1, 39])
+    for chain in (None, np.zeros(60, dtype=int), several):
+        shared = matrices[2] if chain is None else matrices
+        for rows in (slice(0, 60), slice(5, 6), slice(20, 22)):
+            c = None if chain is None else chain[rows]
+            fresh = _rows(shared, vectors[rows], c)
+            buffer = np.full((70, n), np.nan, dtype=complex)
+            out = buffer[3 : 3 + len(vectors[rows])]
+            assert _rows(shared, vectors[rows], c, out=out) is out
+            assert out.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.blas_bits
+def test_sweeps_read_whole_arrays_with_the_bits_of_gathered_ones(monkeypatch):
+    # A chiral N = 30 stack at delta-dependent phases whose points take one
+    # to four sweeps, one of them with its gaps lambda - delta scaled by 0.3,
+    # so that its first sweep raises its backward error and is dropped.  Its
+    # first sweep reads whole arrays, as every point still sweeps; with one
+    # more point that ends at its start (an inf norm gives it backward error
+    # 0), every sweep gathers its points instead.  The stack's points take
+    # the same sweeps and bits either way.
+    config = chiral_config(30, delta_dependent_phases=True)
+    stacks = []
+    monkeypatch.setattr(scattering, "_swept", lambda *args: stacks.append(args) or _swept(*args))
+    scan(config, ddi_matrix(config), np.linspace(-300.0, 300.0, 41))
+    chains, chain, *per_point = stacks[0]
+    per_point[2] = per_point[2].copy()
+    per_point[2][7] *= 0.3  # the gaps
+    products, rows = [], _rows
+
+    def counted(*args, **kwargs):
+        products.append(len(args[1]))
+        return rows(*args, **kwargs)
+
+    monkeypatch.setattr(scattering, "_rows", counted)
+    alone = []
+    for i in range(len(chain)):
+        products.clear()
+        _swept(chains, chain[i : i + 1], *(values[i : i + 1] for values in per_point))
+        alone.append(len(products) // 5 - 1)  # five products a sweep, and the start
+    assert sorted(set(alone)) == [1, 2, 3, 4]
+    products.clear()
+    whole = _swept(chains, chain, *per_point)
+    viewed = len(products)
+    extended = [np.concatenate([values, values[:1]]) for values in per_point]
+    extended[3][-1] = np.inf  # the norm
+    products.clear()
+    gathered = _swept(chains, np.append(chain, chain[0]), *extended)
+    assert len(products) == viewed == 5 * (1 + max(alone))
+    assert products[5] == len(chain)  # the first sweep, gathered
+    assert gathered[2][-1]  # the extra point converged at its start
+    assert alone[7] == 1 and not whole[2][7]  # the scaled point's sweep was dropped
+    for mine, theirs in zip(whole, gathered):
+        assert mine.tobytes() == theirs[:-1].tobytes()
+
+
+@st.composite
+def rate_groups(draw):
+    """A random chain whose emitters share a few total rates (G >= 1), or
+    have their own (random_chains), as one to three chains of it."""
+    config, ddi = draw(random_chains())
+    n = config.n_emitters
+    if draw(st.booleans()):
+        gamma = tuple(draw(st.lists(st.sampled_from([0.5, 3.0, 6.86]), min_size=n, max_size=n)))
+        config = replace(config, gamma=gamma, gamma_dr=1.5, gamma_dl=0.25, gamma_ur=1.5, gamma_ul=0.25)
+    copies = draw(st.integers(min_value=1, max_value=3))
+    return _Chains([config] * copies, np.array([ddi.values * (1.0 + c) for c in range(copies)]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    chains=rate_groups(),
+    deltas=st.lists(st.floats(min_value=-500.0, max_value=500.0), min_size=1, max_size=12),
+    odd=st.lists(st.sampled_from([np.nan, np.inf]), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_per_rate_norm_is_the_row_sums_norm_bit_for_bit(chains, deltas, odd, seed):
+    # max_g (max row sum among the emitters of total rate Gamma_g +
+    # |delta + i Gamma_g / 2|) is max_j (sum_k |C_jk| + |M_jj|), bit for bit,
+    # over stacks of one chain or several, with NaN and inf row sums too.
+    rng = np.random.default_rng(seed)
+    phases, m0, sums = chains.carrier
+    sums = sums.copy()
+    for value in odd:  # into random rows of random chains
+        sums[rng.integers(len(sums)), rng.integers(chains.n)] = value
+    chains.carrier = (phases, m0, sums)
+    chains.__dict__.pop("rate_sums", None)
+    widths, maxima = chains.rate_sums
+    assert len(widths) == len(np.unique(chains.total))
+    deltas = np.tile(deltas, len(sums))
+    chain = np.arange(len(sums)).repeat(len(deltas) // len(sums))
+    for points in (slice(None), slice(0, max(1, len(chain) // len(sums)))):
+        d, c = deltas[points], chain[points]
+        expected = _row_max(sums[c] + np.abs(-d[:, None] - chains.width))
+        per_point = maxima[c[0]] if c[0] == c[-1] else maxima[c]
+        assert _carrier_norm(d, widths, per_point).tobytes() == expected.tobytes()
+
+
+def full_near(gap, norm):
+    return _row_max(np.abs(gap) <= RESIDUAL_LIMIT * norm[:, None])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=8),
+    points=st.integers(min_value=1, max_value=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_near_test_over_dark_modes_is_the_full_tests_mask(n, points, seed):
+    # Modes at, near and far from the real axis, detunings on, near and far
+    # from their real parts, and NaN and inf norms and modes.
+    rng = np.random.default_rng(seed)
+    damping = rng.choice([0.0, 1e-15, 1e-9, 1e-7, 3.43, np.nan], size=n)
+    lam = rng.uniform(-50.0, 50.0, n) - 1j * damping * rng.choice([1.0, -1.0], size=n)
+    deltas = np.where(rng.random(points) < 0.5, rng.choice(lam.real, points), rng.uniform(-60, 60, points))
+    deltas = deltas + rng.choice([0.0, 1e-12, 1e-8], size=points)
+    norm = rng.choice([1.0, 44.0, 1e4, np.nan, np.inf], size=points)
+    gap = lam - deltas[:, None]
+    near = _near(gap, norm, np.abs(lam.imag))
+    assert near.tobytes() == full_near(gap, norm).tobytes()
+    # A mode exactly at the limit is near: |lambda - Re lambda| = |Im lambda|.
+    gap = np.array([[5.0 - 44.0 * RESIDUAL_LIMIT * 1j]]) - 5.0
+    assert _near(gap, np.array([44.0]), np.abs(gap.imag[0])).tolist() == [True]
+
+
+@pytest.mark.parametrize("case", ["dark", "isolated"])
+def test_points_on_a_dark_mode_go_to_the_lu(case):
+    # "dark": the lossless symmetric pair at half the guided wavelength has a
+    # subradiant mode within 4e-15 of the real axis, decoupled from the input,
+    # so the LU solves a grid point on it too.  "isolated": the N = 30 chain
+    # whose last two emitters form a lossless pair with real modes +-1, where
+    # M(delta) is singular.  The LU takes exactly the points that the full
+    # (P, N) test finds near, and its verdict stands: the LU batch's error.
+    if case == "dark":
+        config = symmetric_config(2, ddi_mode="auto", spacing=105.9)
+        ddi = ddi_matrix(config)
+    else:
+        config, ddi = isolated_pair(chiral_config(30))
+    chains = _chain(config, ddi)
+    lam = chains.modes[0][0]
+    dark = lam[np.abs(lam.imag) < 1e-12].real
+    assert dark.size
+    grid = np.unique(np.concatenate([np.linspace(-40.0, 40.0, 9), dark]))
+    gap = lam - grid[:, None]
+    widths, maxima = chains.rate_sums
+    norm = _carrier_norm(grid, widths, maxima[0])
+    near = _near(gap, norm, np.abs(lam.imag))
+    assert near.tobytes() == full_near(gap, norm).tobytes() and near.any()
+    solve, stacks = np.linalg.solve, []
+
+    def recording(matrices, rhs):  # before solving: a singular stack raises
+        if matrices.ndim == 3 and rhs.shape[-1] == 1:  # an LU stack, not V against [I | b]
+            stacks.append(-matrices[:, 0, 0].real)  # M_11 = -delta - i Gamma_1 / 2
+        return solve(matrices, rhs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "solve", recording)
+        try:
+            scan(config, ddi, grid)
+            raised = None
+        except SolverError as err:
+            raised = err
+    assert np.concatenate(stacks).tolist() == grid[near].tolist()
+    if raised is None:
+        solve_spectrum_point_batch(config, ddi, grid)
+    else:
+        with pytest.raises(SolverError) as err:
+            solve_spectrum_point_batch(config, ddi, grid)
+        assert str(raised) == str(err.value)
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 136])
 @pytest.mark.parametrize("n", [1, 2, 9, 30, 100])
 def test_port_sums_are_the_cumsums_last_column(n, p):
@@ -878,7 +1062,7 @@ def test_intensity_estimates_track_the_lu_at_the_routing_peaks():
     result = scan(config, ddi, np.linspace(-300.0, 300.0, 401))
     top = np.sort(np.argsort(result.intensities["Tt"])[-40:])
     chains = _chain(config, ddi)
-    modal = _solve_chains(chains, result.delta[top], modal=True)
+    modal = _solve_chains(chains, result.delta[top], modal=True, keep_defect=True)
     assert modal.table().tobytes() == result.table()[top].tobytes()
     lu = solve_spectrum_point_batch(config, ddi, result.delta[top])
     for key in ("T", "Tt"):

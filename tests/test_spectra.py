@@ -93,10 +93,10 @@ def counted_solves(monkeypatch, solver=None):
     only of those by one ``solver``, "modes" or "lu"."""
     solve, calls = spectra._solve_chains, []
 
-    def counting(chains, deltas, modal):
+    def counting(chains, deltas, modal, **switches):
         if solver in (None, "modes" if modal else "lu"):
             calls.append(np.array(deltas))
-        return solve(chains, deltas, modal)
+        return solve(chains, deltas, modal, **switches)
 
     monkeypatch.setattr(spectra, "_solve_chains", counting)
     return calls
@@ -424,9 +424,9 @@ class TestFindPeaks:
         solved, returned, decided = [], [], []
         solve, refine, compared = spectra._solve_chains, spectra._refine_maxima, spectra._compared
 
-        def solving(chains, deltas, modal):
+        def solving(chains, deltas, modal, **switches):
             solved.append(chains)
-            return solve(chains, deltas, modal)
+            return solve(chains, deltas, modal, **switches)
 
         def refining(*args):
             returned.append(refine(*args))
@@ -482,9 +482,9 @@ class TestFindPeaks:
             built.append(args)
             return chain(*args)
 
-        def solving(chains, deltas, modal):
+        def solving(chains, deltas, modal, **switches):
             solved.append(chains)
-            return solve_chains(chains, deltas, modal)
+            return solve_chains(chains, deltas, modal, **switches)
 
         monkeypatch.setattr(spectra, "_chain", building)
         monkeypatch.setattr(spectra, "_solve_chains", solving)
@@ -514,9 +514,9 @@ class TestFindPeaks:
         decomposed = counted_decompositions(monkeypatch)
         solves, solve = [], spectra._solve_chains
 
-        def solving(chains, deltas, modal):
+        def solving(chains, deltas, modal, **switches):
             solves.append((chains, modal))
-            return solve(chains, deltas, modal)
+            return solve(chains, deltas, modal, **switches)
 
         monkeypatch.setattr(spectra, "_solve_chains", solving)
         peaks = find_peaks(result, *CHANNELS, refine=True)
@@ -715,12 +715,12 @@ def test_only_probes_of_the_plain_search_raise(monkeypatch):
     expected = reference_peaks(config, ddi, result, ["Tt"], path)
     solve, raised, failing = spectra._solve_chains, [], None
 
-    def solving(chains, deltas, modal):
+    def solving(chains, deltas, modal, **switches):
         for delta in deltas:
             if delta not in path or delta == failing:
                 raised.append(delta)
                 raise SolverError("off the path", delta)
-        return solve(chains, deltas, modal)
+        return solve(chains, deltas, modal, **switches)
 
     monkeypatch.setattr(spectra, "_solve_chains", solving)
     monkeypatch.setattr(spectra, "_predicted_sides", wrong_sides(config, ddi, "Tt"))
@@ -742,11 +742,11 @@ def test_a_failing_probe_of_a_one_step_call_raises(monkeypatch):
     result = crowded_scan()
     solve, calls, failing = spectra._solve_chains, [], None
 
-    def solving(chains, deltas, modal):
+    def solving(chains, deltas, modal, **switches):
         calls.append(np.array(deltas))
         if failing in deltas:
             raise SolverError("on the path", failing)
-        return solve(chains, deltas, modal)
+        return solve(chains, deltas, modal, **switches)
 
     monkeypatch.setattr(spectra, "_solve_chains", solving)
     find_peaks(result, *CHANNELS, refine=True)
@@ -1076,9 +1076,9 @@ class TestScaleEmitters:
             built.append(chain(*args))
             return built[-1]
 
-        def solving(chains, deltas, modal):
+        def solving(chains, deltas, modal, **switches):
             solves.append((chains, modal))
-            return solve(chains, deltas, modal)
+            return solve(chains, deltas, modal, **switches)
 
         monkeypatch.setattr(scattering, "_chain", building)
         for module in (scattering, spectra):  # the scan's solve, the probes'
