@@ -3,6 +3,13 @@ only computes its grid record and {path: text} artifacts), writes every
 artifact, then the manifest named after the first, and prints one ``wrote``
 line; point and chain-length counts are in the manifest's grid record only.
 
+``COMMANDS`` is the one table of the commands and their flags, with each
+flag's type and default or that it is required; ``parse_args`` reads argv
+against it and ``-h``/``--help`` prints usage built from it.  A flag takes
+its value as ``--flag value`` or ``--flag=value``, is never abbreviated,
+and keeps its last value when repeated.  ``-h``, ``--help`` and
+``--version`` print to stdout and exit 0.
+
 Exit codes: 0 success, 1 config/usage error, 2 solver failure (the offending
 detuning is reported), 3 I/O error, 4 internal error (any other exception,
 reported in one line instead of a traceback).
@@ -10,14 +17,13 @@ reported in one line instead of a traceback).
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
-import re
 import sys
 import time
 import traceback
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -78,7 +84,7 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _with_grid(config: SystemConfig, args: argparse.Namespace) -> SystemConfig:
+def _with_grid(config: SystemConfig, args: SimpleNamespace) -> SystemConfig:
     """The config with its detuning window, or the command's default, and the
     --delta-* overrides applied, checked like a config file's window."""
     base = config.detuning or args.default_grid
@@ -90,7 +96,7 @@ def _with_grid(config: SystemConfig, args: argparse.Namespace) -> SystemConfig:
     return validate(dataclasses.replace(config, detuning=grid))
 
 
-def cmd_spectrum(args: argparse.Namespace, config: SystemConfig) -> tuple[dict, dict]:
+def cmd_spectrum(args: SimpleNamespace, config: SystemConfig) -> tuple[dict, dict]:
     config = _with_grid(config, args)
     ddi = ddi_matrix(config)
     result = scan(config, ddi, config.detuning.to_array())
@@ -103,7 +109,7 @@ def cmd_spectrum(args: argparse.Namespace, config: SystemConfig) -> tuple[dict, 
     }
 
 
-def cmd_sweep_separation(args: argparse.Namespace, config: SystemConfig) -> tuple[dict, dict]:
+def cmd_sweep_separation(args: SimpleNamespace, config: SystemConfig) -> tuple[dict, dict]:
     config = _with_grid(config, args)
     sweep = sweep_separation(
         config, (args.l_min, args.l_max), args.l_points, config.detuning.to_array()
@@ -112,7 +118,7 @@ def cmd_sweep_separation(args: argparse.Namespace, config: SystemConfig) -> tupl
     return dataclasses.asdict(config.detuning) | record, {Path(args.out): _sweep_csv(sweep)}
 
 
-def cmd_scale_n(args: argparse.Namespace, config: SystemConfig) -> tuple[dict, dict]:
+def cmd_scale_n(args: SimpleNamespace, config: SystemConfig) -> tuple[dict, dict]:
     config = _with_grid(config, args)
     try:
         n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
@@ -127,7 +133,7 @@ def cmd_scale_n(args: argparse.Namespace, config: SystemConfig) -> tuple[dict, d
     return record, {Path(args.out): _json(payload)}
 
 
-def cmd_validate(args: argparse.Namespace, config: SystemConfig) -> tuple[dict, dict]:
+def cmd_validate(args: SimpleNamespace, config: SystemConfig) -> tuple[dict, dict]:
     ddi = ddi_matrix(config)  # a config it rejects prints nothing
     print(f"n_emitters: {config.n_emitters}")
     print(f"chiral: {'true' if config.chiral else 'false'}")
@@ -142,70 +148,81 @@ def cmd_validate(args: argparse.Namespace, config: SystemConfig) -> tuple[dict, 
     return {}, {Path(args.dump_ddi): text}
 
 
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # A negative number in any form float() reads (-1e2, -inf) is a value,
-        # as -1 and -.5 are to argparse, not an unknown option.
-        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+_IO_FLAGS = {"--config": (str, ...), "--out": (str, ...)}
+_DELTA_FLAGS = {"--delta-min": (float, None), "--delta-max": (float, None),
+                "--delta-points": (int, None)}
 
-    def error(self, message):  # route usage errors to exit code 1
-        raise ConfigError([message])
+#: Each command's run, help, default detuning window and {flag: (type,
+#: default)}: a default of ... marks a required flag, and type bool a switch.
+COMMANDS = {
+    "spectrum": (cmd_spectrum, "detuning scan -> CSV + peak report", DetuningGrid(),
+                 _IO_FLAGS | {"--refine-peaks": (bool, False)} | _DELTA_FLAGS),
+    "sweep-separation": (cmd_sweep_separation, "(detuning, spacing) sweep -> long CSV",
+                         DetuningGrid(-40.0, 40.0, 201), _IO_FLAGS | {
+                             "--l-min": (float, 5.0), "--l-max": (float, 100.0),
+                             "--l-points": (int, 96)} | _DELTA_FLAGS),
+    "scale-n": (cmd_scale_n, "chain-length scaling -> JSON report", DetuningGrid(),
+                _IO_FLAGS | {"--n-list": (str, ...)} | _DELTA_FLAGS),
+    "validate": (cmd_validate, "validate a config, print derived values", None,
+                 {"--config": (str, ...), "--dump-ddi": (str, None)}),
+}
 
 
-def _add_delta_flags(sub, default_grid: DetuningGrid) -> None:
-    sub.add_argument("--delta-min", type=float, default=None, help="Gamma0 units")
-    sub.add_argument("--delta-max", type=float, default=None, help="Gamma0 units")
-    sub.add_argument("--delta-points", type=int, default=None)
-    sub.set_defaults(default_grid=default_grid)
+def _usage(command: str | None = None) -> str:
+    """The usage of the program, or of one command, from ``COMMANDS``."""
+    if command is None:
+        return "\n".join([f"usage: photon-router [-h] [--version] {{{','.join(COMMANDS)}}} ...",
+                          *(f"  {name:<22}{about}" for name, (_, about, _, _) in COMMANDS.items())])
+    _, about, grid, flags = COMMANDS[command]
+    window = f"; default grid {grid.min:g}..{grid.max:g}, {grid.points} points" if grid else ""
+    rows = [(f"{flag} {'' if kind is bool else kind.__name__.upper()}",
+             "required" if default is ... else f"default {default}" if default else "")
+            for flag, (kind, default) in flags.items()]
+    return "\n".join([f"usage: photon-router {command} [-h] [flags]", about + window,
+                      _UNITS_HEADER[2:], *(f"  {flag:<22}{note}".rstrip() for flag, note in rows)])
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="photon-router",
-        description="Single-photon transport through an emitter chain "
-        "coupled to a two-waveguide ladder.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    spectrum = sub.add_parser("spectrum", help="detuning scan -> CSV + peak report")
-    spectrum.add_argument("--config", required=True)
-    spectrum.add_argument("--out", required=True)
-    spectrum.add_argument("--refine-peaks", action="store_true")
-    _add_delta_flags(spectrum, DetuningGrid(-300.0, 300.0, 2001))
-    spectrum.set_defaults(run=cmd_spectrum)
-
-    sweep = sub.add_parser(
-        "sweep-separation", help="(detuning, spacing) sweep -> long CSV"
-    )
-    sweep.add_argument("--config", required=True)
-    sweep.add_argument("--out", required=True)
-    sweep.add_argument("--l-min", type=float, default=5.0, help="nm")
-    sweep.add_argument("--l-max", type=float, default=100.0, help="nm")
-    sweep.add_argument("--l-points", type=int, default=96)
-    _add_delta_flags(sweep, DetuningGrid(-40.0, 40.0, 201))
-    sweep.set_defaults(run=cmd_sweep_separation)
-
-    scale = sub.add_parser("scale-n", help="chain-length scaling -> JSON report")
-    scale.add_argument("--config", required=True)
-    scale.add_argument("--out", required=True)
-    scale.add_argument("--n-list", required=True, help="comma-separated chain lengths")
-    _add_delta_flags(scale, DetuningGrid(-300.0, 300.0, 2001))
-    scale.set_defaults(run=cmd_scale_n)
-
-    check = sub.add_parser("validate", help="validate a config, print derived values")
-    check.add_argument("--config", required=True)
-    check.add_argument("--dump-ddi", default=None, metavar="PATH")
-    check.set_defaults(run=cmd_validate)
-
-    return parser
+def parse_args(argv: list[str]) -> SimpleNamespace | str:
+    """The namespace that the command's ``cmd_*`` takes, with its
+    ``command``, ``run`` and ``default_grid`` and one attribute per flag, or
+    the text that ``-h``/``--help`` or ``--version`` prints.  A flag takes
+    its value after a space or an ``=``, and the token after a value flag
+    is always its value, so ``-1e2`` is one; a repeated flag keeps its last
+    value.  A usage error is a ``ConfigError``."""
+    if argv[:1] in (["-h"], ["--help"], ["--version"]):
+        return __version__ if argv[0] == "--version" else _usage()
+    if not argv or argv[0] not in COMMANDS:
+        got = f"invalid choice: {argv[0]!r}" if argv else "required"
+        raise ConfigError([f"argument command: {got} (choose from {', '.join(COMMANDS)})"])
+    run, _, grid, flags = COMMANDS[argv[0]]
+    values, tokens = {flag: default for flag, (_, default) in flags.items()}, iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return _usage(argv[0])
+        flag, joined, value = token.partition("=")
+        if flag not in flags:
+            raise ConfigError([f"unrecognized arguments: {token}"])
+        kind = flags[flag][0]
+        if kind is bool and joined:
+            raise ConfigError([f"argument {flag}: ignored explicit argument {value!r}"])
+        if kind is not bool and not joined and (value := next(tokens, None)) is None:
+            raise ConfigError([f"argument {flag}: expected one argument"])
+        try:
+            values[flag] = True if kind is bool else kind(value)
+        except ValueError:
+            raise ConfigError([f"argument {flag}: invalid {kind.__name__} value: {value!r}"])
+    if missing := [flag for flag, value in values.items() if value is ...]:
+        raise ConfigError(["the following arguments are required: " + ", ".join(missing)])
+    options = {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+    return SimpleNamespace(command=argv[0], run=run, default_grid=grid, **options)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):  # -h, --help or --version
+            print(args)
+            return EXIT_OK
         started = time.perf_counter()
         config = load_config(args.config)
         grid, artifacts = args.run(args, config)

@@ -532,12 +532,13 @@ def _rows(
 
 
 def _swept(
-    chains: _Chains, chain: np.ndarray, phases: np.ndarray, rhs: np.ndarray,
-    gap: np.ndarray, norm: np.ndarray, on_diagonal: np.ndarray,
+    chains: _Chains, chain: np.ndarray, phases: np.ndarray, rhs: np.ndarray, gap: np.ndarray,
+    norm: np.ndarray, on_diagonal: np.ndarray, conjugates: np.ndarray, rhs_max: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Amplitudes x (P, N), defects |M(delta) x - b|_inf (P,) and which
     converged, for the delta-dependent points of a stack (``chain`` of each),
-    from their chains' carrier-phase modes.
+    from their chains' carrier-phase modes, given e^{i phi_j} (``phases``)
+    and b (``rhs``) at each point and their ``conjugates`` and |b|_inf.
 
     M(delta) x is the LU's matrix applied as the module docstring writes it,
     D at each point's own ``phases``, plus ``on_diagonal`` x.  x starts at
@@ -554,7 +555,6 @@ def _swept(
     would not give 1e-10 intensities.  While every point of the stack still
     sweeps, a sweep reads its arrays whole, not gathered."""
     _, vecs, inverse, _ = chains.modes
-    conjugates, rhs_max = phases.conj(), _row_max(np.abs(rhs))
 
     def image(points, x):  # M(delta) x
         d, d_conj, c = phases[points], conjugates[points], chain[points]
@@ -662,16 +662,17 @@ def _solve_chains(
     if carrier_modal and not keep_defect:  # one stack's defect rows, for its check
         scratch = np.empty((min(size, flat.size), n), dtype=complex)
 
-    def record(points, x, defect, norm, phases):
+    def record(points, x, defect, norm, phases, conjugates, rhs_max):
         """Store the points' output ports, intensities and backward error (the
-        amplitudes ``x`` are the caller's to store); return which are solved
-        (backward error at most ``RESIDUAL_LIMIT``, finite norm) and which
-        flux-balanced.  The ports fill the rows of one block, and the
-        intensities follow from it in one pass."""
-        magnitude, rhs_max = np.abs(x), _row_max(np.abs(v_dr * phases))
+        amplitudes ``x`` are the caller's to store), given e^{i phi_j}, its
+        conjugate and |b|_inf; return which are solved (backward error at
+        most ``RESIDUAL_LIMIT``, finite norm) and which flux-balanced.  The
+        ports fill the rows of one block, and the intensities follow from it
+        in one pass."""
+        magnitude = np.abs(x)
         residual[points] = _backward_error(defect, norm, _row_max(magnitude), rhs_max)
         weight = np.square(magnitude, out=magnitude)
-        forward = phases.conj() * x
+        forward = conjugates * x
         backward = (phases * x)[:, ::-1] if backflow else None  # from the last emitter
         ports = np.empty((4, len(x)), dtype=complex)
         ports[0] = 1.0 - 1j * _port_sum(v_dr, forward)
@@ -727,6 +728,7 @@ def _solve_chains(
             gap = _per_point(lam, chain) - detuning
             stack_phases = point_phases(points)
             rhs = -(v_dr * stack_phases)
+            conjugates, rhs_max = stack_phases.conj(), _row_max(np.abs(rhs))
             with np.errstate(divide="ignore"):  # at a mode: inf, which fails the point
                 if chains.drifts:
                     drift = steps[stack] - chains.theta[chain]  # Delta, per step
@@ -735,9 +737,8 @@ def _solve_chains(
                     sums = _per_point(chains.carrier[2], chain)
                     sums = np.maximum(sums - np.abs(drift)[:, None] * chains.spread, 0.0)
                     on_diagonal, norm = diagonal_norm(stack, sums)
-                    x, defect, converged = _swept(
-                        chains, chain, stack_phases, rhs, gap, norm, on_diagonal
-                    )
+                    x, defect, converged = _swept(chains, chain, stack_phases, rhs, gap, norm,
+                                                  on_diagonal, conjugates, rhs_max)
                     a[stack] = x
                 else:
                     # A = V (w / (lambda - delta)): a point's bits depend on its
@@ -750,7 +751,7 @@ def _solve_chains(
                     rows -= detuning * x
                     rows -= rhs
                     defect, converged = _row_max(np.abs(rows)), True
-            solved, balanced = record(stack, x, defect, norm, stack_phases)
+            solved, balanced = record(stack, x, defect, norm, stack_phases, conjugates, rhs_max)
             near = _near(gap, norm, np.fmin.reduce(damping[chain[0] : chain[-1] + 1]))
             points = start + np.flatnonzero(near | ~(solved & balanced & converged))
             if not points.size:
@@ -758,6 +759,7 @@ def _solve_chains(
 
         lu_phases = np.broadcast_to(point_phases(points), (points.size, n))
         rhs = -(v_dr * lu_phases)
+        conjugates, rhs_max = lu_phases.conj(), _row_max(np.abs(rhs))
         x = np.empty((points.size, n), dtype=complex)
         defect, norm = np.empty((2, points.size))
         singular = np.zeros(points.size, dtype=bool)
@@ -779,7 +781,7 @@ def _solve_chains(
             x[k] = solution
             defect[k] = _row_max(np.abs((matrices @ solution[..., None])[..., 0] - rhs[k]))
         a[points] = x
-        accepted, balanced = record(points, x, defect, norm, lu_phases)
+        accepted, balanced = record(points, x, defect, norm, lu_phases, conjugates, rhs_max)
         # The one acceptance check: the LU's verdict stands.
         failed = np.flatnonzero(~(accepted & balanced))
         if failed.size:

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import photon_router
 import photon_router.cli as cli
 from photon_router import SeparationSweep, SystemConfig, cells, sweep_separation, validate
 from photon_router.cli import main
@@ -267,6 +271,125 @@ def test_manual_ddi_near_a_coupling_node_exits_1(tmp_path, capsys):
 def test_usage_error_exits_1(capsys):
     assert main(["spectrum"]) == 1
     assert "required" in capsys.readouterr().err
+
+
+def test_missing_required_flags_are_named_in_one_line(capsys):
+    assert main(["spectrum", "--refine-peaks"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: the following arguments are required: --config, --out\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["-h"], ["--version"], *([name, "--help"] for name in cli.COMMANDS),
+             ["validate", "--config", "c.json", "-h"]],
+    ids=lambda argv: " ".join(argv),
+)
+def test_help_and_version_print_to_stdout_and_exit_0(argv, capsys):
+    assert main(argv) == 0  # and raises no SystemExit
+    out, err = capsys.readouterr()
+    assert err == ""
+    if argv == ["--version"]:
+        assert out == f"{photon_router.__version__}\n"
+    else:
+        assert out.startswith("usage: photon-router ")
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_each_command_usage_names_every_flag(command, capsys):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: photon-router {command} ")
+    flags = cli.COMMANDS[command][-1]
+    assert [line.split()[0] for line in out.splitlines() if line.startswith("  --")] == list(flags)
+
+
+def test_top_level_usage_names_every_command(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert [line.split()[0] for line in out.splitlines()[1:]] == list(cli.COMMANDS)
+
+
+def test_joined_values_parse_as_separate_ones():
+    spaced = cli.parse_args([
+        "sweep-separation", "--config", "c.json", "--out", "o.csv",
+        "--l-min", "-1e1", "--l-points", "7", "--delta-max", "-.5",
+    ])
+    joined = cli.parse_args([
+        "sweep-separation", "--config=c.json", "--out=o.csv",
+        "--l-min=-1e1", "--l-points=7", "--delta-max=-.5",
+    ])
+    assert vars(spaced) == vars(joined)
+    assert (joined.config, joined.l_min, joined.l_points, joined.delta_max) == ("c.json", -10.0, 7, -0.5)
+    assert (joined.l_max, joined.delta_min, joined.delta_points) == (100.0, None, None)
+
+
+def test_a_repeated_flag_keeps_its_last_value():
+    args = cli.parse_args([
+        "spectrum", "--config", "a.json", "--out", "a.csv", "--delta-points", "3",
+        "--config=b.json", "--delta-points", "9", "--refine-peaks", "--refine-peaks",
+    ])
+    assert (args.config, args.out, args.delta_points, args.refine_peaks) == ("b.json", "a.csv", 9, True)
+
+
+@pytest.mark.parametrize(
+    "tail, message",
+    [
+        (["--refine-peaks=1"], "argument --refine-peaks: ignored explicit argument '1'"),
+        (["--delta-points"], "argument --delta-points: expected one argument"),
+        (["--delta-points", "2.5"], "argument --delta-points: invalid int value: '2.5'"),
+        (["--delta-min=x"], "argument --delta-min: invalid float value: 'x'"),
+        (["--bogus", "1"], "unrecognized arguments: --bogus"),
+        (["--conf", "c.json"], "unrecognized arguments: --conf"),  # no abbreviations
+        (["extra"], "unrecognized arguments: extra"),
+    ],
+    ids=["value-to-a-switch", "flag-without-value", "invalid-int", "invalid-float",
+         "unknown-flag", "abbreviated-flag", "stray-token"],
+)
+def test_usage_errors_exit_1_in_one_line_and_write_nothing(tail, message, two_emitter_config,
+                                                           tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    code = main(["spectrum", "--config", str(two_emitter_config), "--out", str(out), *tail])
+    assert code == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert list(tmp_path.iterdir()) == [two_emitter_config]
+
+
+@pytest.mark.parametrize("argv", [["spectra", "--config", "c.json"], []], ids=["unknown", "none"])
+def test_a_missing_or_unknown_command_exits_1(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: argument command: ") and err.count("\n") == 1
+    assert "(choose from spectrum, sweep-separation, scale-n, validate)" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_main_reads_sys_argv(two_emitter_config, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "spectrum.csv"
+    argv = ["--config", str(two_emitter_config), "--out", str(out), "--delta-points", "5"]
+    monkeypatch.setattr(sys, "argv", ["photon-router", "spectrum", *argv])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith(f"wrote {out}")
+
+
+def test_a_run_imports_no_argument_parser(two_emitter_config, tmp_path):
+    # In a fresh interpreter: parsing the command line must not import
+    # argparse, nor the gettext and locale that it loads for its messages.
+    out = tmp_path / "spectrum.csv"
+    script = (
+        "import sys\n"
+        "from photon_router.cli import main\n"
+        f"code = main(['spectrum', '--config', {str(two_emitter_config)!r}, '--out', {str(out)!r},"
+        " '--delta-points', '21'])\n"
+        "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    package = Path(cli.__file__).parent.parent
+    env = os.environ | {"PYTHONPATH": os.pathsep.join([str(package), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                         timeout=120, check=True)
+    assert run.stdout.splitlines()[-1] == "0 []"
+    assert len(read_csv(out)["delta"]) == 21
 
 
 @pytest.mark.parametrize(

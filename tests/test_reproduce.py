@@ -30,13 +30,11 @@ def test_experiment_subset_writes_only_its_folder(reproduce, tmp_path):
 
 
 def test_every_experiment_uses_valid_cli_arguments(reproduce):
-    from photon_router.cli import build_parser
+    from photon_router.cli import parse_args
 
     for runs in reproduce.EXPERIMENTS.values():
         for command, _, _, artifact, flags in runs:
-            build_parser().parse_args(
-                [command, "--config", "c.json", "--out", artifact, *flags]
-            )
+            parse_args([command, "--config", "c.json", "--out", artifact, *flags])
 
 
 def test_unknown_experiment_is_a_usage_error(reproduce, capsys):
