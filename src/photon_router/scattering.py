@@ -306,6 +306,21 @@ class _Chains:
         return _modes(m0, -(self.v_dr * phases), self.mirrored)
 
     @cached_property
+    def slope(self) -> np.ndarray:
+        """B1 = V^-1 M1 V (C, N, N), M1 = dM0/dtheta = i K o (C_r - C_l) the
+        first order of M0 in the step phase, K_jk = j - k, C_r = D (-i G_r) D*
+        and C_l = D* (-i G_l) D at the carrier (see ``_swept``); NaN wherever
+        the modes are."""
+        phases, (vecs, inverse) = self.carrier[0], self.modes[1:3]
+        rightward = phases[:, :, None] * phases.conj()[:, None, :]
+        leftward = rightward.conj()
+        rightward *= self.rightward
+        leftward *= self.leftward
+        rightward -= leftward
+        rightward *= 1j * np.subtract.outer(np.arange(self.n), np.arange(self.n))
+        return inverse @ rightward @ vecs
+
+    @cached_property
     def ports(self) -> np.ndarray:
         """c_k^T V (5, N) of the one chain, for each port amplitude
         p = p0 + c_k^T A in ``INTENSITY_KEYS`` order, the loss's row NaN."""
@@ -534,6 +549,7 @@ def _rows(
 def _swept(
     chains: _Chains, chain: np.ndarray, phases: np.ndarray, rhs: np.ndarray, gap: np.ndarray,
     norm: np.ndarray, on_diagonal: np.ndarray, conjugates: np.ndarray, rhs_max: np.ndarray,
+    drift: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Amplitudes x (P, N), defects |M(delta) x - b|_inf (P,) and which
     converged, for the delta-dependent points of a stack (``chain`` of each),
@@ -555,15 +571,22 @@ def _swept(
     would not give 1e-10 intensities.  While every point of the stack still
     sweeps, a sweep reads its arrays whole, not gathered."""
     _, vecs, inverse, _ = chains.modes
+    slope = chains.slope
 
     def image(points, x):  # M(delta) x
         d, d_conj, c = phases[points], conjugates[points], chain[points]
         right, left = _rows(chains.rightward, d_conj * x), _rows(chains.leftward, d * x)
         return d * right + d_conj * left + _rows(chains.exchange, x, c) + on_diagonal[points] * x
 
-    def step(points, residual):  # V ((V^-1 r) / (lambda - delta))
-        c = chain[points]
-        return _rows(vecs, _rows(inverse, residual, c) / gap[points], c)
+    def step(points, residual):  # V (y - Delta (B1 y) / (lambda - delta)), y = (V^-1 r) / (lambda - delta)
+        c, g = chain[points], gap[points]
+        y = _rows(inverse, residual, c)
+        y /= g
+        correction = _rows(slope, y, c)
+        correction *= drift[points, None]
+        correction /= g
+        y -= correction
+        return _rows(vecs, y, c)
 
     def backward(points, x, mx):
         defect = _row_max(np.abs(mx - rhs[points]))
@@ -738,7 +761,7 @@ def _solve_chains(
                     sums = np.maximum(sums - np.abs(drift)[:, None] * chains.spread, 0.0)
                     on_diagonal, norm = diagonal_norm(stack, sums)
                     x, defect, converged = _swept(chains, chain, stack_phases, rhs, gap, norm,
-                                                  on_diagonal, conjugates, rhs_max)
+                                                  on_diagonal, conjugates, rhs_max, drift)
                     a[stack] = x
                 else:
                     # A = V (w / (lambda - delta)): a point's bits depend on its

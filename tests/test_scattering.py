@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from photon_router.scattering import (
     STACK_ELEMENTS,
     _carrier_norm,
     _chain,
+    _backward_error,
     _Chains,
     _intensity_errors,
     _modes,
@@ -705,32 +707,108 @@ def test_delta_dependent_reference_grid_is_solved_from_one_decomposition():
     # The benchmark's N = 100 symmetric chain with delta-dependent phases:
     # two solves, V^-1 and w of each parity half (50 x 50, against [I | b]:
     # the chain is its own mirror image), and refinement sweeps from the
-    # carrier-phase modes; no point of the 251-point grid needs the LU, and
-    # all agree with it.
+    # carrier-phase modes with the drift in their steps.  Every point of the
+    # 251-point grid converges after at most one sweep: each of its seven
+    # stacks takes two backward errors, at its start and after one sweep
+    # (27 in all when the steps left the drift out).  No point needs the LU,
+    # each ends at most eps, and all agree with the LU.
     config = symmetric_config(100, gamma=EMISSION, delta_dependent_phases=True)
     ddi = ddi_matrix(config)
     grid = np.linspace(-100.0, 100.0, 251)
-    recorder = RecordingSolve()
+    recorder, evaluations, converged = RecordingSolve(), [], []
+
+    def swept(*args):
+        evaluations.append(0)
+        converged.append(result := _swept(*args))
+        evaluations.append(None)  # after the sweeps
+        return result
+
+    def backward_error(*args):
+        if evaluations and evaluations[-1] is not None:
+            evaluations[-1] += 1
+        return _backward_error(*args)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.linalg, "solve", recorder)
+        patch.setattr(scattering, "_swept", swept)
+        patch.setattr(scattering, "_backward_error", backward_error)
         modal = scan(config, ddi, grid)
     assert len(recorder.systems) == 2
     for vectors, rhs, _ in recorder.systems:
         assert vectors.shape == (1, 50, 50) and rhs.shape == (1, 50, 51)
-    assert (modal.residual <= 100 * EPS).all()
+    assert evaluations[::2] == [2] * 7
+    assert all(result[2].all() for result in converged)
+    assert (modal.residual <= EPS).all()
     lu = solve_spectrum_point_batch(config, ddi, grid)
     for key in INTENSITY_KEYS:
         assert np.max(np.abs(modal.intensities[key] - lu.intensities[key])) < 1e-12
 
 
+@pytest.mark.parametrize("n", [30, 31])
+@pytest.mark.parametrize("make", [chiral_config, symmetric_config], ids=["chiral", "symmetric"])
+def test_modal_slope_is_the_step_phase_derivative_of_m0_in_the_modes(make, n):
+    # B1 = V^-1 M1 V against a central difference of M0 in the step phase,
+    # each M0 built by ``_Chains.coupling`` (the diagonal cancels), in the
+    # full V or in the one that the parity halves of a mirrored chain make.
+    config = make(n, gamma=EMISSION, delta_dependent_phases=True)
+    ddi = ddi_matrix(config)
+    chains, h = _chain(config, ddi), 1e-5
+    plus, minus = (chains.coupling(chains.phases(np.array([config.theta + side])), ddi.values)[0]
+                   for side in (h, -h))
+    _, vecs, inverse, _ = chains.modes
+    expected = inverse @ ((plus - minus) / (2.0 * h)) @ vecs
+    assert np.allclose(chains.slope, expected, rtol=0.0, atol=1e-8 * np.abs(expected).max())
+
+
+def test_modal_slope_is_nan_where_the_modes_are():
+    # A chain whose decomposition fails (an inf in its J) has NaN modes, and
+    # so a NaN B1; the chain beside it keeps a finite one.
+    config = chiral_config(30, delta_dependent_phases=True)
+    couplings = np.repeat(ddi_matrix(config).values[None], 2, axis=0)
+    couplings[1, 3, 4] = np.inf
+    slope = _Chains([config, config], couplings).slope
+    assert np.isfinite(slope[0]).all() and np.isnan(slope[1]).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain=random_chains(), gamma0=st.floats(min_value=1.0, max_value=1e8), deltas=scan_grids)
+def test_drift_corrected_sweeps_leave_what_they_do_not_converge_to_the_lu(chain, gamma0, deltas):
+    # At step-phase drifts from 1e-9 rad up to tens of rad, the scan stays
+    # within 1e-10 of the LU, and every point whose sweeps do not converge
+    # is among the LU's systems (their M_jj = -delta - i Gamma_j / 2).
+    config, ddi = chain
+    config = replace(config, delta_dependent_phases=True, gamma0_mhz=gamma0)
+    signature, unconverged, recorder = inspect.signature(_swept), [], RecordingSolve()
+
+    def swept(*args):
+        result = _swept(*args)
+        on_diagonal = signature.bind(*args).arguments["on_diagonal"]
+        unconverged.extend(-on_diagonal[~result[2], 0].real)
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scattering, "_swept", swept)
+        patch.setattr(np.linalg, "solve", recorder)
+        modal = scan(config, ddi, deltas)
+    n = config.n_emitters
+    solved = {float(delta) for matrices, rhs, _ in recorder.systems if rhs.shape[-1] == 1
+              for delta in -np.reshape(matrices, (-1, n, n))[:, 0, 0].real}
+    assert set(unconverged) <= solved
+    lu = solve_spectrum_point_batch(config, ddi, deltas)
+    assert np.max(np.abs(modal.a - lu.a)) < 1e-10
+    for key in INTENSITY_KEYS:
+        assert np.max(np.abs(modal.intensities[key] - lu.intensities[key])) < 1e-10
+
+
 def test_drift_beyond_the_sweeps_is_solved_by_the_lu_alone():
-    # Gamma0 = 5e6 MHz turns each step's phase by 0.2-0.6 rad over this grid:
-    # far from the carrier phases, so no sweep converges and every point is
-    # the LU's, as the batch solves it.
-    config = symmetric_config(30, gamma=EMISSION, delta_dependent_phases=True, gamma0_mhz=5e6)
+    # Gamma0 = 2e7 MHz turns each step's phase by 0.85-2.5 rad over this
+    # grid: far from the carrier phases, so no sweep converges, even with
+    # the first-order drift in its steps (at 5e6 MHz, 0.2-0.6 rad, 10 of the
+    # 41 points do), and every point is the LU's, as the batch solves it.
+    config = symmetric_config(30, gamma=EMISSION, delta_dependent_phases=True, gamma0_mhz=2e7)
     ddi = ddi_matrix(config)
     deltas = np.linspace(20.0, 60.0, 41)
-    assert abs(config.step_phase(deltas[0]) - config.theta) > 0.2
+    assert abs(config.step_phase(deltas[0]) - config.theta) > 0.8
     recorder = RecordingSolve()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.linalg, "solve", recorder)
@@ -822,42 +900,55 @@ def test_row_products_written_in_place_have_the_fresh_products_bits(n):
 
 @pytest.mark.blas_bits
 def test_sweeps_read_whole_arrays_with_the_bits_of_gathered_ones(monkeypatch):
-    # A chiral N = 30 stack at delta-dependent phases whose points take one
-    # to four sweeps, one of them with its gaps lambda - delta scaled by 0.3,
-    # so that its first sweep raises its backward error and is dropped.  Its
-    # first sweep reads whole arrays, as every point still sweeps; with one
-    # more point that ends at its start (an inf norm gives it backward error
-    # 0), every sweep gathers its points instead.  The stack's points take
-    # the same sweeps and bits either way.
-    config = chiral_config(30, delta_dependent_phases=True)
-    stacks = []
-    monkeypatch.setattr(scattering, "_swept", lambda *args: stacks.append(args) or _swept(*args))
+    # A chiral N = 30 stack at delta-dependent phases, Gamma0 = 1e4 MHz
+    # (drifts up to 6.4e-3 rad), whose points take one to four sweeps, one
+    # of them with its gaps lambda - delta scaled by 0.3, so that its first
+    # sweep raises its backward error and is dropped.  Its first sweep reads
+    # whole arrays, as every point still sweeps; with one more point that
+    # ends at its start (an inf norm gives it backward error 0), every sweep
+    # gathers its points instead.  The stack's points take the same sweeps
+    # and bits either way.  The call is bound by name, and a sweep's
+    # products counted as those of a point that ends at its start: a step
+    # and an image, as every sweep takes.
+    config = chiral_config(30, delta_dependent_phases=True, gamma0_mhz=1e4)
+    signature, calls = inspect.signature(_swept), []
+
+    def recorded(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs).arguments)
+        return _swept(*args, **kwargs)
+
+    monkeypatch.setattr(scattering, "_swept", recorded)
     scan(config, ddi_matrix(config), np.linspace(-300.0, 300.0, 41))
-    chains, chain, *per_point = stacks[0]
-    per_point[2] = per_point[2].copy()
-    per_point[2][7] *= 0.3  # the gaps
+    per_point = dict(calls[0])
+    chains, chain = per_point.pop("chains"), per_point.pop("chain")
+    per_point["gap"] = per_point["gap"].copy()
+    per_point["gap"][7] *= 0.3
     products, rows = [], _rows
 
     def counted(*args, **kwargs):
         products.append(len(args[1]))
         return rows(*args, **kwargs)
 
+    def swept(at, **changed):  # the stack's points ``at``
+        products.clear()
+        return _swept(chains, chain[at], **{name: v[at] for name, v in per_point.items()} | changed)
+
     monkeypatch.setattr(scattering, "_rows", counted)
+    swept(slice(0, 1), norm=np.array([np.inf]))
+    per_sweep = len(products)
     alone = []
     for i in range(len(chain)):
-        products.clear()
-        _swept(chains, chain[i : i + 1], *(values[i : i + 1] for values in per_point))
-        alone.append(len(products) // 5 - 1)  # five products a sweep, and the start
+        swept(slice(i, i + 1))
+        alone.append(len(products) // per_sweep - 1)  # the sweeps, after the start
     assert sorted(set(alone)) == [1, 2, 3, 4]
-    products.clear()
-    whole = _swept(chains, chain, *per_point)
+    whole = swept(slice(None))
     viewed = len(products)
-    extended = [np.concatenate([values, values[:1]]) for values in per_point]
-    extended[3][-1] = np.inf  # the norm
+    extended = {name: np.concatenate([v, v[:1]]) for name, v in per_point.items()}
+    extended["norm"][-1] = np.inf
     products.clear()
-    gathered = _swept(chains, np.append(chain, chain[0]), *extended)
-    assert len(products) == viewed == 5 * (1 + max(alone))
-    assert products[5] == len(chain)  # the first sweep, gathered
+    gathered = _swept(chains, np.append(chain, chain[0]), **extended)
+    assert len(products) == viewed == per_sweep * (1 + max(alone))
+    assert products[per_sweep] == len(chain)  # the first sweep, gathered
     assert gathered[2][-1]  # the extra point converged at its start
     assert alone[7] == 1 and not whole[2][7]  # the scaled point's sweep was dropped
     for mine, theirs in zip(whole, gathered):
