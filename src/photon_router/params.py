@@ -32,6 +32,15 @@ EMITTER_LIMIT = 1000
 #: Most points a detuning window may hold.
 POINTS_LIMIT = 10**6
 
+#: Most emitter amplitudes one solve may hold: detuning points x emitters,
+#: times the spacings of a separation sweep.  A solve keeps every point's
+#: amplitudes A (P, N), 16 bytes an element, and more than a few (P, N)
+#: arrays nowhere, so 2**26 elements (1 GiB of A) bound a run's memory on
+#: any host with a few GiB, 1,100 times the largest reference run (60,030
+#: elements, 2001 points at N = 30).  Larger grids are rejected before any
+#: decomposition, in place of an allocation that fails or is OOM-killed.
+ELEMENT_LIMIT = 2**26
+
 _RATE_FIELDS = ("gamma", "gamma_dr", "gamma_dl", "gamma_ur", "gamma_ul")
 
 _SPEED_OF_LIGHT_NM_S = 2.99792458e17
@@ -152,6 +161,17 @@ def _check_rate(name: str, value: Rate, n: int, errors: list[str]) -> None:
         errors.append(f"{name} must be non-negative, got {bad[0]!r}")
 
 
+def memory_errors(points: int, n: int, spacings: int = 1) -> list[str]:
+    """The violation, if any, of ``ELEMENT_LIMIT`` by the amplitudes of
+    ``spacings`` x ``points`` detunings x ``n`` emitters."""
+    elements = spacings * points * n
+    if elements <= ELEMENT_LIMIT:
+        return []
+    sweep = f"{spacings} spacings x " if spacings > 1 else ""
+    return [f"{sweep}P = {points} detuning points x N = {n} emitters need {16 * elements}"
+            f" bytes of amplitudes, over the budget of {16 * ELEMENT_LIMIT} bytes (ELEMENT_LIMIT)"]
+
+
 def validate(config: SystemConfig) -> SystemConfig:
     """Check every invariant and return the config unchanged.
 
@@ -160,7 +180,8 @@ def validate(config: SystemConfig) -> SystemConfig:
     fractional or boolean emitter count) are violations like any other.
     Once the fields are valid, theta and r_step over the chain's length, each
     emitter's total rate and, with delta-dependent phases, the step phase
-    over the chain and the detuning window must be finite too.
+    over the chain and the detuning window must be finite too, and the
+    window's amplitudes within ``ELEMENT_LIMIT`` (``memory_errors``).
     """
     errors: list[str] = []
     if not _is_count(config.n_emitters):
@@ -216,6 +237,8 @@ def validate(config: SystemConfig) -> SystemConfig:
     if config.delta_dependent_phases and not all(  # linear in delta: check the ends
             math.isfinite(span * config.step_phase(delta)) for delta in ends):
         errors.append("the step phase is not finite over the chain and detuning window")
+    if config.detuning is not None:
+        errors += memory_errors(config.detuning.points, config.n_emitters)
     rates = [getattr(config, name) for name in _RATE_FIELDS]
     for j in range(max((len(v) for v in rates if isinstance(v, tuple)), default=1)):
         gamma, *channels = (float(v[j] if isinstance(v, tuple) else v) for v in rates)

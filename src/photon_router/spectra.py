@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .ddi import DdiMatrix, _by_offset, _toeplitz, ddi_matrix
-from .params import DETUNING_LIMIT, SystemConfig, validate
+from .params import DETUNING_LIMIT, ConfigError, SystemConfig, memory_errors, validate
 from .scattering import (
     INTENSITY_KEYS,
     MODAL_ERROR_FLOOR,
@@ -408,9 +408,10 @@ def sweep_separation(
 ) -> SeparationSweep:
     """Re-solve the full spectrum for each inter-emitter separation.
 
-    Every spacing is validated (from the two ends of the range), and its
-    couplings built, before any solve, so a ConfigError at any spacing
-    comes before a SolverError at an earlier one.  Whole spacings then
+    Every spacing is validated (from the two ends of the range), the
+    sweep's amplitudes checked against ``ELEMENT_LIMIT`` (spacings x P x N)
+    and its couplings built, before any solve, so a ConfigError at any
+    spacing comes before a SolverError at an earlier one.  Whole spacings then
     share solver calls of at most
     max(P, the points of one LU stack) (P detunings), which bounds the
     M0 and modes a call's chains hold, in spacing-major order, each point
@@ -444,6 +445,8 @@ def sweep_separation(
     # linearly with it.  So the two ends validate every spacing.
     for end in (configs[0], configs[-1]):
         validate(end)
+    if errors := memory_errors(grid.size, config.n_emitters, l_points):
+        raise ConfigError(errors)
     by_offset = [_by_offset(cfg) for cfg in configs]  # in order; J in O(N) each
     per_call = max(grid.size, _lu_points(config.n_emitters)) // grid.size
 

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,7 +19,7 @@ import photon_router
 import photon_router.cli as cli
 from photon_router import SeparationSweep, SystemConfig, cells, sweep_separation, validate
 from photon_router.cli import main
-from photon_router.params import EMITTER_LIMIT, POINTS_LIMIT
+from photon_router.params import ELEMENT_LIMIT, EMITTER_LIMIT, POINTS_LIMIT
 from photon_router.spectra import SWEEP_POINTS_LIMIT
 
 TWO_EMITTER = {
@@ -737,11 +739,17 @@ def test_data_artifacts_repeat_byte_for_byte_in_one_process(two_emitter_config, 
          f"detuning points must be <= {POINTS_LIMIT}, got {POINTS_LIMIT + 1}"),
         (TWO_EMITTER, ["sweep-separation", "--l-points", str(SWEEP_POINTS_LIMIT)],
          f"a sweep of {SWEEP_POINTS_LIMIT} spacings x 201 detunings exceeds"),
+        (TWO_EMITTER | {"n_emitters": 100}, ["spectrum", "--delta-points", "700000"],
+         f"P = 700000 detuning points x N = 100 emitters need {16 * 7 * 10**7} bytes"),
+        (TWO_EMITTER | {"n_emitters": 1000}, ["sweep-separation", "--delta-points", "1000",
+                                             "--l-points", "100"],
+         f"100 spacings x P = 1000 detuning points x N = 1000 emitters need {16 * 10**8} bytes"),
     ],
-    ids=["emitters", "detuning-points", "sweep-points"],
+    ids=["emitters", "detuning-points", "sweep-points", "amplitudes", "sweep-amplitudes"],
 )
 def test_oversized_runs_exit_1_before_allocating(config, command, message, tmp_path, capsys):
-    # Each is rejected by validate or sweep_separation's argument checks.
+    # Each is rejected by validate or sweep_separation's argument checks,
+    # the amplitudes against ELEMENT_LIMIT.
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "never.csv"
@@ -749,6 +757,29 @@ def test_oversized_runs_exit_1_before_allocating(config, command, message, tmp_p
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {message}")
     assert err.count("config error: ") == 1
+    assert not out.exists()
+
+
+def test_a_grid_over_the_element_budget_exits_1_at_once(tmp_path, capsys):
+    # N = 1000 at 10^6 points would need 16 GB of amplitudes: one config
+    # error line, within a second, with no allocation near that size, nor
+    # even one N x N matrix (8 MB): no couplings, no decomposition.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(TWO_EMITTER | {"n_emitters": EMITTER_LIMIT}))
+    out = tmp_path / "never.csv"
+    argv = ["spectrum", "--config", str(path), "--out", str(out), "--delta-points", str(POINTS_LIMIT)]
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        code = main(argv)
+        elapsed, (_, peak) = time.perf_counter() - started, tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and elapsed < 1.0 and peak < 2**20
+    needed, budget = 16 * POINTS_LIMIT * EMITTER_LIMIT, 16 * ELEMENT_LIMIT
+    assert capsys.readouterr().err == (
+        f"config error: P = {POINTS_LIMIT} detuning points x N = {EMITTER_LIMIT} emitters"
+        f" need {needed} bytes of amplitudes, over the budget of {budget} bytes (ELEMENT_LIMIT)\n")
     assert not out.exists()
 
 
@@ -785,11 +816,19 @@ HOSTILE_REALS = (st.sampled_from(EXTREMES + [-x for x in EXTREMES])
                  | st.floats(allow_nan=False, allow_infinity=False))
 
 
+#: (N, P) whose amplitudes exceed ELEMENT_LIMIT, within EMITTER_LIMIT and POINTS_LIMIT.
+OVER_BUDGET = st.integers(ELEMENT_LIMIT // POINTS_LIMIT + 1, EMITTER_LIMIT).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(ELEMENT_LIMIT // n + 1, POINTS_LIMIT)))
+
+
 @st.composite
 def hostile_configs(draw):
-    """The two-emitter reference config with about half its fields hostile."""
-    n = draw(st.integers(min_value=1, max_value=4))
-    rates = HOSTILE_SIZES | st.lists(HOSTILE_SIZES, min_size=n, max_size=n)
+    """The two-emitter reference config with about half its fields hostile,
+    of one to four emitters and points, or of a chain and grid whose
+    amplitudes exceed ``ELEMENT_LIMIT`` (uniform rates), which every
+    command rejects before any solve."""
+    n, points = draw(st.tuples(st.integers(1, 4), st.integers(1, 5)) | OVER_BUDGET)
+    rates = HOSTILE_SIZES | st.lists(HOSTILE_SIZES, min_size=n, max_size=n) if n <= 4 else HOSTILE_SIZES
     hostile = {
         "dipole_angle": HOSTILE_REALS, "ddi_strength": HOSTILE_REALS,
         **dict.fromkeys(("spacing", "lambda_qd", "lambda_sp", "gamma0_mhz"), HOSTILE_SIZES),
@@ -804,7 +843,7 @@ def hostile_configs(draw):
     return config | {
         "ddi_mode": draw(st.sampled_from(["auto", "manual", "off"])),
         "delta_dependent_phases": draw(st.booleans()),
-        "detuning": {"min": low, "max": high, "points": draw(st.integers(1, 5))},
+        "detuning": {"min": low, "max": high, "points": points},
     }
 
 
@@ -859,6 +898,8 @@ def test_main_exits_0_to_3_with_finite_artifacts(config, spacings, refine):
                 warnings.simplefilter("always")
                 code = main(argv)
             assert code in (0, 1, 2, 3), (command, stderr.getvalue())
+            if config["n_emitters"] * config["detuning"]["points"] > ELEMENT_LIMIT:
+                assert code == 1, (command, stderr.getvalue())
             assert "Traceback" not in stderr.getvalue()
             assert not caught, (command, [str(w.message) for w in caught])
             if code == 0:

@@ -13,7 +13,7 @@ from photon_router import (
     load_config,
     validate,
 )
-from photon_router.params import EMITTER_LIMIT, POINTS_LIMIT
+from photon_router.params import ELEMENT_LIMIT, EMITTER_LIMIT, POINTS_LIMIT
 
 from conftest import chiral_config
 
@@ -179,6 +179,21 @@ def test_chain_length_and_point_count_are_bounded():
     with pytest.raises(ConfigError) as err:
         validate(SystemConfig(n_emitters=10**9, detuning=DetuningGrid(0.0, 1.0, POINTS_LIMIT + 1)))
     assert len(err.value.errors) == 2
+
+
+def test_amplitudes_are_bounded_by_the_element_budget():
+    # The largest accepted grid of the longest chain passes, one point more
+    # is one line naming P, N and the bytes needed; the budget sits far
+    # above the largest reference run (2001 points at N = 30).
+    points = ELEMENT_LIMIT // EMITTER_LIMIT
+    validate(SystemConfig(n_emitters=EMITTER_LIMIT, detuning=DetuningGrid(0.0, 1.0, points)))
+    with pytest.raises(ConfigError) as err:
+        validate(SystemConfig(n_emitters=EMITTER_LIMIT, detuning=DetuningGrid(0.0, 1.0, points + 1)))
+    assert err.value.errors == [
+        f"P = {points + 1} detuning points x N = {EMITTER_LIMIT} emitters need"
+        f" {16 * (points + 1) * EMITTER_LIMIT} bytes of amplitudes, over the budget of"
+        f" {16 * ELEMENT_LIMIT} bytes (ELEMENT_LIMIT)"]
+    assert ELEMENT_LIMIT >= 1000 * 2001 * 30
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from photon_router import (
     solve_spectrum_point_batch,
     sweep_separation,
 )
-from photon_router.params import DETUNING_LIMIT
+from photon_router.params import DETUNING_LIMIT, ELEMENT_LIMIT
 from photon_router.scattering import INTENSITY_KEYS
 
 from conftest import (
@@ -959,6 +959,12 @@ class TestSweepSeparation:
         too_many = spectra.SWEEP_POINTS_LIMIT // grid.size + 1
         with pytest.raises(ValueError, match=f"{too_many} spacings x 201 detunings exceeds"):
             sweep_separation(config, (5.0, 100.0), too_many, grid)
+        # The amplitudes, spacings x P x N, must fit ELEMENT_LIMIT: at N = 1000,
+        # 67 spacings of 1000 detunings do and 68 do not.
+        long_chain, grid = chiral_config(1000), np.linspace(-40.0, 40.0, 1000)
+        assert ELEMENT_LIMIT // 10**6 == 67
+        with pytest.raises(ConfigError, match="68 spacings x P = 1000 detuning points x N = 1000"):
+            sweep_separation(long_chain, (5.0, 100.0), 68, grid)
 
     @staticmethod
     def _pole_sweep(pole_columns, l_points=25, **overrides):
