@@ -63,12 +63,15 @@ M(delta) = M0 - delta I, so each point is A = V (w / (lambda - delta)),
 O(N^2), its backward error taken from |M0 A - delta A - b|.  With
 delta-dependent phases each point applies
 M(delta) x = D (-i G_r) (D* x) + D* (-i G_l) (D x) + J x + diag(M_jj) x at
-its own phases, the LU's matrix unformed.  A starts from
-V ((V^-1 b) / (lambda - delta)), and refinement sweeps through the same
-modes correct it (see ``_swept``), O(N^2) each; the reference N = 100
-chain takes three.  Every modal product by an (N, N) matrix, at either
-phase model, is a row-major GEMM, over the stack for -i G_r and -i G_l and
-over each chain's points in it for M0, J, V and V^-1, whose rows keep each
+its own phases, the LU's matrix unformed.  Its modal steps take the step
+phase's drift Delta = s(delta) - theta to first order,
+M(delta) ~ V (Lambda - delta + Delta B1) V^-1, with B1 = V^-1 (dM0/dtheta) V
+kept per chain (``_Chains.slope``): A starts from one step on b, and
+refinement sweeps of the same step correct it (see ``_swept``), O(N^2)
+each; every point of the reference N = 100 chain converges after one.
+Every modal product by an (N, N) matrix, at either phase model, is a
+row-major GEMM, over the stack for -i G_r and -i G_l and over each
+chain's points in it for M0, J, V, V^-1 and B1, whose rows keep each
 point's bits its own (see ``_rows``); the LU's defect takes one product per
 point, as each LU point has its own matrix.  A point's ||M||_inf is taken
 from below, so its backward error is bounded from above.  ``scan`` and
@@ -244,8 +247,9 @@ class _Chains:
     a separation sweep's spacings, or one spectrum's chain.  Built once,
     solved by ``_solve_chains`` over any number of detuning lists.  The
     ``carrier`` M0 and its ``rate_sums``, the ``modes``, what only the sweeps
-    read (``exchange``, ``spread``) and the ``buffer`` that every LU system
-    is written into are built when a solve first needs them, so the LU of
+    read (``exchange``, ``spread`` and the ``slope`` B1, (C, N, N) as V is:
+    16 MB a chain at N = 1000) and the ``buffer`` that every LU system is
+    written into are built when a solve first needs them, so the LU of
     delta-dependent phases builds only the buffer."""
 
     @np.errstate(over="ignore", invalid="ignore")  # out-of-range values fail their point
@@ -306,21 +310,6 @@ class _Chains:
         return _modes(m0, -(self.v_dr * phases), self.mirrored)
 
     @cached_property
-    def slope(self) -> np.ndarray:
-        """B1 = V^-1 M1 V (C, N, N), M1 = dM0/dtheta = i K o (C_r - C_l) the
-        first order of M0 in the step phase, K_jk = j - k, C_r = D (-i G_r) D*
-        and C_l = D* (-i G_l) D at the carrier (see ``_swept``); NaN wherever
-        the modes are."""
-        phases, (vecs, inverse) = self.carrier[0], self.modes[1:3]
-        rightward = phases[:, :, None] * phases.conj()[:, None, :]
-        leftward = rightward.conj()
-        rightward *= self.rightward
-        leftward *= self.leftward
-        rightward -= leftward
-        rightward *= 1j * np.subtract.outer(np.arange(self.n), np.arange(self.n))
-        return inverse @ rightward @ vecs
-
-    @cached_property
     def ports(self) -> np.ndarray:
         """c_k^T V (5, N) of the one chain, for each port amplitude
         p = p0 + c_k^T A in ``INTENSITY_KEYS`` order, the loss's row NaN."""
@@ -355,6 +344,19 @@ class _Chains:
     def spread(self) -> np.ndarray:
         """sum_k G_jk |j - k| (N,) of the guided couplings G = G_r + G_l."""
         return (abs(self.rightward + self.leftward) * _toeplitz(np.arange(self.n))).sum(axis=1)
+
+    @cached_property
+    def slope(self) -> np.ndarray:
+        """B1 = V^-1 M1 V (C, N, N), for ``_swept``: M1 = dM0/dtheta, M0's first
+        order in the step phase, is i (j - k) (C_r - C_l)_jk with C_r =
+        D (-i G_r) D* and C_l = D* (-i G_l) D at the carrier.  NaN wherever
+        the modes are."""
+        phases, (vecs, inverse) = self.carrier[0], self.modes[1:3]
+        turns = phases[:, :, None] * phases.conj()[:, None, :]  # e^{i (phi_j - phi_k)}
+        m1 = turns * self.rightward
+        m1 -= turns.conj() * self.leftward
+        m1 *= 1j * np.subtract.outer(np.arange(self.n), np.arange(self.n))
+        return inverse @ m1 @ vecs
 
 
 def _chain(config: SystemConfig, ddi: DdiMatrix) -> _Chains:
@@ -553,15 +555,19 @@ def _swept(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Amplitudes x (P, N), defects |M(delta) x - b|_inf (P,) and which
     converged, for the delta-dependent points of a stack (``chain`` of each),
-    from their chains' carrier-phase modes, given e^{i phi_j} (``phases``)
-    and b (``rhs``) at each point and their ``conjugates`` and |b|_inf.
+    from their chains' carrier-phase modes, given e^{i phi_j} (``phases``),
+    b (``rhs``) and the step-phase drift Delta = s(delta) - theta
+    (``drift``) at each point and their ``conjugates`` and |b|_inf.
 
     M(delta) x is the LU's matrix applied as the module docstring writes it,
-    D at each point's own ``phases``, plus ``on_diagonal`` x.  x starts at
-    V ((V^-1 b) / (lambda - delta)) (``gap``), then sweeps
-    x <- x + V ((V^-1 (b - M(delta) x)) / (lambda - delta)): five products by
-    (N, N) matrices a sweep, -i G_r and -i G_l one GEMM each over the stack,
-    J, V^-1 and V each point by its chain's (see ``_rows``), nothing (P, N, N).
+    D at each point's own ``phases``, plus ``on_diagonal`` x.  A step S r
+    inverts V (Lambda - delta + Delta B1) V^-1 to first order in Delta:
+    y = (V^-1 r) / (lambda - delta) (``gap``), y -= Delta (B1 y) / (lambda - delta),
+    S r = V y, with B1 = ``_Chains.slope``.  x starts at S b, then sweeps
+    x <- x + S (b - M(delta) x), each shrinking the error by about the square
+    of what a step without the drift term would: six products by (N, N)
+    matrices a sweep, -i G_r and -i G_l one GEMM each over the stack, J,
+    V^-1, B1 and V each point by its chain's (see ``_rows``), nothing (P, N, N).
     A point's sweeps end once its backward error (``norm`` as the check
     takes it) is at most eps, or a sweep fails to halve it: from a backward
     error of 1, after at most log2(1 / eps) = 52.  A sweep that does not
@@ -578,7 +584,7 @@ def _swept(
         right, left = _rows(chains.rightward, d_conj * x), _rows(chains.leftward, d * x)
         return d * right + d_conj * left + _rows(chains.exchange, x, c) + on_diagonal[points] * x
 
-    def step(points, residual):  # V (y - Delta (B1 y) / (lambda - delta)), y = (V^-1 r) / (lambda - delta)
+    def step(points, residual):  # S r
         c, g = chain[points], gap[points]
         y = _rows(inverse, residual, c)
         y /= g
