@@ -576,8 +576,7 @@ def _swept(
     N eps, the rounding level of its N-term products; a 1e-10 backward error
     would not give 1e-10 intensities.  While every point of the stack still
     sweeps, a sweep reads its arrays whole, not gathered."""
-    _, vecs, inverse, _ = chains.modes
-    slope = chains.slope
+    (_, vecs, inverse, _), slope = chains.modes, chains.slope
 
     def image(points, x):  # M(delta) x
         d, d_conj, c = phases[points], conjugates[points], chain[points]
@@ -586,12 +585,8 @@ def _swept(
 
     def step(points, residual):  # S r
         c, g = chain[points], gap[points]
-        y = _rows(inverse, residual, c)
-        y /= g
-        correction = _rows(slope, y, c)
-        correction *= drift[points, None]
-        correction /= g
-        y -= correction
+        y = _rows(inverse, residual, c) / g
+        y -= drift[points, None] * _rows(slope, y, c) / g
         return _rows(vecs, y, c)
 
     def backward(points, x, mx):
