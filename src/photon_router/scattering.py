@@ -114,7 +114,7 @@ from typing import Sequence
 import numpy as np
 
 from .ddi import DdiMatrix, _toeplitz
-from .params import SystemConfig
+from .params import ConfigError, SystemConfig, memory_errors
 
 #: Accepted solves must have a backward error below this bound.
 RESIDUAL_LIMIT = 1e-10
@@ -233,7 +233,8 @@ def solve_spectrum_point_batch(
     Raises the SolverError of the first failing detuning in input order,
     named by the first check it fails: singular, non-finite solution, matrix
     norm beyond the float range, backward error above ``RESIDUAL_LIMIT``,
-    non-finite intensities, flux balance (see ``SolverError``).
+    non-finite intensities, flux balance (see ``SolverError``); a list whose
+    amplitudes exceed ``params.ELEMENT_LIMIT`` is a ConfigError, before any.
     """
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim > 1:
@@ -368,7 +369,11 @@ def _chain(config: SystemConfig, ddi: DdiMatrix) -> _Chains:
 
 def _recorded(config: SystemConfig, ddi: DdiMatrix, deltas: np.ndarray, modal: bool):
     """The TransportSolution of ``_solve_chains`` on the spectrum's chain,
-    recording its ``source`` and, in ``_solved``, the source with the chain."""
+    recording its ``source`` and, in ``_solved``, the source with the chain.
+    Detunings whose amplitudes exceed ``ELEMENT_LIMIT`` are a ConfigError,
+    raised before any solve (``memory_errors``)."""
+    if errors := memory_errors(deltas.size, config.n_emitters):
+        raise ConfigError(errors)
     source, chains = (config, ddi), _chain(config, ddi)
     result = _solve_chains(chains, deltas, modal)
     return replace(result, source=source, _solved=(source, chains))

@@ -98,7 +98,8 @@ def scan(
     """Batch-solve a monotone detuning grid into the solver's
     TransportSolution, from the chain's modes (see ``scattering``), recording
     ``config`` and ``ddi`` as its ``source``; the first grid point that fails
-    raises its SolverError."""
+    raises its SolverError, and a grid whose amplitudes exceed
+    ``ELEMENT_LIMIT`` is a ConfigError, before any solve."""
     return _recorded(config, ddi, _checked_grid(grid), modal=True)
 
 

@@ -16,6 +16,7 @@ from photon_router import (
     validate,
 )
 from photon_router import scattering
+from photon_router.params import ELEMENT_LIMIT, EMITTER_LIMIT, ConfigError
 from photon_router.scattering import (
     FLUX_IDENTITY_LIMIT,
     FLUX_TOLERANCE,
@@ -258,6 +259,19 @@ def test_heterogeneous_chain_decouples_silent_emitter():
     assert sol_pair.t == pytest.approx(sol_lone.t, abs=1e-14)
     assert sol_pair.tt == pytest.approx(sol_lone.tt, abs=1e-14)
     assert sol_pair.a[0, 1] == 0.0
+
+
+@SOLVERS
+def test_a_grid_over_the_element_budget_is_rejected_before_any_solve(solve):
+    # 1000 emitters at one point more than ELEMENT_LIMIT allows: a
+    # ConfigError naming P and N, with no decomposition and no LU.
+    deltas = np.linspace(-1.0, 1.0, ELEMENT_LIMIT // EMITTER_LIMIT + 1)
+    recorder = RecordingSolve()
+    with pytest.MonkeyPatch.context() as patch, pytest.raises(ConfigError) as err:
+        patch.setattr(np.linalg, "solve", recorder)
+        solve(chiral_config(EMITTER_LIMIT), no_ddi(EMITTER_LIMIT), deltas)
+    assert err.value.errors[0].startswith(f"P = {deltas.size} detuning points x N = {EMITTER_LIMIT}")
+    assert not recorder.systems
 
 
 def test_residual_recorded_and_small():
