@@ -34,11 +34,12 @@ POINTS_LIMIT = 10**6
 
 #: Most emitter amplitudes one solve may hold: detuning points x emitters,
 #: times the spacings of a separation sweep.  A solve keeps every point's
-#: amplitudes A (P, N), 16 bytes an element, and more than a few (P, N)
-#: arrays nowhere, so 2**26 elements (1 GiB of A) bound a run's memory on
-#: any host with a few GiB, 1,100 times the largest reference run (60,030
-#: elements, 2001 points at N = 30).  Larger grids are rejected before any
-#: decomposition, in place of an allocation that fails or is OOM-killed.
+#: amplitudes A (P, N), 16 bytes an element, while its other arrays grow
+#: with P alone or are bounded per stack, so 2**26 elements (1 GiB of A)
+#: bound a run's memory on a host of a few GiB, 1,100 times the largest
+#: reference run (60,030 elements, 2001 points at N = 30).  Larger grids
+#: are rejected before any decomposition, where their allocation would
+#: fail or be OOM-killed.
 ELEMENT_LIMIT = 2**26
 
 _RATE_FIELDS = ("gamma", "gamma_dr", "gamma_dl", "gamma_ur", "gamma_ul")
